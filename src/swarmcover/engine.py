@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .geometry import Point, dist
+from .geometry import CellGrid, Point, dist
 from .instances import Asset, Instance, Workspace
 from .metrics import RoundMetrics, summarize
 
@@ -145,12 +145,17 @@ def neighbors(snapshot: WorldSnapshot, rid: int) -> set[int]:
 
 
 def neighbor_map(snapshot: WorldSnapshot) -> dict[int, tuple[int, ...]]:
-    """Neighbor ids (sorted) for every alive robot, computed in one sweep."""
+    """Neighbor ids (sorted) for every alive robot, computed in one sweep
+    over a cell grid of side r_comm."""
     alive = [r for r in snapshot.robots if r.alive]
-    thr2 = snapshot.params.r_comm ** 2
+    r_comm = snapshot.params.r_comm
+    thr2 = r_comm ** 2
+    grid = CellGrid(r_comm, ((r.pos, r) for r in alive))
     nbrs: dict[int, list[int]] = {r.id: [] for r in alive}
-    for i, a in enumerate(alive):
-        for b in alive[i + 1 :]:
+    for a in alive:
+        for b in grid.near(a.pos):
+            if b.id <= a.id:
+                continue
             dx = a.pos.x - b.pos.x
             dy = a.pos.y - b.pos.y
             if dx * dx + dy * dy <= thr2:

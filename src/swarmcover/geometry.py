@@ -1,4 +1,5 @@
-"""Planar geometry: points, disks, circumcircles, smallest enclosing disks.
+"""Planar geometry: points, disks, circumcircles, smallest enclosing disks,
+and a cell-list index for fixed-radius queries.
 
 The enclosing-disk code is the classic randomized incremental construction
 (Welzl, move-to-front variant) with two choices that matter for
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Generic, Iterable, Optional, Sequence, TypeVar
 
 # Absolute containment slack in meters.  Keeps boundary points from flapping
 # in and out of a disk during the incremental construction.
@@ -23,6 +24,13 @@ CONTAINMENT_TOL = 1e-9
 
 # Collinearity threshold on twice the signed triangle area, in m^2.
 DEGENERACY_TOL = 1e-9
+
+# Relative widening of a CellGrid's reach.  A caller's squared-distance test
+# can pass a pair up to a few ulps beyond its radius; this margin is far
+# wider than that rounding, so the grid never drops such a pair.
+_REACH_SLACK = 1e-9
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,57 @@ class Disk:
     @property
     def area(self) -> float:
         return math.pi * self.radius * self.radius
+
+
+class CellGrid(Generic[T]):
+    """Fixed-radius near-neighbour cell list (Bentley, 1975).
+
+    Items are bucketed by the square cell, of side `reach`, that their point
+    falls in.  `near(p)` returns the items of the block of cells overlapping
+    the box of half-width `reach` around p (3x3 cells), which includes every
+    item within distance `reach` of p.  The grid only pre-filters: callers
+    keep their own exact distance test, so their results do not change.
+    Queries that land on the same block share one list, which callers must
+    not modify.
+    """
+
+    def __init__(self, reach: float, items: Iterable[tuple[Point, T]]):
+        if not reach > 0.0:
+            raise ValueError(f"cell grid reach must be positive, got {reach}")
+        self._reach = reach * (1.0 + _REACH_SLACK)
+        self._inv = 1.0 / self._reach
+        self._cells: dict[tuple[int, int], list[T]] = {}
+        self._blocks: dict[tuple[int, int, int, int], list[T]] = {}
+        for p, item in items:
+            key = (math.floor(p.x * self._inv), math.floor(p.y * self._inv))
+            bucket = self._cells.get(key)
+            if bucket is None:
+                self._cells[key] = [item]
+            else:
+                bucket.append(item)
+
+    def near(self, p: Point) -> list[T]:
+        # The block's corners come from p -/+ reach through the same rounding
+        # as the bucket keys; rounding is monotone, so an item within reach
+        # of p cannot fall outside the block.
+        inv, reach = self._inv, self._reach
+        block = (
+            math.floor((p.x - reach) * inv),
+            math.floor((p.x + reach) * inv),
+            math.floor((p.y - reach) * inv),
+            math.floor((p.y + reach) * inv),
+        )
+        out = self._blocks.get(block)
+        if out is None:
+            x0, x1, y0, y1 = block
+            out = []
+            for cx in range(x0, x1 + 1):
+                for cy in range(y0, y1 + 1):
+                    bucket = self._cells.get((cx, cy))
+                    if bucket is not None:
+                        out.extend(bucket)
+            self._blocks[block] = out
+        return out
 
 
 def dist(a: Point, b: Point) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .geometry import CONTAINMENT_TOL, Point
+from .geometry import CONTAINMENT_TOL, CellGrid, Point
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import WorldSnapshot
@@ -63,13 +63,17 @@ def summarize(snapshot: "WorldSnapshot", max_displacement: float = 0.0) -> Round
     asset's kappa; undiscovered counts assets that appear in no robot's
     assigned set.
     """
-    alive = [(r.pos.x, r.pos.y, (r.radius + CONTAINMENT_TOL) ** 2) for r in snapshot.robots if r.alive]
+    alive = [r for r in snapshot.robots if r.alive]
+    # Cells as wide as the widest closed disk; at round 0 every radius is 0
+    # and the cells shrink to the containment slack.
+    reach = max((r.radius for r in alive), default=0.0) + CONTAINMENT_TOL
+    grid = CellGrid(reach, ((r.pos, (r.pos.x, r.pos.y, (r.radius + CONTAINMENT_TOL) ** 2)) for r in alive))
     under = 0
     over = 0
     for a in snapshot.assets:
         ax, ay = a.pos.x, a.pos.y
         c = 0
-        for rx, ry, thr2 in alive:
+        for rx, ry, thr2 in grid.near(a.pos):
             dx = rx - ax
             dy = ry - ay
             if dx * dx + dy * dy <= thr2:
@@ -79,9 +83,8 @@ def summarize(snapshot: "WorldSnapshot", max_displacement: float = 0.0) -> Round
         elif c > a.kappa:
             over += 1
     assigned: set[int] = set()
-    for r in snapshot.robots:
-        if r.alive:
-            assigned.update(r.assigned)
+    for r in alive:
+        assigned.update(r.assigned)
     undiscovered = sum(1 for a in snapshot.assets if a.id not in assigned)
     return RoundMetrics(
         round=snapshot.round,

@@ -35,6 +35,7 @@ from .engine import (
 )
 from .geometry import (
     CONTAINMENT_TOL,
+    CellGrid,
     Disk,
     Point,
     dist,
@@ -83,14 +84,22 @@ class Config:
     max_iters_phase3: int = 100
 
     def __post_init__(self) -> None:
+        # Values may come straight from a JSON config, so check types too: a
+        # string or a bool must fail here, not deep inside the run.
         for name in ("lam", "tol", "eps", "tau", "boundary_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_iters_phase1", "max_swap_sweeps", "max_iters_phase3"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.max_iters_phase2 is not None and self.max_iters_phase2 < 1:
-            raise ValueError("max_iters_phase2 must be >= 1 when given")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("max_iters_phase1", "max_iters_phase2", "max_swap_sweeps", "max_iters_phase3"):
+            value = getattr(self, name)
+            if name == "max_iters_phase2" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def phase2_cap(self, m: int) -> int:
         return self.max_iters_phase2 if self.max_iters_phase2 is not None else 10 * m
@@ -153,7 +162,16 @@ class _View:
     """Caches shared by the decision rules within one round.
 
     Everything here is derived from the snapshot alone, so per-robot decisions
-    that consult the view stay pure and order-independent.
+    that consult the view stay pure and order-independent.  Built up front:
+    the alive robots, the neighbor map, each robot's sensed assets (through
+    a cell grid of side r_max), its knowledge set and its membership cover
+    counts.  Filled on demand by the swap evaluation, which asks for the same
+    disks once per neighbor:
+
+    * `donor_disk`: a donor's enclosing disk without one of its assets, per
+      (donor, asset, seed);
+    * `grown_disk`: a receiver's disk grown by one asset, per
+      (receiver, asset).
     """
 
     def __init__(self, snapshot: WorldSnapshot):
@@ -163,12 +181,14 @@ class _View:
         self.alive = [r for r in snapshot.robots if r.alive]
         self.alive_ids = [r.id for r in self.alive]
         self.nbrs = neighbor_map(snapshot)
-        r_max2 = self.params.r_max ** 2
+        r_max = self.params.r_max
+        r_max2 = r_max ** 2
+        grid = CellGrid(r_max, ((a.pos, a) for a in self.assets))
         self.sensed: dict[int, set[int]] = {}
         for r in self.alive:
             px, py = r.pos.x, r.pos.y
             got = set()
-            for a in self.assets:
+            for a in grid.near(r.pos):
                 dx = a.pos.x - px
                 dy = a.pos.y - py
                 if dx * dx + dy * dy <= r_max2:
@@ -191,12 +211,33 @@ class _View:
             self.knowledge[r.id] = know
             self.cover[r.id] = counts
         self.robot = {r.id: r for r in snapshot.robots}
+        self._donor_disks: dict[tuple[int, int, int], Disk] = {}
+        self._grown_disks: dict[tuple[int, int], Disk] = {}
 
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
 
     def positions(self, assigned: Sequence[int]) -> list[Point]:
         return [self.assets[a].pos for a in assigned]
+
+    def donor_disk(self, donor: int, asset_id: int, seed: int) -> Disk:
+        """Enclosing disk of the donor's assets other than asset_id."""
+        key = (donor, asset_id, seed)
+        got = self._donor_disks.get(key)
+        if got is None:
+            robot = self.robot[donor]
+            got = min_enclosing_disk_or(self.positions(sorted(robot.assigned - {asset_id})), robot.pos, seed)
+            self._donor_disks[key] = got
+        return got
+
+    def grown_disk(self, receiver: int, asset_id: int) -> Disk:
+        """The receiver's disk after adding asset_id (see _grow_disk)."""
+        key = (receiver, asset_id)
+        got = self._grown_disks.get(key)
+        if got is None:
+            got = _grow_disk(self, self.robot[receiver], asset_id)
+            self._grown_disks[key] = got
+        return got
 
 
 def _finalize_radius(radius: float, r_max: float) -> float:
@@ -214,19 +255,20 @@ def _finalize_radius(radius: float, r_max: float) -> float:
 def lloyd_round(snapshot: WorldSnapshot, seed: int = 0) -> dict[int, Proposal]:
     """One Lloyd iteration: assets are claimed by the nearest sensing robot,
     robots move to the centroid of their cell, radius capped at r_max."""
-    view = _View(snapshot)
+    alive = [r for r in snapshot.robots if r.alive]
     r_max = snapshot.params.r_max
+    grid = CellGrid(r_max, ((r.pos, r) for r in alive))
     cells: dict[int, list[int]] = {}
     for a in snapshot.assets:
         best: tuple[float, int] | None = None
-        for r in view.alive:
+        for r in grid.near(a.pos):
             d2 = dist2(r.pos, a.pos)
             if d2 <= r_max * r_max and (best is None or (d2, r.id) < best):
                 best = (d2, r.id)
         if best is not None:
             cells.setdefault(best[1], []).append(a.id)
     proposals: dict[int, Proposal] = {}
-    for r in view.alive:
+    for r in alive:
         cell = cells.get(r.id)
         if not cell:
             proposals[r.id] = Proposal(r.pos, 0.0, frozenset())
@@ -340,7 +382,7 @@ def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps:
 
 
 def phase2_round(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0
+    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, *, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool]:
     """One auction round.
 
@@ -349,8 +391,10 @@ def phase2_round(
     auction.  All wins of a robot are folded into a single consolidation;
     a win is skipped if stacking it onto the earlier wins would push the disk
     past r_max (it stays undercovered and is re-auctioned next round).
+    `view`, when given, is a view of `snapshot` already built this round.
     """
-    view = _View(snapshot)
+    if view is None:
+        view = _View(snapshot)
     r_max = snapshot.params.r_max
     iteration = snapshot.round
     bid_cache: dict[tuple[int, int], Bid] = {}
@@ -367,14 +411,17 @@ def phase2_round(
     for rid in view.alive_ids:
         robot = view.robot[rid]
         counts = view.cover[rid]
+        group = sorted((rid, *view.nbrs[rid]))
         for asset_id in sorted(view.knowledge[rid]):
             if asset_id in robot.assigned:
                 continue
             if counts.get(asset_id, 0) >= view.assets[asset_id].kappa:
                 continue
+            if not bid_for(rid, asset_id).feasible:
+                continue  # select_winner never picks an infeasible bid
             bidders = [
                 j
-                for j in sorted((rid, *view.nbrs[rid]))
+                for j in group
                 if asset_id not in view.robot[j].assigned and asset_id in view.knowledge[j]
             ]
             bids = {j: bid_for(j, asset_id).delta for j in bidders}
@@ -490,7 +537,7 @@ def holders_certified(snapshot: WorldSnapshot) -> bool:
 
 
 def fallback_assign(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0
+    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, *, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool]:
     """Direct assignment when the auctions stall.
 
@@ -498,9 +545,11 @@ def fallback_assign(
     the largest spare capacity (r_max - r_i) among those that still know an
     addable undercovered asset takes its nearest such asset; if the grown
     disk would exceed r_max it first releases its own locally overcovered
-    assets farthest-first, one at a time, retrying after each.
+    assets farthest-first, one at a time, retrying after each.  `view`, when
+    given, is a view of `snapshot` already built this round.
     """
-    view = _View(snapshot)
+    if view is None:
+        view = _View(snapshot)
     r_max = snapshot.params.r_max
     addable: dict[int, list[int]] = {}
     for rid in view.alive_ids:
@@ -587,13 +636,11 @@ def _evaluate_swap(
     held_by_receiver = asset_id in dj.assigned
     if view.local_coverage(donor, asset_id) - (1 if held_by_receiver else 0) < view.assets[asset_id].kappa:
         return rejected
-    donor_after = min_enclosing_disk_or(
-        view.positions(sorted(di.assigned - {asset_id})), di.pos, seed
-    )
+    donor_after = view.donor_disk(donor, asset_id, seed)
     if held_by_receiver:
         recv_after = Disk(dj.pos, dj.radius)
     else:
-        recv_after = _grow_disk(view, dj, asset_id)
+        recv_after = view.grown_disk(receiver, asset_id)
         if recv_after.radius > view.params.r_max:
             return rejected
     before = math.pi * (di.radius ** 2 + dj.radius ** 2)
@@ -625,6 +672,20 @@ def swap_round(
     pairs = sorted(
         {(min(i, j), max(i, j)) for i in view.alive_ids for j in view.nbrs[i]}
     )
+    # Each donor's assets in scan order, less those no receiver can take:
+    # the rim test and the donor's own cover >= kappa test depend on the
+    # (donor, asset) pair alone, so dropping the assets that fail them
+    # cannot change which transfer is accepted first.
+    candidates: dict[int, list[int]] = {}
+    for rid in view.alive_ids:
+        dr = view.robot[rid]
+        rim = cfg.boundary_factor * dr.radius
+        candidates[rid] = [
+            a
+            for a in sorted(dr.assigned, key=lambda a: (-dist2(dr.pos, view.assets[a].pos), a))
+            if dist(view.assets[a].pos, dr.pos) > rim and view.local_coverage(rid, a) >= view.assets[a].kappa
+        ]
+
     used_robots: set[int] = set()
     used_assets: set[int] = set()
     proposals: dict[int, Proposal] = {}
@@ -634,8 +695,7 @@ def swap_round(
             continue
         best: tuple[float, int, int, int, SwapDecision] | None = None
         for donor, receiver in ((i, j), (j, i)):
-            dr = view.robot[donor]
-            for asset_id in sorted(dr.assigned, key=lambda a: (-dist2(dr.pos, view.assets[a].pos), a)):
+            for asset_id in candidates[donor]:
                 if asset_id in used_assets:
                     continue
                 dec = _evaluate_swap(view, donor, receiver, asset_id, cfg, seed)
@@ -735,8 +795,14 @@ def _plan_decide(plan: dict[int, Proposal]):
     return decide
 
 
-def _idle_decide(snapshot: WorldSnapshot, rid: int) -> Optional[Proposal]:
-    return None
+def _auction_round(snapshot: WorldSnapshot, cfg: Config, seed: int) -> tuple[dict[int, Proposal], bool]:
+    # The auctions and, when they stall, the fallback, on one view of the
+    # snapshot.  The view dies on return, before the round is stepped.
+    view = _View(snapshot)
+    plan, progress = phase2_round(snapshot, cfg, seed, view=view)
+    if not progress:
+        plan, progress = fallback_assign(snapshot, cfg, seed, view=view)
+    return plan, progress
 
 
 def run(
@@ -812,9 +878,7 @@ def run(
         while True:
             if coverage_satisfied(snapshot) and holders_certified(snapshot):
                 break
-            plan, progress = phase2_round(snapshot, cfg, seed)
-            if not progress:
-                plan, progress = fallback_assign(snapshot, cfg, seed)
+            plan, progress = _auction_round(snapshot, cfg, seed)
             if progress:
                 if bid_budget <= 0:
                     status = RunStatus.ITERATION_CAP

@@ -180,6 +180,26 @@ def test_unknown_config_key_is_an_error(tiny_scenario, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("knob", [{"tau": "0.1"}, {"max_iters_phase1": 2.5}, {"max_swap_sweeps": True}])
+def test_config_type_error_is_an_error(tiny_scenario, tmp_path, capsys, knob):
+    cfg = write_json(tmp_path / "cfg.json", knob)
+    assert main(["run", str(tiny_scenario), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert next(iter(knob)) in err
+
+
+def test_runtime_error_is_reported(tiny_scenario, monkeypatch, capsys):
+    import swarmcover.cli as cli
+
+    def broken_run(*args, **kwargs):
+        raise RuntimeError("consolidated radius 45.1 exceeds r_max 45.0")
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    assert main(["run", str(tiny_scenario)]) == 1
+    assert capsys.readouterr().err == "error: consolidated radius 45.1 exceeds r_max 45.0\n"
+
+
 def test_unknown_event_kind_is_an_error(tmp_path, capsys):
     scenario = write_json(
         tmp_path / "bad.json",

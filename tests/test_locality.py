@@ -1,0 +1,264 @@
+"""Equivalence of the locality-bounded queries with their brute-force
+references.
+
+Sensing, the neighbor map, Lloyd's nearest-robot search and the cover counts
+of `summarize` go through `geometry.CellGrid`; the swap sweep reads memoized
+disks from the round's view.  Each must give exactly what the all-pairs
+definition gives, including on cell boundaries, at negative coordinates,
+with zero radii and dead robots, and when r_comm equals r_max.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from swarmcover.engine import Params, Phase, Proposal, RobotState, WorldSnapshot, neighbor_map, neighbors, sense
+from swarmcover.geometry import CellGrid, Point, dist, dist2, min_enclosing_disk_or
+from swarmcover.instances import Asset, Workspace
+from swarmcover.metrics import coverage_count, summarize
+from swarmcover.protocol import Config, SwapRecord, _View, evaluate_swap, lloyd_round, swap_round
+
+WS = Workspace(-120.0, 120.0, -120.0, 120.0)
+
+radii = st.sampled_from([2.5, 10.0, 40.0]) | st.floats(0.5, 60.0)
+
+
+def coords(*cells: float):
+    """Plain coordinates, plus exact multiples of each cell size given."""
+    plain = st.floats(-120.0, 120.0, allow_nan=False, allow_infinity=False)
+    multiples = [st.integers(-6, 6).map(lambda k, c=c: k * c) for c in cells]
+    return st.one_of(plain, *multiples)
+
+
+@st.composite
+def worlds(draw, max_robots: int = 12, max_assets: int = 30) -> WorldSnapshot:
+    """A snapshot with arbitrary positions, zero and nonzero radii, dead
+    robots, and r_comm sometimes equal to r_max."""
+    r_max = draw(radii)
+    r_comm = draw(st.just(r_max) | radii)
+    coord = coords(r_max, r_comm)
+    n_assets = draw(st.integers(0, max_assets))
+    assets = tuple(Asset(i, Point(draw(coord), draw(coord)), draw(st.integers(1, 3))) for i in range(n_assets))
+    zero_radii = draw(st.booleans())  # the all-zero radii of round 0
+    robots = []
+    for i in range(draw(st.integers(0, max_robots))):
+        pos = Point(draw(coord), draw(coord))
+        if not draw(st.integers(0, 4)):
+            robots.append(RobotState(i, pos, 0.0, frozenset(), False))
+            continue
+        radius = 0.0 if zero_radii else draw(st.just(0.0) | st.floats(0.0, r_max))
+        held = draw(st.frozensets(st.integers(0, n_assets - 1), max_size=5)) if n_assets else frozenset()
+        robots.append(RobotState(i, pos, radius, held, True))
+    return WorldSnapshot(0, Phase.EXPLORE, tuple(robots), assets, Params(WS, len(robots), r_comm, r_max))
+
+
+@given(
+    st.lists(st.tuples(coords(7.0), coords(7.0)), max_size=40),
+    st.lists(st.tuples(coords(7.0), coords(7.0)), min_size=1, max_size=10),
+    st.sampled_from([7.0, 1e-9]) | st.floats(1e-6, 80.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_cell_grid_returns_every_item_within_reach(points, queries, reach):
+    grid = CellGrid(reach, ((Point(x, y), k) for k, (x, y) in enumerate(points)))
+    thr2 = reach * reach
+    for qx, qy in queries:
+        near = grid.near(Point(qx, qy))
+        assert len(near) == len(set(near))
+        for k, (x, y) in enumerate(points):
+            if (x - qx) ** 2 + (y - qy) ** 2 <= thr2:
+                assert k in near
+
+
+@given(worlds())
+@settings(max_examples=150, deadline=None)
+def test_neighbor_map_matches_pairwise_neighbors(snap):
+    nm = neighbor_map(snap)
+    assert sorted(nm) == [r.id for r in snap.robots if r.alive]
+    for rid, ids in nm.items():
+        assert list(ids) == sorted(neighbors(snap, rid))
+
+
+@given(worlds())
+@settings(max_examples=150, deadline=None)
+def test_view_sensing_matches_sense(snap):
+    view = _View(snap)
+    assert sorted(view.sensed) == [r.id for r in snap.robots if r.alive]
+    for rid, got in view.sensed.items():
+        assert got == sense(snap.robots[rid], snap.assets, snap.params.r_max)
+
+
+@given(worlds())
+@settings(max_examples=150, deadline=None)
+def test_summarize_counts_match_coverage_count(snap):
+    rm = summarize(snap)
+    counts = [(coverage_count(snap, a.pos), a.kappa) for a in snap.assets]
+    assert rm.undercovered_count == sum(1 for c, k in counts if c < k)
+    assert rm.overcovered_count == sum(1 for c, k in counts if c > k)
+
+
+def test_summarize_counts_assets_on_the_rim_at_every_cell_offset():
+    # Rows of one robot each, far apart; every robot's disk is the widest
+    # and passes exactly through its asset, as the robot slides across
+    # many cell boundaries in small steps.
+    radius = 10.0
+    robots, assets = [], []
+    for i in range(600):
+        x = -12.0 + 0.041 * i
+        robots.append(RobotState(i, Point(x, 100.0 * i), radius, frozenset({i}), True))
+        assets.append(Asset(i, Point(x + radius, 100.0 * i), 1))
+    snap = WorldSnapshot(3, Phase.OPTIMIZE, tuple(robots), tuple(assets), Params(WS, len(robots), 55.0, 40.0))
+    assert all(coverage_count(snap, a.pos) == 1 for a in assets)
+    rm = summarize(snap)
+    assert (rm.undercovered_count, rm.overcovered_count) == (0, 0)
+
+
+def lloyd_reference(snapshot: WorldSnapshot) -> dict[int, Proposal]:
+    """Lloyd's iteration with the nearest sensing robot found by scanning
+    every alive robot for every asset."""
+    alive = [r for r in snapshot.robots if r.alive]
+    r_max = snapshot.params.r_max
+    cells: dict[int, list[int]] = {}
+    for a in snapshot.assets:
+        best = None
+        for r in alive:
+            d2 = dist2(r.pos, a.pos)
+            if d2 <= r_max * r_max and (best is None or (d2, r.id) < best):
+                best = (d2, r.id)
+        if best is not None:
+            cells.setdefault(best[1], []).append(a.id)
+    out = {}
+    for r in alive:
+        cell = cells.get(r.id)
+        if not cell:
+            out[r.id] = Proposal(r.pos, 0.0, frozenset())
+            continue
+        xs = sum(snapshot.assets[a].pos.x for a in cell)
+        ys = sum(snapshot.assets[a].pos.y for a in cell)
+        centroid = Point(xs / len(cell), ys / len(cell))
+        maxd = max(dist(centroid, snapshot.assets[a].pos) for a in cell)
+        out[r.id] = Proposal(centroid, min(maxd, r_max), frozenset(cell))
+    return out
+
+
+@given(worlds())
+@settings(max_examples=150, deadline=None)
+def test_lloyd_round_matches_brute_force_reference(snap):
+    assert lloyd_round(snap) == lloyd_reference(snap)
+
+
+# -- swap sweep ---------------------------------------------------------------
+
+
+def sweep_reference(snapshot: WorldSnapshot, cfg: Config, seed: int):
+    """The swap sweep with every candidate judged by the public
+    evaluate_swap, which builds a fresh view on each call: no memo, no
+    candidate pre-filter."""
+    nm = neighbor_map(snapshot)
+    pairs = sorted({(min(i, j), max(i, j)) for i in nm for j in nm[i]})
+    used_robots: set[int] = set()
+    used_assets: set[int] = set()
+    proposals: dict[int, Proposal] = {}
+    records = []
+    for i, j in pairs:
+        if i in used_robots or j in used_robots:
+            continue
+        best = None
+        for donor, receiver in ((i, j), (j, i)):
+            dr = snapshot.robots[donor]
+            for asset_id in sorted(dr.assigned, key=lambda a: (-dist2(dr.pos, snapshot.assets[a].pos), a)):
+                if asset_id in used_assets:
+                    continue
+                dec = evaluate_swap(snapshot, donor, receiver, asset_id, cfg, seed)
+                if dec.accepted:
+                    if best is None or dec.reduction > best[0]:
+                        best = (dec.reduction, donor, receiver, asset_id, dec)
+                    break
+        if best is None:
+            continue
+        _, donor, receiver, asset_id, dec = best
+        dr, rr = snapshot.robots[donor], snapshot.robots[receiver]
+        proposals[donor] = Proposal(dec.donor_pos, dec.donor_radius, dr.assigned - {asset_id})
+        proposals[receiver] = Proposal(dec.receiver_pos, dec.receiver_radius, rr.assigned | {asset_id})
+        used_robots.update((donor, receiver))
+        used_assets.add(asset_id)
+        before = math.pi * (dr.radius**2 + rr.radius**2)
+        records.append(SwapRecord(snapshot.round, donor, receiver, asset_id, before, before - dec.reduction))
+    return proposals, bool(proposals), tuple(records)
+
+
+def holding_snapshot(asset_rows, holdings, r_comm, r_max, dead=()):
+    """Robots sit on the enclosing disk of what they hold, as after
+    consolidation; a robot holding nothing sits at its given point."""
+    assets = tuple(Asset(i, Point(x, y), k) for i, (x, y, k) in enumerate(asset_rows))
+    robots = []
+    for rid, (anchor, held) in enumerate(holdings):
+        if rid in dead:
+            robots.append(RobotState(rid, anchor, 0.0, frozenset(), False))
+            continue
+        d = min_enclosing_disk_or([assets[a].pos for a in sorted(held)], anchor)
+        robots.append(RobotState(rid, d.center, min(d.radius, r_max), frozenset(held), True))
+    return WorldSnapshot(5, Phase.REFINE, tuple(robots), assets, Params(WS, len(robots), r_comm, r_max))
+
+
+# Robot 0 holds a wide spread that its three neighbors sit next to; each
+# of them can take a rim asset off it.
+SHARED_DONOR = holding_snapshot(
+    [(0.0, 0.0, 1), (18.0, 0.0, 1), (-18.0, 0.0, 1), (0.0, 18.0, 1), (22.0, 2.0, 1), (-22.0, 2.0, 1), (2.0, 22.0, 1)],
+    [
+        (Point(0.0, 0.0), {0, 1, 2, 3}),
+        (Point(22.0, 2.0), {4}),
+        (Point(-22.0, 2.0), {5}),
+        (Point(2.0, 22.0), {6}),
+    ],
+    r_comm=55.0,
+    r_max=40.0,
+)
+
+
+@st.composite
+def holding_worlds(draw) -> WorldSnapshot:
+    n_assets = draw(st.integers(1, 14))
+    coord = st.floats(-30.0, 30.0, allow_nan=False) | st.integers(-3, 3).map(lambda k: 10.0 * k)
+    rows = [(draw(coord), draw(coord), draw(st.integers(1, 2))) for _ in range(n_assets)]
+    m = draw(st.integers(2, 6))
+    holdings = [
+        (Point(draw(coord), draw(coord)), draw(st.frozensets(st.integers(0, n_assets - 1), max_size=6)))
+        for _ in range(m)
+    ]
+    r_comm = draw(st.sampled_from([20.0, 40.0, 90.0]))
+    dead = draw(st.frozensets(st.integers(0, m - 1), max_size=1))
+    return holding_snapshot(rows, holdings, r_comm, 60.0, dead)
+
+
+def test_shared_donor_fixture_transfers():
+    plan, progress, records = swap_round(SHARED_DONOR, Config())
+    assert progress
+    assert len(neighbor_map(SHARED_DONOR)[0]) == 3
+    assert [r.donor for r in records] == [0]
+
+
+@given(holding_worlds(), st.sampled_from([0.005, 0.05]), st.integers(0, 3))
+@example(SHARED_DONOR, 0.005, 0)
+@settings(max_examples=120, deadline=None)
+def test_swap_round_matches_fresh_view_evaluations(snap, tau, seed):
+    cfg = Config(tau=tau)
+    got = swap_round(snap, cfg, seed)
+    assert got == sweep_reference(snap, cfg, seed)
+    plan, _, records = got
+    for rec in records:
+        dec = evaluate_swap(snap, rec.donor, rec.receiver, rec.asset_id, cfg, seed)
+        assert dec.accepted
+        assert (plan[rec.donor].pos, plan[rec.donor].radius) == (dec.donor_pos, dec.donor_radius)
+        assert (plan[rec.receiver].pos, plan[rec.receiver].radius) == (dec.receiver_pos, dec.receiver_radius)
+
+
+def test_view_memoizes_swap_disks():
+    view = _View(SHARED_DONOR)
+    first = view.donor_disk(0, 1, 0)
+    assert view.donor_disk(0, 1, 0) is first
+    assert first == min_enclosing_disk_or(view.positions([0, 2, 3]), SHARED_DONOR.robots[0].pos, 0)
+    grown = view.grown_disk(1, 1)
+    assert view.grown_disk(1, 1) is grown

@@ -35,6 +35,7 @@ from swarmcover.protocol import (
     phase3_round,
     select_winner,
     swap_round,
+    _View,
 )
 
 from conftest import P, mkassets, mkrobot, mksnapshot
@@ -103,6 +104,29 @@ def test_config_defaults_and_cap():
 def test_config_rejects_nonpositive(kwargs):
     with pytest.raises(ValueError):
         Config(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tau": "0.1"},
+        {"lam": None},
+        {"eps": True},
+        {"tol": float("nan")},
+        {"boundary_factor": float("inf")},
+        {"max_iters_phase1": 10.0},
+        {"max_iters_phase2": "5"},
+        {"max_swap_sweeps": True},
+        {"max_iters_phase3": 2.5},
+    ],
+)
+def test_config_rejects_wrong_types(kwargs):
+    with pytest.raises(ValueError):
+        Config(**kwargs)
+
+
+def test_config_accepts_integers_for_float_knobs():
+    assert Config(lam=2, tau=1).tau == 1
 
 
 # -- exploration -------------------------------------------------------------
@@ -319,6 +343,15 @@ def test_fallback_assigns_nearest_to_biggest_capacity():
     # robot 0 has the larger spare capacity and takes its nearest deficit
     assert sorted(plan) == [0]
     assert plan[0].assigned == frozenset({0})
+
+
+def test_auction_and_fallback_accept_a_shared_view():
+    # the run loop hands both the same view when the auctions stall
+    assets = mkassets([(0, 0, 1), (30, 0, 1)])
+    snap = wide_snap([mkrobot(0, 2, 0), mkrobot(1, 20, 0, {1}, radius=3.0)], assets, r_comm=30.0, r_max=10.0)
+    view = _View(snap)
+    assert phase2_round(snap, Config(), view=view) == phase2_round(snap, Config())
+    assert fallback_assign(snap, Config(), view=view) == fallback_assign(snap, Config())
 
 
 def test_fallback_releases_spare_to_reach_deficit():
