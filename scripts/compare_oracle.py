@@ -11,7 +11,7 @@ import argparse
 import statistics
 
 from swarmcover.instances import Instance, Workspace, generate_uniform
-from swarmcover.metrics import summarize
+from swarmcover.metrics import optimality_gap, summarize
 from swarmcover.oracle import solve_exact
 from swarmcover.protocol import RunStatus, run
 
@@ -41,10 +41,7 @@ def main() -> int:
             print(f"case {case:2d}: skipped ({result.status.value})")
             continue
         dist_cost = summarize(result.snapshot).total_cost
-        if exact.total_cost == 0.0:
-            gap = 0.0 if dist_cost == 0.0 else float("inf")
-        else:
-            gap = 100.0 * (dist_cost - exact.total_cost) / exact.total_cost
+        gap = optimality_gap(dist_cost, exact.total_cost)
         gaps.append(gap)
         print(
             f"case {case:2d}: distributed {dist_cost:10.3f}  "

@@ -10,7 +10,7 @@ import argparse
 import json
 from pathlib import Path
 
-from swarmcover.cli import load_scenario
+from swarmcover.cli import changed_robots, load_scenario
 from swarmcover.metrics import summarize, write_trace
 from swarmcover.protocol import run
 
@@ -34,12 +34,7 @@ def main() -> int:
     print(f"{Path(args.scenario).name}: {result.status.value}, {result.snapshot.round} rounds")
     base = len(sc.instance.assets)
     for at_round, pre in result.pre_event_snapshots:
-        fin = {r.id: r for r in result.snapshot.robots}
-        changed = [
-            r.id
-            for r in pre.robots
-            if (r.pos, r.radius) != (fin[r.id].pos, fin[r.id].radius)
-        ]
+        changed = changed_robots(pre, result.snapshot)
         pre_sm, post_sm = summarize(pre), summarize(result.snapshot)
         print(f"  event at round {at_round}: {len(changed)}/{len(pre.robots)} robots changed")
         print(f"    cost {pre_sm.total_cost:.1f} -> {post_sm.total_cost:.1f}, "
@@ -48,7 +43,7 @@ def main() -> int:
             json.dump(
                 {
                     "event_round": at_round,
-                    "changed_robots": sorted(changed),
+                    "changed_robots": changed,
                     "new_assets": len(result.snapshot.assets) - base,
                     "pre_cost": pre_sm.total_cost,
                     "post_cost": post_sm.total_cost,

@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Sweep one radius or size parameter and tabulate cost and failure fraction.
 
-Thin front end over the `swarmcover sweep` subcommand: builds the sweep spec
-JSON from flags, runs it, and leaves runs.csv / summary.csv in --out.  The
-defaults reproduce the communication-radius sensitivity experiment (200
-assets, 50 robots, 10 trials per value).
+Thin front end over `swarmcover.cli.sweep`, the body of the `swarmcover sweep`
+subcommand: builds the sweep spec from flags, runs it, and leaves runs.csv /
+summary.csv in --out.  The defaults reproduce the communication-radius
+sensitivity experiment (200 assets, 50 robots, 10 trials per value).
 """
 
 import argparse
-import json
-import tempfile
+from pathlib import Path
 
-from swarmcover.cli import main as cli_main
+from swarmcover.cli import sweep
 
 
 def main() -> int:
@@ -30,10 +29,8 @@ def main() -> int:
 
     values = [int(v) if args.parameter in ("n", "m") else v for v in args.values]
     spec = {"parameter": args.parameter, "values": values, "trials": args.trials}
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(spec, fh)
-        spec_path = fh.name
-    return cli_main(["sweep", spec_path, "--out", args.out, "--seed", str(args.seed)])
+    sweep(spec, args.seed, Path(args.out))
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -43,18 +43,7 @@ from .metrics import optimality_gap, summarize, write_trace
 from .oracle import SOLVE_MAX_ASSETS, SOLVE_MAX_ROBOTS, solve_exact
 from .protocol import Config, RunResult, RunStatus, run
 
-_CONFIG_KEYS = {
-    "lambda": "lam",
-    "lam": "lam",
-    "tol": "tol",
-    "eps": "eps",
-    "tau": "tau",
-    "boundary_factor": "boundary_factor",
-    "max_iters_phase1": "max_iters_phase1",
-    "max_iters_phase2": "max_iters_phase2",
-    "max_swap_sweeps": "max_swap_sweeps",
-    "max_iters_phase3": "max_iters_phase3",
-}
+_CONFIG_KEYS = {"lambda": "lam", **{f.name: f.name for f in fields(Config)}}
 
 
 class ScenarioError(ValueError):
@@ -69,12 +58,31 @@ class Scenario:
     seed: int
 
 
+def _integer(value: Any, what: str) -> int:
+    # JSON integers only: int() would quietly truncate 2.9, True or "7".
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _field(obj: Any, key: str, what: str) -> Any:
+    if not isinstance(obj, dict) or key not in obj:
+        raise ScenarioError(f"{what}: missing key {key!r}")
+    return obj[key]
+
+
 def _parse_config(data: dict[str, Any]) -> tuple[Config, Optional[int]]:
     kwargs: dict[str, Any] = {}
     seed: Optional[int] = None
     for key, value in data.items():
         if key == "seed":
-            seed = int(value)
+            seed = _integer(value, "config seed")
             continue
         if key not in _CONFIG_KEYS:
             raise ScenarioError(f"unknown config key: {key!r}")
@@ -82,25 +90,34 @@ def _parse_config(data: dict[str, Any]) -> tuple[Config, Optional[int]]:
     return Config(**kwargs), seed
 
 
-def _parse_events(items: Sequence[dict[str, Any]]) -> tuple[Event, ...]:
+def _parse_events(items: Sequence[Any], instance: Instance) -> tuple[Event, ...]:
+    """Events of a scenario, checked against its instance: new assets must
+    lie in the workspace and killed robots must exist."""
     events = []
-    for item in items:
-        at_round = int(item["at_round"])
-        kind = item["kind"]
+    for i, item in enumerate(items):
+        where = f"event {i}"
+        at_round = _integer(_field(item, "at_round", where), f"{where} at_round")
+        kind = _field(item, "kind", where)
         payload = item.get("payload")
         if kind == "add_assets":
             if not isinstance(payload, list):
-                raise ScenarioError("add_assets payload must be a list of {x, y, kappa}")
-            specs = tuple(
-                AssetSpec(Point(float(a["x"]), float(a["y"])), int(a.get("kappa", 1)))
-                for a in payload
-            )
-            events.append(Event(at_round, AddAssets(specs)))
+                raise ScenarioError(f"{where}: add_assets payload must be a list of {{x, y, kappa}}")
+            specs = []
+            for k, a in enumerate(payload):
+                what = f"{where} asset {k}"
+                pos = Point(_number(_field(a, "x", what), f"{what} x"), _number(_field(a, "y", what), f"{what} y"))
+                if not instance.workspace.contains(pos):
+                    raise ScenarioError(f"{what} at ({pos.x}, {pos.y}) lies outside the workspace")
+                specs.append(AssetSpec(pos, _integer(a.get("kappa", 1), f"{what} kappa")))
+            events.append(Event(at_round, AddAssets(tuple(specs))))
         elif kind == "kill_robot":
-            rid = payload["robot_id"] if isinstance(payload, dict) else payload
-            events.append(Event(at_round, KillRobot(int(rid))))
+            rid = _field(payload, "robot_id", where) if isinstance(payload, dict) else payload
+            rid = _integer(rid, f"{where} robot_id")
+            if not 0 <= rid < instance.m:
+                raise ScenarioError(f"{where}: robot_id {rid} is not in 0..{instance.m - 1}")
+            events.append(Event(at_round, KillRobot(rid)))
         else:
-            raise ScenarioError(f"unknown event kind: {kind!r}")
+            raise ScenarioError(f"{where}: unknown event kind: {kind!r}")
     return tuple(events)
 
 
@@ -136,7 +153,7 @@ def load_scenario(
     else:
         raise ScenarioError(f"{path}: scenario needs an instance, instance_file, or inline instance")
 
-    events = _parse_events(data.get("events", []))
+    events = _parse_events(data.get("events", []), inst)
     return Scenario(inst, events, config, seed)
 
 
@@ -188,7 +205,6 @@ def _write_run_outputs(result: RunResult, out: Path) -> None:
         "undiscovered": sm.undiscovered_count,
         "swaps": len(result.swaps),
         "time_to_feasibility": result.timings.time_to_feasibility,
-        "time_to_refinement": result.timings.time_to_refinement,
         "total_seconds": result.timings.total_seconds,
     }
     with open(out / "result.json", "w") as fh:
@@ -230,9 +246,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 _SWEEP_PARAMS = ("r_comm", "r_max", "n", "m")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.sweep) as fh:
-        spec = json.load(fh)
+def sweep(spec: dict[str, Any], seed: int, out: Path) -> None:
+    """Run a sensitivity sweep spec (see README) and write runs.csv and
+    summary.csv into `out`.  Trial t uses seed + t unless the spec lists
+    its own seeds."""
     parameter = spec.get("parameter")
     if parameter not in _SWEEP_PARAMS:
         raise ScenarioError(f"sweep parameter must be one of {_SWEEP_PARAMS}")
@@ -242,8 +259,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     trials = int(spec.get("trials", len(spec.get("seeds", [])) or 1))
     seeds = spec.get("seeds")
     if seeds is None:
-        base_seed = args.seed if args.seed is not None else 0
-        seeds = [base_seed + t for t in range(trials)]
+        seeds = [seed + t for t in range(trials)]
     if len(seeds) != trials:
         raise ScenarioError("sweep needs exactly one seed per trial")
     base = dict(spec.get("base", {}))
@@ -255,17 +271,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     kappa = tuple(base.get("kappa_choices", KAPPA_DEFAULT_CHOICES))
     config, _ = _parse_config(dict(spec.get("config", {})))
 
-    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for value in values:
-        for trial, seed in enumerate(seeds):
+        for trial, trial_seed in enumerate(seeds):
             p = {k: base[k] for k in ("n", "m", "r_comm", "r_max")}
             p[parameter] = value
             ws = Workspace(*ws_vals)
-            assets = generate_uniform(int(p["n"]), ws, kappa, int(seed))
+            assets = generate_uniform(int(p["n"]), ws, kappa, int(trial_seed))
             inst = Instance(ws, tuple(assets), int(p["m"]), float(p["r_comm"]), float(p["r_max"]))
-            result = run(inst, config, (), int(seed))
+            result = run(inst, config, (), int(trial_seed))
             sm = summarize(result.snapshot)
             ok = result.status is RunStatus.FEASIBLE and sm.undercovered_count == 0
             rows.append(
@@ -273,7 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "parameter": parameter,
                     "value": value,
                     "trial": trial,
-                    "seed": seed,
+                    "seed": trial_seed,
                     "status": result.status.value,
                     "feasible": int(ok),
                     "total_cost": sm.total_cost,
@@ -325,6 +340,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ]
             )
             print(f"{parameter}={value}: failure fraction {fail:.2f} over {len(grp)} trials")
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    with open(args.sweep) as fh:
+        spec = json.load(fh)
+    sweep(spec, args.seed if args.seed is not None else 0, Path(args.out or "."))
     return 0
 
 
@@ -354,6 +375,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def changed_robots(before: WorldSnapshot, after: WorldSnapshot) -> list[int]:
+    """Ids, ascending, of the robots whose position, radius or liveness
+    differ between two snapshots of one mission."""
+    return [
+        r.id
+        for r, f in zip(before.robots, after.robots)
+        if (r.pos, r.radius, r.alive) != (f.pos, f.radius, f.alive)
+    ]
+
+
 def cmd_dynamic(args: argparse.Namespace) -> int:
     scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
     if not scenario.events:
@@ -363,13 +394,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
     _write_run_outputs(result, out)
 
     pre = result.pre_event_snapshots[-1][1] if result.pre_event_snapshots else None
-    changed = []
-    if pre is not None:
-        final_robots = {r.id: r for r in result.snapshot.robots}
-        for r in pre.robots:
-            f = final_robots[r.id]
-            if r.pos != f.pos or r.radius != f.radius or r.alive != f.alive:
-                changed.append(r.id)
+    changed = changed_robots(pre, result.snapshot) if pre is not None else []
     summary = {
         "events": len(scenario.events),
         "pre_event_round": result.pre_event_snapshots[-1][0] if pre is not None else None,

@@ -1,17 +1,17 @@
-"""Synchronous round engine: immutable world snapshots, local sensing and
+"""Synchronous round engine: immutable world snapshots, sensing and
 communication queries, event injection, and the deterministic step cycle.
 
-A round evaluates every alive robot's decision rule against the same frozen
-snapshot, merges the proposals in ascending robot id, applies the events due
-at the new round number, and publishes the next snapshot together with its
-recomputed metrics.
+A round takes one plan: the proposals of the alive robots that act, all
+decided against the same frozen snapshot.  The engine merges them in
+ascending robot id, applies the events due at the new round number, and
+publishes the next snapshot together with its recomputed metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import CellGrid, Point, dist
 from .instances import Asset, Instance, Workspace
@@ -88,9 +88,6 @@ class Proposal:
     assigned: frozenset[int]
 
 
-DecideFn = Callable[["WorldSnapshot", int], Optional[Proposal]]
-
-
 @dataclass(frozen=True)
 class WorldSnapshot:
     """Immutable world state at the start of a round.
@@ -164,17 +161,6 @@ def neighbor_map(snapshot: WorldSnapshot) -> dict[int, tuple[int, ...]]:
     return {rid: tuple(sorted(ids)) for rid, ids in nbrs.items()}
 
 
-def knowledge_set(snapshot: WorldSnapshot, rid: int) -> set[int]:
-    """Everything robot rid can reason about: sensed assets, own assignments,
-    and the assignment lists its neighbors share."""
-    me = snapshot.robot(rid)
-    out = sense(me, snapshot.assets, snapshot.params.r_max)
-    out.update(me.assigned)
-    for j in neighbors(snapshot, rid):
-        out.update(snapshot.robots[j].assigned)
-    return out
-
-
 def apply_events(snapshot: WorldSnapshot, events: Iterable[Event]) -> WorldSnapshot:
     """Apply events to a snapshot without advancing the round counter.
 
@@ -199,32 +185,25 @@ def apply_events(snapshot: WorldSnapshot, events: Iterable[Event]) -> WorldSnaps
 
 def step(
     snapshot: WorldSnapshot,
-    decide: DecideFn,
+    plan: Mapping[int, Proposal],
     events: Sequence[Event] = (),
     *,
     next_phase: Optional[Phase] = None,
-    order: Optional[Sequence[int]] = None,
 ) -> tuple[WorldSnapshot, RoundMetrics]:
     """Advance the world by one round.
 
-    `decide` is called once per alive robot against the immutable snapshot
-    (in `order` if given, which must not change the outcome of a correct
-    decision rule); proposals are merged in ascending robot id, due events
-    are applied, and the new snapshot is published with fresh metrics.
+    `plan` maps alive robot ids to their proposals, all decided against
+    `snapshot`; robots without an entry stand pat.  Proposals are merged in
+    ascending robot id, due events are applied, and the new snapshot is
+    published with fresh metrics.  An entry for a dead or unknown robot
+    raises ValueError.
     """
-    alive_ids = [r.id for r in snapshot.robots if r.alive]
-    eval_order = list(order) if order is not None else alive_ids
-    if sorted(eval_order) != sorted(alive_ids):
-        raise ValueError("order must be a permutation of the alive robot ids")
-    proposals: dict[int, Proposal] = {}
-    for rid in eval_order:
-        prop = decide(snapshot, rid)
-        if prop is not None:
-            proposals[rid] = prop
     robots = list(snapshot.robots)
     max_disp = 0.0
-    for rid in sorted(proposals):
-        prop = proposals[rid]
+    for rid in sorted(plan):
+        if not (0 <= rid < len(robots) and robots[rid].alive):
+            raise ValueError(f"plan has an entry for robot {rid}, which is not alive")
+        prop = plan[rid]
         old = robots[rid]
         max_disp = max(max_disp, dist(old.pos, prop.pos))
         robots[rid] = replace(old, pos=prop.pos, radius=prop.radius, assigned=prop.assigned)

@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .engine import (
-    AddAssets,
     Event,
     Params,
     Phase,
@@ -144,7 +143,6 @@ class RunStatus(Enum):
 @dataclass(frozen=True)
 class Timings:
     time_to_feasibility: Optional[float]
-    time_to_refinement: Optional[float]
     total_seconds: float
 
 
@@ -162,12 +160,14 @@ class _View:
     """Caches shared by the decision rules within one round.
 
     Everything here is derived from the snapshot alone, so per-robot decisions
-    that consult the view stay pure and order-independent.  Built up front:
-    the alive robots, the neighbor map, each robot's sensed assets (through
-    a cell grid of side r_max), its knowledge set and its membership cover
-    counts.  Filled on demand by the swap evaluation, which asks for the same
-    disks once per neighbor:
+    that consult the view stay pure and order-independent.  This is the one
+    place local knowledge is computed.  Built up front: the alive robots, the
+    neighbor map, each robot's sensed assets (through a cell grid of side
+    r_max), its knowledge set (sensed, held, and held by a neighbor) and its
+    membership cover counts (itself plus neighbors holding the asset).
+    Filled on demand:
 
+    * `deficits`: the assets a robot may claim, per robot;
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
       (donor, asset, seed);
     * `grown_disk`: a receiver's disk grown by one asset, per
@@ -178,6 +178,7 @@ class _View:
         self.snapshot = snapshot
         self.params = snapshot.params
         self.assets = snapshot.assets
+        self.robot = snapshot.robots  # robot ids are dense
         self.alive = [r for r in snapshot.robots if r.alive]
         self.alive_ids = [r.id for r in self.alive]
         self.nbrs = neighbor_map(snapshot)
@@ -196,7 +197,6 @@ class _View:
             self.sensed[r.id] = got
         self.knowledge: dict[int, set[int]] = {}
         self.cover: dict[int, dict[int, int]] = {}
-        by_id = {r.id: r for r in self.alive}
         for r in self.alive:
             know = set(self.sensed[r.id])
             know.update(r.assigned)
@@ -204,18 +204,31 @@ class _View:
             for p in r.assigned:
                 counts[p] = 1
             for j in self.nbrs[r.id]:
-                aj = by_id[j].assigned
+                aj = self.robot[j].assigned
                 know.update(aj)
                 for p in aj:
                     counts[p] = counts.get(p, 0) + 1
             self.knowledge[r.id] = know
             self.cover[r.id] = counts
-        self.robot = {r.id: r for r in snapshot.robots}
+        self._deficits: dict[int, list[int]] = {}
         self._donor_disks: dict[tuple[int, int, int], Disk] = {}
         self._grown_disks: dict[tuple[int, int], Disk] = {}
 
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
+
+    def deficits(self, rid: int) -> list[int]:
+        """Assets robot rid may claim, in ascending id: known, not held by
+        rid, and counted below kappa in its neighborhood."""
+        got = self._deficits.get(rid)
+        if got is None:
+            held = self.robot[rid].assigned
+            counts = self.cover[rid]
+            got = sorted(
+                a for a in self.knowledge[rid] if a not in held and counts.get(a, 0) < self.assets[a].kappa
+            )
+            self._deficits[rid] = got
+        return got
 
     def positions(self, assigned: Sequence[int]) -> list[Point]:
         return [self.assets[a].pos for a in assigned]
@@ -252,7 +265,7 @@ def _finalize_radius(radius: float, r_max: float) -> float:
 # Phase 1: exploration
 
 
-def lloyd_round(snapshot: WorldSnapshot, seed: int = 0) -> dict[int, Proposal]:
+def lloyd_round(snapshot: WorldSnapshot) -> dict[int, Proposal]:
     """One Lloyd iteration: assets are claimed by the nearest sensing robot,
     robots move to the centroid of their cell, radius capped at r_max."""
     alive = [r for r in snapshot.robots if r.alive]
@@ -325,20 +338,6 @@ def _transition_plan(snapshot: WorldSnapshot, seed: int) -> dict[int, Proposal]:
 # Phase 2: optimization (auctions, fallback, swaps)
 
 
-def local_coverage(snapshot: WorldSnapshot, rid: int, asset_id: int) -> int:
-    """Membership cover count of an asset as robot rid sees it: itself plus
-    any neighbor whose assignment list contains the asset."""
-    me = snapshot.robot(rid)
-    count = 1 if asset_id in me.assigned else 0
-    thr2 = snapshot.params.r_comm ** 2
-    for r in snapshot.robots:
-        if r.id == rid or not r.alive:
-            continue
-        if asset_id in r.assigned and dist2(r.pos, me.pos) <= thr2:
-            count += 1
-    return count
-
-
 def _grow_disk(view: _View, robot: RobotState, asset_id: int) -> Disk:
     # Disk after adding one asset: unchanged if the asset already sits inside,
     # otherwise grown with the asset pinned to the boundary.
@@ -351,7 +350,7 @@ def _grow_disk(view: _View, robot: RobotState, asset_id: int) -> Disk:
     return enclose_with_anchor(pts, ppos)
 
 
-def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int, seed: int = 0) -> Bid:
+def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> Bid:
     """Extra disk area robot rid would pay to absorb the asset; infeasible
     (infinite) when the grown disk would exceed r_max."""
     view = _View(snapshot)
@@ -382,11 +381,11 @@ def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps:
 
 
 def phase2_round(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, *, view: Optional[_View] = None
+    snapshot: WorldSnapshot, cfg: Config, *, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool]:
     """One auction round.
 
-    Every robot auctions each known, locally undercovered, unheld asset among
+    Every robot auctions each of its deficits (see `_View.deficits`) among
     itself and its neighbors and claims the asset when it wins its own
     auction.  All wins of a robot are folded into a single consolidation;
     a win is skipped if stacking it onto the earlier wins would push the disk
@@ -409,14 +408,8 @@ def phase2_round(
 
     wins: dict[int, list[int]] = {}
     for rid in view.alive_ids:
-        robot = view.robot[rid]
-        counts = view.cover[rid]
         group = sorted((rid, *view.nbrs[rid]))
-        for asset_id in sorted(view.knowledge[rid]):
-            if asset_id in robot.assigned:
-                continue
-            if counts.get(asset_id, 0) >= view.assets[asset_id].kappa:
-                continue
+        for asset_id in view.deficits(rid):
             if not bid_for(rid, asset_id).feasible:
                 continue  # select_winner never picks an infeasible bid
             bidders = [
@@ -456,27 +449,15 @@ def phase2_round(
     return proposals, progress
 
 
-def _undercovered_views(view: _View) -> bool:
-    # Does any robot still see a deficit it could act on?  Deficits on assets
-    # the robot itself holds are excluded: only additions close deficits, and
-    # a holder cannot add its own asset (a neighbor who could will see the
-    # same deficit through the holder's published list).
-    for rid in view.alive_ids:
-        counts = view.cover[rid]
-        held = view.robot[rid].assigned
-        for asset_id in view.knowledge[rid]:
-            if asset_id in held:
-                continue
-            if counts.get(asset_id, 0) < view.assets[asset_id].kappa:
-                return True
-    return False
-
-
 def has_undercovered_views(snapshot: WorldSnapshot) -> bool:
-    """Does any robot see an actionable deficit?  Diagnostic: views lag the
+    """Does any robot see a deficit it could act on?  Deficits on assets a
+    robot itself holds do not count: only additions close deficits, and a
+    holder cannot add its own asset (a neighbor who could will see the same
+    deficit through the holder's published list).  Diagnostic: views lag the
     true state, so this can stay true forever on assets whose covers sit
     outside the observer's communication range."""
-    return _undercovered_views(_View(snapshot))
+    view = _View(snapshot)
+    return any(view.deficits(rid) for rid in view.alive_ids)
 
 
 def coverage_satisfied(snapshot: WorldSnapshot) -> bool:
@@ -542,8 +523,8 @@ def fallback_assign(
     """Direct assignment when the auctions stall.
 
     In every connected component of the communication graph, the robot with
-    the largest spare capacity (r_max - r_i) among those that still know an
-    addable undercovered asset takes its nearest such asset; if the grown
+    the largest spare capacity (r_max - r_i) among those that still have a
+    deficit (see `_View.deficits`) takes its nearest one; if the grown
     disk would exceed r_max it first releases its own locally overcovered
     assets farthest-first, one at a time, retrying after each.  `view`, when
     given, is a view of `snapshot` already built this round.
@@ -551,18 +532,6 @@ def fallback_assign(
     if view is None:
         view = _View(snapshot)
     r_max = snapshot.params.r_max
-    addable: dict[int, list[int]] = {}
-    for rid in view.alive_ids:
-        robot = view.robot[rid]
-        counts = view.cover[rid]
-        got = [
-            a
-            for a in view.knowledge[rid]
-            if a not in robot.assigned and counts.get(a, 0) < view.assets[a].kappa
-        ]
-        if got:
-            addable[rid] = got
-
     proposals: dict[int, Proposal] = {}
     seen: set[int] = set()
     for start in view.alive_ids:
@@ -577,12 +546,12 @@ def fallback_assign(
                     seen.add(j)
                     comp.append(j)
             idx += 1
-        actors = [rid for rid in comp if rid in addable]
+        actors = [rid for rid in comp if view.deficits(rid)]
         if not actors:
             continue
         actor = min(actors, key=lambda rid: (-(r_max - view.robot[rid].radius), rid))
         robot = view.robot[actor]
-        target = min(addable[actor], key=lambda a: (dist2(robot.pos, view.assets[a].pos), a))
+        target = min(view.deficits(actor), key=lambda a: (dist2(robot.pos, view.assets[a].pos), a))
         tpos = view.assets[target].pos
         counts = view.cover[actor]
         keep = sorted(robot.assigned)
@@ -788,18 +757,11 @@ def phase3_round(
 # Full run loop
 
 
-def _plan_decide(plan: dict[int, Proposal]):
-    def decide(snapshot: WorldSnapshot, rid: int) -> Optional[Proposal]:
-        return plan.get(rid)
-
-    return decide
-
-
 def _auction_round(snapshot: WorldSnapshot, cfg: Config, seed: int) -> tuple[dict[int, Proposal], bool]:
     # The auctions and, when they stall, the fallback, on one view of the
     # snapshot.  The view dies on return, before the round is stepped.
     view = _View(snapshot)
-    plan, progress = phase2_round(snapshot, cfg, seed, view=view)
+    plan, progress = phase2_round(snapshot, cfg, view=view)
     if not progress:
         plan, progress = fallback_assign(snapshot, cfg, seed, view=view)
     return plan, progress
@@ -842,14 +804,14 @@ def run(
         if due:
             pre_event.append((snapshot.round + 1, snapshot))
             pending = [e for e in pending if e.at_round != snapshot.round + 1]
-        new_snapshot, rm = step(snapshot, _plan_decide(plan), due, next_phase=phase)
+        new_snapshot, rm = step(snapshot, plan, due, next_phase=phase)
         snapshot = new_snapshot
         trace.append(rm)
 
     # Phase 1: Lloyd iterations until displacements settle, then lock disks.
     for _ in range(cfg.max_iters_phase1):
         prev = snapshot
-        advance(lloyd_round(snapshot, seed), Phase.EXPLORE)
+        advance(lloyd_round(snapshot), Phase.EXPLORE)
         if phase1_converged(prev, snapshot, cfg.tol):
             break
     advance(_transition_plan(snapshot, seed), Phase.OPTIMIZE)
@@ -937,12 +899,11 @@ def run(
         break
 
     total = time.perf_counter() - t0
-    refine_time = total if status is RunStatus.FEASIBLE else None
     return RunResult(
         status=status,
         snapshot=snapshot,
         trace=tuple(trace),
-        timings=Timings(feas_time, refine_time, total),
+        timings=Timings(feas_time, total),
         swaps=tuple(swaps),
         pre_event_snapshots=tuple(pre_event),
     )

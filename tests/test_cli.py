@@ -357,3 +357,93 @@ def test_dynamic_kill_is_reported(tmp_path):
     assert main(["dynamic", str(scenario), "--out", str(out)]) == 0
     summary = json.loads((out / "dynamic_summary.json").read_text())
     assert 1 in summary["changed_robots"]  # the victim flips to dead
+
+
+# -- scenario validation ----------------------------------------------------------
+
+
+def event_scenario(tmp_path, events, config=None):
+    """Three robots on a 60 m square with the given events and config."""
+    data = {
+        "instance": {
+            "workspace": {"x_min": 0.0, "x_max": 60.0, "y_min": 0.0, "y_max": 60.0},
+            "m": 3,
+            "r_comm": 85.0,
+            "r_max": 45.0,
+            "generator": {"name": "uniform", "n": 4, "kappa_choices": [1], "seed": 2},
+        },
+        "events": events,
+    }
+    if config is not None:
+        data["config"] = config
+    return write_json(tmp_path / "events.json", data)
+
+
+def add_assets(at_round=5, **asset):
+    return {"at_round": at_round, "kind": "add_assets", "payload": [{"x": 30.0, "y": 30.0, "kappa": 1, **asset}]}
+
+
+def kill_robot(robot_id, at_round=5):
+    return {"at_round": at_round, "kind": "kill_robot", "payload": {"robot_id": robot_id}}
+
+
+def test_valid_events_load(tmp_path):
+    sc = load_scenario(event_scenario(tmp_path, [add_assets(x=60.0, y=0.0), kill_robot(2, at_round=0)]))
+    assert [e.at_round for e in sc.events] == [5, 0]
+    assert sc.events[1].action.robot_id == 2
+
+
+@pytest.mark.parametrize(
+    "events, config, needle",
+    [
+        ([], {"seed": 2.9}, "config seed must be an integer"),
+        ([], {"seed": True}, "config seed must be an integer"),
+        ([], {"seed": "7"}, "config seed must be an integer"),
+        ([add_assets(at_round=7.8)], None, "event 0 at_round must be an integer"),
+        ([add_assets(at_round=False)], None, "event 0 at_round must be an integer"),
+        ([kill_robot(True)], None, "event 0 robot_id must be an integer"),
+        ([kill_robot(1.0)], None, "event 0 robot_id must be an integer"),
+        ([kill_robot("1")], None, "event 0 robot_id must be an integer"),
+        ([add_assets(), add_assets(kappa=2.7)], None, "event 1 asset 0 kappa must be an integer"),
+        ([add_assets(kappa=True)], None, "event 0 asset 0 kappa must be an integer"),
+        ([add_assets(x="30")], None, "event 0 asset 0 x must be a number"),
+    ],
+)
+def test_non_integer_scenario_fields_are_errors(tmp_path, capsys, events, config, needle):
+    assert main(["run", str(event_scenario(tmp_path, events, config)), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "event, needle",
+    [
+        ({"kind": "kill_robot", "payload": {"robot_id": 1}}, "event 1: missing key 'at_round'"),
+        ({"at_round": 5, "payload": {"robot_id": 1}}, "event 1: missing key 'kind'"),
+        ({"at_round": 5, "kind": "kill_robot", "payload": {}}, "event 1: missing key 'robot_id'"),
+        ({"at_round": 5, "kind": "add_assets", "payload": [{"x": 1.0}]}, "event 1 asset 0: missing key 'y'"),
+        ("kill_robot", "event 1: missing key 'at_round'"),
+    ],
+)
+def test_missing_event_keys_are_named(tmp_path, capsys, event, needle):
+    assert main(["run", str(event_scenario(tmp_path, [kill_robot(0), event]))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "event, needle",
+    [
+        (add_assets(x=500.0, y=500.0), "event 0 asset 0 at (500.0, 500.0) lies outside the workspace"),
+        (add_assets(x=-0.5), "lies outside the workspace"),
+        (kill_robot(99), "event 0: robot_id 99 is not in 0..2"),
+        (kill_robot(3), "event 0: robot_id 3 is not in 0..2"),
+        (kill_robot(-1), "event 0: robot_id -1 is not in 0..2"),
+    ],
+)
+def test_out_of_bounds_events_are_errors(tmp_path, capsys, event, needle):
+    assert main(["run", str(event_scenario(tmp_path, [event])), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "o").exists()

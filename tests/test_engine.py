@@ -13,9 +13,7 @@ from swarmcover.engine import (
     KillRobot,
     Phase,
     Proposal,
-    WorldSnapshot,
     apply_events,
-    knowledge_set,
     neighbor_map,
     neighbors,
     sense,
@@ -23,6 +21,7 @@ from swarmcover.engine import (
 )
 from swarmcover.geometry import Point, dist
 from swarmcover.instances import Asset
+from swarmcover.protocol import _View
 
 from conftest import P, mkassets, mkrobot, mksnapshot
 
@@ -86,10 +85,12 @@ def test_knowledge_set_matches_naive_union():
         r_comm=25.0,
         r_max=10.0,
     )
+    # the round's view is the one place knowledge is computed
+    view = _View(snap)
     expected = sense(snap.robots[0], snap.assets, 10.0) | {5} | {6}
-    assert knowledge_set(snap, 0) == expected
-    assert 7 not in knowledge_set(snap, 0)
-    assert 7 in knowledge_set(snap, 2)
+    assert view.knowledge[0] == expected
+    assert 7 not in view.knowledge[0]
+    assert 7 in view.knowledge[2]
 
 
 def test_apply_events_add_assets_dense_ids():
@@ -121,13 +122,8 @@ def test_apply_events_empty_is_identity():
 
 def test_step_merges_in_id_order_and_reports_displacement():
     snap = mksnapshot([mkrobot(0, 0, 0), mkrobot(1, 10, 0)], mkassets([(1, 1, 1)]))
-
-    def decide(s: WorldSnapshot, rid: int):
-        if rid == 0:
-            return Proposal(P(3, 4), 1.0, frozenset({0}))
-        return None  # robot 1 stands pat
-
-    nxt, rm = step(snap, decide)
+    # robot 1 has no entry and stands pat
+    nxt, rm = step(snap, {0: Proposal(P(3, 4), 1.0, frozenset({0}))})
     assert nxt.round == snap.round + 1
     assert nxt.robots[0].pos == P(3, 4)
     assert nxt.robots[0].assigned == frozenset({0})
@@ -136,38 +132,11 @@ def test_step_merges_in_id_order_and_reports_displacement():
     assert rm.round == nxt.round
 
 
-def test_step_skips_dead_robots():
-    calls = []
+def test_step_rejects_plan_for_dead_or_unknown_robot():
     snap = mksnapshot([mkrobot(0, 0, 0), mkrobot(1, 1, 1, alive=False)], mkassets([(1, 1, 1)]))
-
-    def decide(s, rid):
-        calls.append(rid)
-        return None
-
-    step(snap, decide)
-    assert calls == [0]
-
-
-def test_step_decide_sees_pre_round_snapshot():
-    """Decisions in a round are simultaneous: later calls must not observe
-    earlier proposals."""
-    seen = {}
-    snap = mksnapshot([mkrobot(0, 0, 0), mkrobot(1, 10, 0)], mkassets([(1, 1, 1)]))
-
-    def decide(s, rid):
-        seen[rid] = s
-        return Proposal(P(rid + 1, 0), 0.0, frozenset())
-
-    step(snap, decide)
-    assert seen[0] is snap and seen[1] is snap
-
-
-def test_step_order_must_be_permutation():
-    snap = mksnapshot([mkrobot(0, 0, 0), mkrobot(1, 1, 0)], mkassets([(1, 1, 1)]))
-    with pytest.raises(ValueError):
-        step(snap, lambda s, rid: None, order=[0])
-    with pytest.raises(ValueError):
-        step(snap, lambda s, rid: None, order=[0, 0])
+    for rid in (1, 2, -1):  # dead, past the last id, negative
+        with pytest.raises(ValueError, match="not alive"):
+            step(snap, {rid: Proposal(P(5, 5), 0.0, frozenset())})
 
 
 def test_step_applies_events_after_merge():
@@ -175,12 +144,8 @@ def test_step_applies_events_after_merge():
     metrics, but robots decided without seeing it."""
     snap = mksnapshot([mkrobot(0, 50, 50)], mkassets([(50, 50, 1)]), r_max=40.0)
     ev = Event(1, AddAssets((AssetSpec(P(55, 50), 1),)))
-
-    def decide(s, rid):
-        assert len(s.assets) == 1
-        return Proposal(s.robot(rid).pos, 0.0, frozenset({0}))
-
-    nxt, rm = step(snap, decide, events=[ev], next_phase=Phase.OPTIMIZE)
+    nxt, rm = step(snap, {0: Proposal(P(50, 50), 0.0, frozenset({0}))}, events=[ev], next_phase=Phase.OPTIMIZE)
+    assert len(snap.assets) == 1
     assert len(nxt.assets) == 2
     assert rm.undercovered_count == 1  # the newcomer
     assert rm.undiscovered_count == 1  # nobody has assigned it yet
@@ -189,5 +154,5 @@ def test_step_applies_events_after_merge():
 
 def test_step_phase_defaults_to_previous():
     snap = mksnapshot([mkrobot(0, 0, 0)], mkassets([(1, 1, 1)]), phase=Phase.EXPLORE)
-    nxt, _ = step(snap, lambda s, rid: None)
+    nxt, _ = step(snap, {})
     assert nxt.phase is Phase.EXPLORE

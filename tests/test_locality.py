@@ -2,8 +2,9 @@
 references.
 
 Sensing, the neighbor map, Lloyd's nearest-robot search and the cover counts
-of `summarize` go through `geometry.CellGrid`; the swap sweep reads memoized
-disks from the round's view.  Each must give exactly what the all-pairs
+of `summarize` go through `geometry.CellGrid`; each robot's knowledge, cover
+counts and deficits come from the round's view alone; the swap sweep reads
+memoized disks from that view.  Each must give exactly what the all-pairs
 definition gives, including on cell boundaries, at negative coordinates,
 with zero radii and dead robots, and when r_comm equals r_max.
 """
@@ -19,7 +20,15 @@ from swarmcover.engine import Params, Phase, Proposal, RobotState, WorldSnapshot
 from swarmcover.geometry import CellGrid, Point, dist, dist2, min_enclosing_disk_or
 from swarmcover.instances import Asset, Workspace
 from swarmcover.metrics import coverage_count, summarize
-from swarmcover.protocol import Config, SwapRecord, _View, evaluate_swap, lloyd_round, swap_round
+from swarmcover.protocol import (
+    Config,
+    SwapRecord,
+    _View,
+    evaluate_swap,
+    has_undercovered_views,
+    lloyd_round,
+    swap_round,
+)
 
 WS = Workspace(-120.0, 120.0, -120.0, 120.0)
 
@@ -88,6 +97,75 @@ def test_view_sensing_matches_sense(snap):
     assert sorted(view.sensed) == [r.id for r in snap.robots if r.alive]
     for rid, got in view.sensed.items():
         assert got == sense(snap.robots[rid], snap.assets, snap.params.r_max)
+
+
+def knowledge_reference(snapshot: WorldSnapshot, rid: int) -> set[int]:
+    """Everything robot rid can reason about: the assets it senses, its own
+    assignment, and the assignment lists its neighbors share."""
+    me = snapshot.robots[rid]
+    out = sense(me, snapshot.assets, snapshot.params.r_max)
+    out.update(me.assigned)
+    for j in neighbors(snapshot, rid):
+        out.update(snapshot.robots[j].assigned)
+    return out
+
+
+def local_coverage_reference(snapshot: WorldSnapshot, rid: int, asset_id: int) -> int:
+    """Membership cover count as robot rid sees it: itself plus every alive
+    robot within r_comm whose assignment list contains the asset."""
+    me = snapshot.robots[rid]
+    count = 1 if asset_id in me.assigned else 0
+    thr2 = snapshot.params.r_comm ** 2
+    for r in snapshot.robots:
+        if r.id == rid or not r.alive:
+            continue
+        if asset_id in r.assigned and dist2(r.pos, me.pos) <= thr2:
+            count += 1
+    return count
+
+
+def deficits_reference(snapshot: WorldSnapshot, rid: int) -> list[int]:
+    """Known, not held by rid, and counted below kappa by rid."""
+    held = snapshot.robots[rid].assigned
+    return [
+        a.id
+        for a in snapshot.assets
+        if a.id in knowledge_reference(snapshot, rid)
+        and a.id not in held
+        and local_coverage_reference(snapshot, rid, a.id) < a.kappa
+    ]
+
+
+@given(worlds())
+@settings(max_examples=150, deadline=None)
+def test_view_knowledge_matches_brute_force(snap):
+    view = _View(snap)
+    assert sorted(view.knowledge) == [r.id for r in snap.robots if r.alive]
+    for rid, got in view.knowledge.items():
+        assert got == knowledge_reference(snap, rid)
+
+
+@given(worlds())
+@settings(max_examples=150, deadline=None)
+def test_view_cover_matches_brute_force(snap):
+    view = _View(snap)
+    assert sorted(view.cover) == [r.id for r in snap.robots if r.alive]
+    for rid, counts in view.cover.items():
+        want = {a.id: local_coverage_reference(snap, rid, a.id) for a in snap.assets}
+        assert counts == {a: c for a, c in want.items() if c}
+        assert all(view.local_coverage(rid, a) == c for a, c in want.items())
+
+
+@given(worlds())
+@settings(max_examples=150, deadline=None)
+def test_view_deficits_match_brute_force(snap):
+    view = _View(snap)
+    alive = [r.id for r in snap.robots if r.alive]
+    want = {rid: deficits_reference(snap, rid) for rid in alive}
+    for rid in alive:
+        assert view.deficits(rid) == want[rid]
+        assert view.deficits(rid) is view.deficits(rid)
+    assert has_undercovered_views(snap) == any(want.values())
 
 
 @given(worlds())

@@ -28,7 +28,6 @@ from swarmcover.protocol import (
     h64,
     holders_certified,
     lloyd_round,
-    local_coverage,
     marginal_cost,
     phase1_converged,
     phase2_round,
@@ -211,14 +210,15 @@ def test_local_coverage_misses_out_of_range_holder():
         assets,
         r_comm=25.0,
     )
-    assert local_coverage(snap, 0, 0) == 2
-    assert local_coverage(snap, 1, 0) == 1  # cannot see robot 2, 40 away
-    assert local_coverage(snap, 2, 0) == 1
+    view = _View(snap)
+    assert view.local_coverage(0, 0) == 2
+    assert view.local_coverage(1, 0) == 1  # cannot see robot 2, 40 away
+    assert view.local_coverage(2, 0) == 1
 
 
 def test_local_coverage_counts_self():
     snap = wide_snap([mkrobot(0, 0, 0, {0})], mkassets([(0, 0, 1)]))
-    assert local_coverage(snap, 0, 0) == 1
+    assert _View(snap).local_coverage(0, 0) == 1
 
 
 def test_local_coverage_ignores_dead_holders():
@@ -226,7 +226,7 @@ def test_local_coverage_ignores_dead_holders():
         [mkrobot(0, 0, 0), mkrobot(1, 1, 0, {0}, alive=False)],
         mkassets([(0, 0, 1)]),
     )
-    assert local_coverage(snap, 0, 0) == 0
+    assert _View(snap).local_coverage(0, 0) == 0
 
 
 # -- marginal cost and auctions ----------------------------------------------
