@@ -27,7 +27,11 @@ def main() -> int:
     ap.add_argument("--out", default="sweep_out")
     args = ap.parse_args()
 
-    values = [int(v) if args.parameter in ("n", "m") else v for v in args.values]
+    values = args.values
+    if args.parameter in ("n", "m"):
+        if not all(v.is_integer() for v in values):
+            ap.error(f"--values for {args.parameter} must be integers")
+        values = [int(v) for v in values]
     spec = {"parameter": args.parameter, "values": values, "trials": args.trials}
     sweep(spec, args.seed, Path(args.out))
     return 0

@@ -34,6 +34,12 @@ from .instances import (
     KAPPA_DEFAULT_CHOICES,
     Instance,
     Workspace,
+    _field,
+    _int_list,
+    _integer,
+    _known_keys,
+    _number,
+    _object,
     generate_uniform,
     instance_from_dict,
     preset,
@@ -58,25 +64,6 @@ class Scenario:
     seed: int
 
 
-def _integer(value: Any, what: str) -> int:
-    # JSON integers only: int() would quietly truncate 2.9, True or "7".
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _field(obj: Any, key: str, what: str) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
-        raise ScenarioError(f"{what}: missing key {key!r}")
-    return obj[key]
-
-
 def _parse_config(data: dict[str, Any]) -> tuple[Config, Optional[int]]:
     kwargs: dict[str, Any] = {}
     seed: Optional[int] = None
@@ -90,9 +77,11 @@ def _parse_config(data: dict[str, Any]) -> tuple[Config, Optional[int]]:
     return Config(**kwargs), seed
 
 
-def _parse_events(items: Sequence[Any], instance: Instance) -> tuple[Event, ...]:
+def _parse_events(items: Any, instance: Instance) -> tuple[Event, ...]:
     """Events of a scenario, checked against its instance: new assets must
     lie in the workspace and killed robots must exist."""
+    if not isinstance(items, list):
+        raise ScenarioError(f"scenario events must be a list, got {items!r}")
     events = []
     for i, item in enumerate(items):
         where = f"event {i}"
@@ -131,13 +120,12 @@ def load_scenario(
     """
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
+    _object(data, f"{path}: scenario")
 
-    cfg_data = dict(data.get("config", {}))
+    cfg_data = dict(_object(data.get("config", {}), "scenario config"))
     if config_path is not None:
         with open(config_path) as fh:
-            cfg_data.update(json.load(fh))
+            cfg_data.update(_object(json.load(fh), f"{config_path}: config"))
     config, cfg_seed = _parse_config(cfg_data)
     seed = cli_seed if cli_seed is not None else (cfg_seed if cfg_seed is not None else 0)
 
@@ -243,60 +231,73 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _EXIT_BY_STATUS[result.status]
 
 
-_SWEEP_PARAMS = ("r_comm", "r_max", "n", "m")
+# The swept instance fields, each with the reader that checks its type.
+_SWEEP_PARAMS = {"r_comm": _number, "r_max": _number, "n": _integer, "m": _integer}
+_SWEEP_KEYS = {"parameter", "values", "trials", "seeds", "base", "config"}
+_SWEEP_BASE_KEYS = {*_SWEEP_PARAMS, "workspace", "kappa_choices"}
 
 
 def sweep(spec: dict[str, Any], seed: int, out: Path) -> None:
     """Run a sensitivity sweep spec (see README) and write runs.csv and
     summary.csv into `out`.  Trial t uses seed + t unless the spec lists
     its own seeds."""
+    _known_keys(_object(spec, "sweep spec"), _SWEEP_KEYS, "sweep spec")
     parameter = spec.get("parameter")
     if parameter not in _SWEEP_PARAMS:
-        raise ScenarioError(f"sweep parameter must be one of {_SWEEP_PARAMS}")
+        raise ScenarioError(f"sweep parameter must be one of {tuple(_SWEEP_PARAMS)}")
     values = spec.get("values")
-    if not values:
+    if not isinstance(values, list) or not values:
         raise ScenarioError("sweep values must be a nonempty list")
-    trials = int(spec.get("trials", len(spec.get("seeds", [])) or 1))
     seeds = spec.get("seeds")
+    if seeds is not None:
+        seeds = _int_list(seeds, "sweep seeds")
+    trials = _integer(spec.get("trials", len(seeds or ()) or 1), "sweep trials")
+    if trials < 1:
+        raise ScenarioError(f"sweep trials must be >= 1, got {trials}")
     if seeds is None:
         seeds = [seed + t for t in range(trials)]
     if len(seeds) != trials:
         raise ScenarioError("sweep needs exactly one seed per trial")
-    base = dict(spec.get("base", {}))
-    base.setdefault("n", 200)
-    base.setdefault("m", 50)
-    base.setdefault("r_comm", DEFAULT_R_COMM)
-    base.setdefault("r_max", DEFAULT_R_MAX)
+    base = _object(spec.get("base", {}), "sweep base")
+    _known_keys(base, _SWEEP_BASE_KEYS, "sweep base")
+    base = {"n": 200, "m": 50, "r_comm": DEFAULT_R_COMM, "r_max": DEFAULT_R_MAX, **base}
+    fixed = {k: check(base[k], f"sweep base {k}") for k, check in _SWEEP_PARAMS.items()}
     ws_vals = base.get("workspace", [0.0, 100.0, 0.0, 100.0])
-    kappa = tuple(base.get("kappa_choices", KAPPA_DEFAULT_CHOICES))
-    config, _ = _parse_config(dict(spec.get("config", {})))
+    if not isinstance(ws_vals, list) or len(ws_vals) != 4:
+        raise ScenarioError("sweep base workspace must be [x_min, x_max, y_min, y_max]")
+    ws = Workspace(*(_number(v, "sweep base workspace bound") for v in ws_vals))
+    kappa = _int_list(base.get("kappa_choices", list(KAPPA_DEFAULT_CHOICES)), "sweep base kappa_choices")
+    config, _ = _parse_config(_object(spec.get("config", {}), "sweep config"))
+
+    # Every instance is built before the first run, so a bad value fails
+    # the sweep up front instead of after the runs before it.
+    cases = []
+    for value in values:
+        p = {**fixed, parameter: _SWEEP_PARAMS[parameter](value, f"sweep {parameter} value")}
+        for trial, trial_seed in enumerate(seeds):
+            assets = generate_uniform(p["n"], ws, kappa, trial_seed)
+            cases.append((value, trial, trial_seed, Instance(ws, tuple(assets), p["m"], p["r_comm"], p["r_max"])))
 
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        for trial, trial_seed in enumerate(seeds):
-            p = {k: base[k] for k in ("n", "m", "r_comm", "r_max")}
-            p[parameter] = value
-            ws = Workspace(*ws_vals)
-            assets = generate_uniform(int(p["n"]), ws, kappa, int(trial_seed))
-            inst = Instance(ws, tuple(assets), int(p["m"]), float(p["r_comm"]), float(p["r_max"]))
-            result = run(inst, config, (), int(trial_seed))
-            sm = summarize(result.snapshot)
-            ok = result.status is RunStatus.FEASIBLE and sm.undercovered_count == 0
-            rows.append(
-                {
-                    "parameter": parameter,
-                    "value": value,
-                    "trial": trial,
-                    "seed": trial_seed,
-                    "status": result.status.value,
-                    "feasible": int(ok),
-                    "total_cost": sm.total_cost,
-                    "undercovered": sm.undercovered_count,
-                    "time_to_feasibility": result.timings.time_to_feasibility,
-                    "total_seconds": result.timings.total_seconds,
-                }
-            )
+    for value, trial, trial_seed, inst in cases:
+        result = run(inst, config, (), trial_seed)
+        sm = summarize(result.snapshot)
+        ok = result.status is RunStatus.FEASIBLE and sm.undercovered_count == 0
+        rows.append(
+            {
+                "parameter": parameter,
+                "value": value,
+                "trial": trial,
+                "seed": trial_seed,
+                "status": result.status.value,
+                "feasible": int(ok),
+                "total_cost": sm.total_cost,
+                "undercovered": sm.undercovered_count,
+                "time_to_feasibility": result.timings.time_to_feasibility,
+                "total_seconds": result.timings.total_seconds,
+            }
+        )
 
     with open(out / "runs.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")

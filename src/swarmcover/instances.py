@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -94,8 +94,8 @@ class Instance:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"need at least one robot, got m={self.m}")
-        if self.r_comm <= 0 or self.r_max <= 0:
-            raise ValueError("r_comm and r_max must be positive")
+        if not (0 < self.r_comm < math.inf and 0 < self.r_max < math.inf):
+            raise ValueError(f"r_comm and r_max must be positive and finite, got {self.r_comm} and {self.r_max}")
         for i, a in enumerate(self.assets):
             if a.id != i:
                 raise ValueError(f"asset ids must be dense 0..n-1, got id {a.id} at index {i}")
@@ -217,28 +217,78 @@ def load_assets(path: str | Path) -> list[Asset]:
     return out
 
 
+# Strict readers for JSON fields: int() and float() would quietly accept
+# 2.9, True or "7", so a wrong type is an error that names the field.
+
+
+def _integer(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _int_list(value: Any, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return [_integer(v, f"{what} entry") for v in value]
+
+
+def _object(value: Any, what: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _known_keys(obj: dict[str, Any], known: Iterable[str], what: str) -> None:
+    unknown = sorted(set(obj).difference(known))
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {unknown}")
+
+
+def _field(obj: Any, key: str, what: str) -> Any:
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return obj[key]
+
+
+_WORKSPACE_KEYS = ("x_min", "x_max", "y_min", "y_max")
+
+
 def instance_from_dict(data: dict, base_dir: str | Path = ".", default_seed: int = 0) -> Instance:
     """Build an Instance from its JSON dict form.
 
     Assets come either from an `assets_file` CSV (path relative to base_dir)
     or from a `generator` object {name, n, kappa_choices, seed}.  A generator
-    without an explicit seed uses default_seed.
+    without an explicit seed uses default_seed.  A missing field or a value
+    of the wrong type raises ValueError naming the field.
     """
-    try:
-        ws = Workspace(**data["workspace"])
-        m = int(data["m"])
-        r_comm = float(data["r_comm"])
-        r_max = float(data["r_max"])
-    except KeyError as exc:
-        raise ValueError(f"instance JSON missing required field {exc}") from exc
+    ws_data = _object(_field(data, "workspace", "instance"), "instance workspace")
+    _known_keys(ws_data, _WORKSPACE_KEYS, "instance workspace")
+    ws = Workspace(
+        *(_number(_field(ws_data, k, "instance workspace"), f"instance workspace {k}") for k in _WORKSPACE_KEYS)
+    )
+    m = _integer(_field(data, "m", "instance"), "instance m")
+    r_comm = _number(_field(data, "r_comm", "instance"), "instance r_comm")
+    r_max = _number(_field(data, "r_max", "instance"), "instance r_max")
     if "assets_file" in data:
-        assets = load_assets(Path(base_dir) / data["assets_file"])
+        name = data["assets_file"]
+        if not isinstance(name, str):
+            raise ValueError(f"instance assets_file must be a path string, got {name!r}")
+        assets = load_assets(Path(base_dir) / name)
     elif "generator" in data:
-        gen = data["generator"]
+        gen = _object(data["generator"], "instance generator")
         if gen.get("name", "uniform") != "uniform":
             raise ValueError(f"unknown generator {gen.get('name')!r}")
-        seed = int(gen.get("seed", default_seed))
-        assets = generate_uniform(int(gen["n"]), ws, list(gen["kappa_choices"]), seed)
+        n = _integer(_field(gen, "n", "instance generator"), "generator n")
+        seed = _integer(gen.get("seed", default_seed), "generator seed")
+        kappas = _int_list(_field(gen, "kappa_choices", "instance generator"), "generator kappa_choices")
+        assets = generate_uniform(n, ws, kappas, seed)
     else:
         raise ValueError("instance JSON needs either 'assets_file' or 'generator'")
     return Instance(ws, tuple(assets), m, r_comm, r_max)

@@ -3,10 +3,10 @@
 Phase 1 (explore) spreads robots with a grid-seeded Lloyd iteration over the
 assets each robot senses, then locks in the minimum enclosing disk of what it
 kept.  Phase 2 (optimize) closes coverage deficits through neighborhood
-auctions on marginal disk-area cost, falls back to a capacity-based direct
-assignment when the auctions stall, and finishes by shaving cost with pairwise
-boundary-asset transfers.  Phase 3 (refine) walks back overcoverage with
-guarded removals that must strictly shrink the remover's disk.
+auctions on marginal disk-area cost, and falls back to a capacity-based
+direct assignment when the auctions stall.  Phase 3 (refine) shaves cost with
+sweeps of pairwise boundary-asset transfers, alternated with guarded removals
+of overcovered assets that must strictly shrink the remover's disk.
 
 Every decision is a pure function of the published snapshot, the config, and
 the run seed, so runs are deterministic end to end.
@@ -19,7 +19,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .engine import (
     Event,
@@ -43,7 +43,7 @@ from .geometry import (
     min_enclosing_disk,
     min_enclosing_disk_or,
 )
-from .instances import Asset, Instance, grid_partition, initial_positions
+from .instances import DEFAULT_GRID_LAMBDA, Asset, Instance, grid_partition, initial_positions
 from .metrics import RoundMetrics, summarize
 
 INFEASIBLE = math.inf
@@ -72,7 +72,7 @@ def h64(iteration: int, asset_id: int, robot_id: int) -> int:
 class Config:
     """Algorithm knobs; defaults follow the benchmark setup."""
 
-    lam: float = 2.0                # grid aspect penalty
+    lam: float = DEFAULT_GRID_LAMBDA  # grid aspect penalty
     tol: float = 0.01               # Lloyd convergence threshold (m)
     eps: float = 0.01               # relative tie window for auction bids
     tau: float = 0.005              # minimum fractional area gain per swap
@@ -102,14 +102,6 @@ class Config:
 
     def phase2_cap(self, m: int) -> int:
         return self.max_iters_phase2 if self.max_iters_phase2 is not None else 10 * m
-
-
-@dataclass(frozen=True)
-class Bid:
-    asset_id: int
-    bidder_id: int
-    delta: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -163,9 +155,8 @@ class _View:
     that consult the view stay pure and order-independent.  This is the one
     place local knowledge is computed.  Built up front: the alive robots, the
     neighbor map, each robot's sensed assets (through a cell grid of side
-    r_max), its knowledge set (sensed, held, and held by a neighbor) and its
-    membership cover counts (itself plus neighbors holding the asset).
-    Filled on demand:
+    r_max), its membership cover counts (see `_cover_counts`) and its
+    knowledge set (sensed, held, and held by a neighbor).  Filled on demand:
 
     * `deficits`: the assets a robot may claim, per robot;
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
@@ -195,21 +186,9 @@ class _View:
                 if dx * dx + dy * dy <= r_max2:
                     got.add(a.id)
             self.sensed[r.id] = got
-        self.knowledge: dict[int, set[int]] = {}
-        self.cover: dict[int, dict[int, int]] = {}
-        for r in self.alive:
-            know = set(self.sensed[r.id])
-            know.update(r.assigned)
-            counts: dict[int, int] = {}
-            for p in r.assigned:
-                counts[p] = 1
-            for j in self.nbrs[r.id]:
-                aj = self.robot[j].assigned
-                know.update(aj)
-                for p in aj:
-                    counts[p] = counts.get(p, 0) + 1
-            self.knowledge[r.id] = know
-            self.cover[r.id] = counts
+        self.cover = _cover_counts(snapshot, self.nbrs)
+        # The counted assets are exactly those held by the robot or a neighbor.
+        self.knowledge = {rid: self.sensed[rid].union(self.cover[rid]) for rid in self.alive_ids}
         self._deficits: dict[int, list[int]] = {}
         self._donor_disks: dict[tuple[int, int, int], Disk] = {}
         self._grown_disks: dict[tuple[int, int], Disk] = {}
@@ -233,13 +212,18 @@ class _View:
     def positions(self, assigned: Sequence[int]) -> list[Point]:
         return [self.assets[a].pos for a in assigned]
 
+    def farthest_first(self, rid: int) -> list[int]:
+        """Robot rid's assets, farthest from its center first, ties by id."""
+        robot = self.robot[rid]
+        return sorted(robot.assigned, key=lambda a: (-dist2(robot.pos, self.assets[a].pos), a))
+
     def donor_disk(self, donor: int, asset_id: int, seed: int) -> Disk:
         """Enclosing disk of the donor's assets other than asset_id."""
         key = (donor, asset_id, seed)
         got = self._donor_disks.get(key)
         if got is None:
             robot = self.robot[donor]
-            got = min_enclosing_disk_or(self.positions(sorted(robot.assigned - {asset_id})), robot.pos, seed)
+            got = consolidate(robot.pos, robot.assigned - {asset_id}, self.assets, seed)
             self._donor_disks[key] = got
         return got
 
@@ -251,6 +235,22 @@ class _View:
             got = _grow_disk(self, self.robot[receiver], asset_id)
             self._grown_disks[key] = got
         return got
+
+
+def _cover_counts(
+    snapshot: WorldSnapshot, nbrs: Mapping[int, Sequence[int]]
+) -> dict[int, dict[int, int]]:
+    """Per alive robot, the membership cover count of every asset it or a
+    neighbor holds: the number of holders among itself and its neighbors."""
+    robots = snapshot.robots
+    cover: dict[int, dict[int, int]] = {}
+    for rid, near in nbrs.items():
+        counts = dict.fromkeys(robots[rid].assigned, 1)
+        for j in near:
+            for p in robots[j].assigned:
+                counts[p] = counts.get(p, 0) + 1
+        cover[rid] = counts
+    return cover
 
 
 def _finalize_radius(radius: float, r_max: float) -> float:
@@ -308,13 +308,11 @@ def phase1_converged(prev: WorldSnapshot, nxt: WorldSnapshot, tol: float) -> boo
     return worst < tol
 
 
-def consolidate(robot: RobotState, assets: Sequence[Asset], seed: int = 0) -> tuple[Point, float]:
-    """Minimum enclosing disk of the robot's assigned assets; an empty
-    assignment keeps the current position with radius zero.  Callers are
-    responsible for keeping the result within r_max."""
-    pts = [assets[a].pos for a in sorted(robot.assigned)]
-    d = min_enclosing_disk_or(pts, robot.pos, seed)
-    return d.center, d.radius
+def consolidate(pos: Point, held: Iterable[int], assets: Sequence[Asset], seed: int = 0) -> Disk:
+    """Minimum enclosing disk of the held assets, taken in ascending id; an
+    empty set keeps `pos` with radius zero.  Callers are responsible for
+    keeping the result within r_max."""
+    return min_enclosing_disk_or([assets[a].pos for a in sorted(held)], pos, seed)
 
 
 def _transition_plan(snapshot: WorldSnapshot, seed: int) -> dict[int, Proposal]:
@@ -328,9 +326,8 @@ def _transition_plan(snapshot: WorldSnapshot, seed: int) -> dict[int, Proposal]:
         kept = frozenset(
             a for a in r.assigned if dist(r.pos, snapshot.assets[a].pos) <= r.radius + CONTAINMENT_TOL
         )
-        pruned = replace(r, assigned=kept)
-        center, radius = consolidate(pruned, snapshot.assets, seed)
-        proposals[r.id] = Proposal(center, _finalize_radius(radius, r_max), kept)
+        d = consolidate(r.pos, kept, snapshot.assets, seed)
+        proposals[r.id] = Proposal(d.center, _finalize_radius(d.radius, r_max), kept)
     return proposals
 
 
@@ -350,8 +347,8 @@ def _grow_disk(view: _View, robot: RobotState, asset_id: int) -> Disk:
     return enclose_with_anchor(pts, ppos)
 
 
-def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> Bid:
-    """Extra disk area robot rid would pay to absorb the asset; infeasible
+def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> float:
+    """Extra disk area robot rid would pay to absorb the asset; INFEASIBLE
     (infinite) when the grown disk would exceed r_max."""
     view = _View(snapshot)
     robot = snapshot.robot(rid)
@@ -360,12 +357,11 @@ def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> Bid:
     return _bid(view, robot, asset_id)
 
 
-def _bid(view: _View, robot: RobotState, asset_id: int) -> Bid:
+def _bid(view: _View, robot: RobotState, asset_id: int) -> float:
     d = _grow_disk(view, robot, asset_id)
     if d.radius > view.params.r_max:
-        return Bid(asset_id, robot.id, INFEASIBLE, False)
-    delta = math.pi * (d.radius * d.radius - robot.radius * robot.radius)
-    return Bid(asset_id, robot.id, max(0.0, delta), True)
+        return INFEASIBLE
+    return max(0.0, math.pi * (d.radius * d.radius - robot.radius * robot.radius))
 
 
 def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps: float) -> Optional[int]:
@@ -380,25 +376,22 @@ def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps:
     return min(tie, key=lambda j: (h64(iteration, asset_id, j), j))
 
 
-def phase2_round(
-    snapshot: WorldSnapshot, cfg: Config, *, view: Optional[_View] = None
-) -> tuple[dict[int, Proposal], bool]:
+def phase2_round(snapshot: WorldSnapshot, cfg: Config) -> tuple[dict[int, Proposal], bool]:
     """One auction round.
 
     Every robot auctions each of its deficits (see `_View.deficits`) among
     itself and its neighbors and claims the asset when it wins its own
-    auction.  All wins of a robot are folded into a single consolidation;
-    a win is skipped if stacking it onto the earlier wins would push the disk
-    past r_max (it stays undercovered and is re-auctioned next round).
-    `view`, when given, is a view of `snapshot` already built this round.
+    auction.  A robot's wins are grown into its disk one at a time (see
+    `_grow_disk`); a win is skipped if stacking it onto the earlier wins would
+    push the disk past r_max (it stays undercovered and is re-auctioned next
+    round).
     """
-    if view is None:
-        view = _View(snapshot)
+    view = _View(snapshot)
     r_max = snapshot.params.r_max
     iteration = snapshot.round
-    bid_cache: dict[tuple[int, int], Bid] = {}
+    bid_cache: dict[tuple[int, int], float] = {}
 
-    def bid_for(j: int, asset_id: int) -> Bid:
+    def bid_for(j: int, asset_id: int) -> float:
         key = (j, asset_id)
         got = bid_cache.get(key)
         if got is None:
@@ -410,43 +403,27 @@ def phase2_round(
     for rid in view.alive_ids:
         group = sorted((rid, *view.nbrs[rid]))
         for asset_id in view.deficits(rid):
-            if not bid_for(rid, asset_id).feasible:
+            if bid_for(rid, asset_id) == INFEASIBLE:
                 continue  # select_winner never picks an infeasible bid
             bidders = [
                 j
                 for j in group
                 if asset_id not in view.robot[j].assigned and asset_id in view.knowledge[j]
             ]
-            bids = {j: bid_for(j, asset_id).delta for j in bidders}
+            bids = {j: bid_for(j, asset_id) for j in bidders}
             if select_winner(asset_id, bids, iteration, cfg.eps) == rid:
                 wins.setdefault(rid, []).append(asset_id)
 
     proposals: dict[int, Proposal] = {}
-    progress = False
     for rid in sorted(wins):
-        robot = view.robot[rid]
-        pts = view.positions(sorted(robot.assigned))
-        disk = Disk(robot.pos, robot.radius) if pts else None
-        accepted: list[int] = []
+        cur = view.robot[rid]
         for asset_id in wins[rid]:
-            ppos = view.assets[asset_id].pos
-            if disk is None:
-                cand = Disk(ppos, 0.0)
-            elif dist(disk.center, ppos) <= disk.radius + CONTAINMENT_TOL:
-                cand = disk
-            else:
-                cand = enclose_with_anchor(pts, ppos)
-            if cand.radius > r_max:
-                continue
-            disk = cand
-            pts.append(ppos)
-            accepted.append(asset_id)
-        if accepted:
-            assigned = robot.assigned | frozenset(accepted)
-            assert disk is not None
-            proposals[rid] = Proposal(disk.center, _finalize_radius(disk.radius, r_max), assigned)
-            progress = True
-    return proposals, progress
+            d = _grow_disk(view, cur, asset_id)
+            if d.radius <= r_max:
+                cur = replace(cur, pos=d.center, radius=d.radius, assigned=cur.assigned | {asset_id})
+        if cur is not view.robot[rid]:
+            proposals[rid] = Proposal(cur.pos, _finalize_radius(cur.radius, r_max), cur.assigned)
+    return proposals, bool(proposals)
 
 
 def has_undercovered_views(snapshot: WorldSnapshot) -> bool:
@@ -503,34 +480,23 @@ def holders_certified(snapshot: WorldSnapshot) -> bool:
     saturates every custodian's neighborhood before it goes quiet, so the
     certificate holds exactly when coordination sufficed.
     """
-    alive = {r.id: r for r in snapshot.robots if r.alive}
-    nm = neighbor_map(snapshot)
-    kappa = {a.id: a.kappa for a in snapshot.assets}
-    for r in alive.values():
-        if not r.assigned:
-            continue
-        nbr_assigned = [alive[j].assigned for j in nm[r.id]]
-        for aid in r.assigned:
-            have = 1 + sum(1 for held in nbr_assigned if aid in held)
-            if have < kappa[aid]:
-                return False
-    return True
+    cover = _cover_counts(snapshot, neighbor_map(snapshot))
+    assets = snapshot.assets
+    return all(
+        counts[a] >= assets[a].kappa for rid, counts in cover.items() for a in snapshot.robots[rid].assigned
+    )
 
 
-def fallback_assign(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, *, view: Optional[_View] = None
-) -> tuple[dict[int, Proposal], bool]:
+def fallback_assign(snapshot: WorldSnapshot, cfg: Config, seed: int = 0) -> tuple[dict[int, Proposal], bool]:
     """Direct assignment when the auctions stall.
 
     In every connected component of the communication graph, the robot with
     the largest spare capacity (r_max - r_i) among those that still have a
     deficit (see `_View.deficits`) takes its nearest one; if the grown
     disk would exceed r_max it first releases its own locally overcovered
-    assets farthest-first, one at a time, retrying after each.  `view`, when
-    given, is a view of `snapshot` already built this round.
+    assets farthest-first, one at a time, retrying after each.
     """
-    if view is None:
-        view = _View(snapshot)
+    view = _View(snapshot)
     r_max = snapshot.params.r_max
     proposals: dict[int, Proposal] = {}
     seen: set[int] = set()
@@ -555,10 +521,7 @@ def fallback_assign(
         tpos = view.assets[target].pos
         counts = view.cover[actor]
         keep = sorted(robot.assigned)
-        releasable = sorted(
-            (q for q in keep if counts.get(q, 0) - 1 >= view.assets[q].kappa),
-            key=lambda q: (-dist2(robot.pos, view.assets[q].pos), q),
-        )
+        releasable = [q for q in view.farthest_first(actor) if counts.get(q, 0) - 1 >= view.assets[q].kappa]
         rel_idx = 0
         while True:
             d = min_enclosing_disk(view.positions(keep) + [tpos], seed)
@@ -651,7 +614,7 @@ def swap_round(
         rim = cfg.boundary_factor * dr.radius
         candidates[rid] = [
             a
-            for a in sorted(dr.assigned, key=lambda a: (-dist2(dr.pos, view.assets[a].pos), a))
+            for a in view.farthest_first(rid)
             if dist(view.assets[a].pos, dr.pos) > rim and view.local_coverage(rid, a) >= view.assets[a].kappa
         ]
 
@@ -716,12 +679,10 @@ def phase3_round(
         keep = set(robot.assigned)
         r_cur = robot.radius
         intent: list[int] = []
-        for asset_id in sorted(robot.assigned, key=lambda a: (-dist2(robot.pos, view.assets[a].pos), a)):
+        for asset_id in view.farthest_first(rid):
             if counts.get(asset_id, 0) - 1 < view.assets[asset_id].kappa:
                 continue
-            trial = min_enclosing_disk_or(
-                view.positions(sorted(keep - {asset_id})), robot.pos, seed
-            )
+            trial = consolidate(robot.pos, keep - {asset_id}, view.assets, seed)
             if trial.radius < r_cur:
                 intent.append(asset_id)
                 keep.remove(asset_id)
@@ -730,7 +691,6 @@ def phase3_round(
             intents[rid] = intent
 
     proposals: dict[int, Proposal] = {}
-    progress = False
     for rid in sorted(intents):
         robot = view.robot[rid]
         counts = view.cover[rid]
@@ -747,24 +707,13 @@ def phase3_round(
         if not removed:
             continue
         assigned = robot.assigned - frozenset(removed)
-        d = min_enclosing_disk_or(view.positions(sorted(assigned)), robot.pos, seed)
+        d = consolidate(robot.pos, assigned, view.assets, seed)
         proposals[rid] = Proposal(d.center, _finalize_radius(d.radius, r_max), assigned)
-        progress = True
-    return proposals, progress
+    return proposals, bool(proposals)
 
 
 # ---------------------------------------------------------------------------
 # Full run loop
-
-
-def _auction_round(snapshot: WorldSnapshot, cfg: Config, seed: int) -> tuple[dict[int, Proposal], bool]:
-    # The auctions and, when they stall, the fallback, on one view of the
-    # snapshot.  The view dies on return, before the round is stepped.
-    view = _View(snapshot)
-    plan, progress = phase2_round(snapshot, cfg, view=view)
-    if not progress:
-        plan, progress = fallback_assign(snapshot, cfg, seed, view=view)
-    return plan, progress
 
 
 def run(
@@ -840,7 +789,9 @@ def run(
         while True:
             if coverage_satisfied(snapshot) and holders_certified(snapshot):
                 break
-            plan, progress = _auction_round(snapshot, cfg, seed)
+            plan, progress = phase2_round(snapshot, cfg)
+            if not progress:
+                plan, progress = fallback_assign(snapshot, cfg, seed)
             if progress:
                 if bid_budget <= 0:
                     status = RunStatus.ITERATION_CAP
@@ -888,15 +839,13 @@ def run(
             if not acted:
                 break
 
-        if not coverage_satisfied(snapshot):
-            bid_budget = cfg.phase2_cap(params.m)
-            continue  # an event during the later stages reopened coverage
-        if pending:
-            # Idle forward to the next scheduled event, then re-optimize.
+        # Re-optimize when an event during the later stages reopened coverage,
+        # or after idling forward to the next scheduled event.
+        if coverage_satisfied(snapshot):
+            if not pending:
+                break
             coast_to_next_event()
-            bid_budget = cfg.phase2_cap(params.m)
-            continue
-        break
+        bid_budget = cfg.phase2_cap(params.m)
 
     total = time.perf_counter() - t0
     return RunResult(

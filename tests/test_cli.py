@@ -253,6 +253,37 @@ def test_sweep_rejects_bad_parameter(tmp_path):
     assert main(["sweep", str(sweep)]) == 1
 
 
+@pytest.mark.parametrize(
+    "spec, needle",
+    [
+        ({"parameter": "n", "values": [5.7]}, "sweep n value must be an integer, got 5.7"),
+        ({"parameter": "m", "values": [True]}, "sweep m value must be an integer"),
+        ({"parameter": "r_max", "values": ["40"]}, "sweep r_max value must be a number"),
+        ({"parameter": "m", "values": [2, 0], "base": {"n": 3}}, "need at least one robot, got m=0"),
+        ({"parameter": "n", "values": []}, "sweep values must be a nonempty list"),
+        ({"parameter": "n", "values": [4], "trials": 1.9}, "sweep trials must be an integer, got 1.9"),
+        ({"parameter": "n", "values": [4], "trials": 0}, "sweep trials must be >= 1, got 0"),
+        ({"parameter": "n", "values": [4], "seeds": [1.5]}, "sweep seeds entry must be an integer"),
+        ({"parameter": "n", "values": [4], "seeds": 3}, "sweep seeds must be a list of integers"),
+        ({"parameter": "n", "values": [4], "base": {"m": 2.5}}, "sweep base m must be an integer, got 2.5"),
+        ({"parameter": "n", "values": [4], "base": {"r_comm": None}}, "sweep base r_comm must be a number"),
+        ({"parameter": "n", "values": [4], "base": {"kappa_choices": [1.5]}}, "sweep base kappa_choices entry must be an integer"),
+        ({"parameter": "n", "values": [4], "base": {"workspace": [0, 1]}}, "sweep base workspace must be"),
+        ({"parameter": "n", "values": [4], "base": []}, "sweep base must be a JSON object"),
+        ([], "sweep spec must be a JSON object"),
+        ({"parameter": "n", "values": [4], "trial": 3}, "sweep spec: unknown keys ['trial']"),
+        ({"parameter": "n", "values": [4], "base": {"kappa": [2]}}, "sweep base: unknown keys ['kappa']"),
+        ({"parameter": "n", "values": [4], "config": [1]}, "sweep config must be a JSON object"),
+    ],
+)
+def test_sweep_spec_types_are_errors(tmp_path, capsys, spec, needle):
+    sweep = write_json(tmp_path / "s.json", spec)
+    assert main(["sweep", str(sweep), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "o").exists()
+
+
 # -- compare / oracle -----------------------------------------------------------
 
 
@@ -407,10 +438,44 @@ def test_valid_events_load(tmp_path):
         ([add_assets(), add_assets(kappa=2.7)], None, "event 1 asset 0 kappa must be an integer"),
         ([add_assets(kappa=True)], None, "event 0 asset 0 kappa must be an integer"),
         ([add_assets(x="30")], None, "event 0 asset 0 x must be a number"),
+        ({"at_round": 5}, None, "scenario events must be a list"),
+        ([], [1], "scenario config must be a JSON object"),
     ],
 )
 def test_non_integer_scenario_fields_are_errors(tmp_path, capsys, events, config, needle):
     assert main(["run", str(event_scenario(tmp_path, events, config)), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "o").exists()
+
+
+WS = {"x_min": 0.0, "x_max": 60.0, "y_min": 0.0, "y_max": 60.0}
+GEN = {"name": "uniform", "n": 4, "kappa_choices": [1], "seed": 2}
+
+
+@pytest.mark.parametrize(
+    "change, needle",
+    [
+        ({"m": 3.9}, "instance m must be an integer, got 3.9"),
+        ({"m": "3"}, "instance m must be an integer"),
+        ({"r_comm": True}, "instance r_comm must be a number, got True"),
+        ({"r_max": float("nan")}, "r_comm and r_max must be positive and finite"),
+        ({"r_max": float("inf")}, "r_comm and r_max must be positive and finite"),
+        ({"workspace": {**WS, "x_min": "0"}}, "instance workspace x_min must be a number"),
+        ({"workspace": {**WS, "z_min": 0.0}}, "instance workspace: unknown keys ['z_min']"),
+        ({"workspace": [0.0, 60.0, 0.0, 60.0]}, "instance workspace must be a JSON object"),
+        ({"workspace": {**WS, "y_max": float("inf")}}, "workspace bounds must be finite"),
+        ({"generator": {**GEN, "n": 5.5}}, "generator n must be an integer, got 5.5"),
+        ({"generator": {**GEN, "seed": 2.2}}, "generator seed must be an integer, got 2.2"),
+        ({"generator": {**GEN, "kappa_choices": [1.5]}}, "generator kappa_choices entry must be an integer, got 1.5"),
+        ({"generator": {**GEN, "kappa_choices": 2}}, "generator kappa_choices must be a list of integers"),
+        ({"generator": [GEN]}, "instance generator must be a JSON object"),
+    ],
+)
+def test_instance_field_types_are_errors(tmp_path, capsys, change, needle):
+    data = {"instance": {"workspace": WS, "m": 3, "r_comm": 85.0, "r_max": 45.0, "generator": GEN, **change}}
+    scenario = write_json(tmp_path / "inst.json", data)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
     assert not (tmp_path / "o").exists()

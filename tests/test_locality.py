@@ -3,8 +3,9 @@ references.
 
 Sensing, the neighbor map, Lloyd's nearest-robot search and the cover counts
 of `summarize` go through `geometry.CellGrid`; each robot's knowledge, cover
-counts and deficits come from the round's view alone; the swap sweep reads
-memoized disks from that view.  Each must give exactly what the all-pairs
+counts and deficits come from the round's view alone, and the completion
+certificate reuses its cover counts; the swap sweep reads memoized disks from
+that view.  Each must give exactly what the all-pairs
 definition gives, including on cell boundaries, at negative coordinates,
 with zero radii and dead robots, and when r_comm equals r_max.
 """
@@ -26,6 +27,7 @@ from swarmcover.protocol import (
     _View,
     evaluate_swap,
     has_undercovered_views,
+    holders_certified,
     lloyd_round,
     swap_round,
 )
@@ -340,3 +342,20 @@ def test_view_memoizes_swap_disks():
     assert first == min_enclosing_disk_or(view.positions([0, 2, 3]), SHARED_DONOR.robots[0].pos, 0)
     grown = view.grown_disk(1, 1)
     assert view.grown_disk(1, 1) is grown
+
+
+def certificate_reference(snapshot: WorldSnapshot) -> bool:
+    """Every alive holder counts at least kappa holders of each of its
+    assets among itself and the robots within r_comm."""
+    return all(
+        local_coverage_reference(snapshot, r.id, a) >= snapshot.assets[a].kappa
+        for r in snapshot.robots
+        if r.alive
+        for a in r.assigned
+    )
+
+
+@given(st.one_of(worlds(), holding_worlds()))
+@settings(max_examples=200, deadline=None)
+def test_holders_certified_matches_brute_force(snap):
+    assert holders_certified(snap) == certificate_reference(snap)
