@@ -6,9 +6,12 @@ The enclosing-disk code is the classic randomized incremental construction
 reproducibility:
 
 * the point shuffle is driven by an explicit seed, never the wall clock;
-* the support-point constructors canonicalize their argument order, so the
+* the support-point constructors do not depend on their argument order (the
+  circumcircle sorts its points, the diametral disk is symmetric), so the
   returned disk is a function of the support set alone and does not pick up
   floating-point noise from the traversal order.
+
+The solver itself runs on plain floats; see `_mec_one_point`.
 """
 
 from __future__ import annotations
@@ -127,18 +130,9 @@ def disk_contains(d: Disk, p: Point) -> bool:
     return dist(d.center, p) <= d.radius + CONTAINMENT_TOL
 
 
-def _canon(points: Iterable[Point]) -> list[Point]:
-    # Canonical processing order for support points; makes the constructed
-    # disk independent of how the caller happened to order them.
-    return sorted(points, key=lambda p: (p.x, p.y))
-
-
 def diametral_disk(a: Point, b: Point) -> Disk:
     """Smallest disk containing two points: they span a diameter."""
-    a, b = _canon((a, b))
-    cx = (a.x + b.x) / 2.0
-    cy = (a.y + b.y) / 2.0
-    r = max(math.hypot(a.x - cx, a.y - cy), math.hypot(b.x - cx, b.y - cy))
+    cx, cy, r = _diametral(a.x, a.y, b.x, b.y)
     return Disk(Point(cx, cy), r)
 
 
@@ -150,42 +144,32 @@ def circumcircle(a: Point, b: Point, c: Point) -> Optional[Disk]:
     computed center to the three points, which keeps all of them inside the
     closed disk despite rounding.
     """
-    a, b, c = _canon((a, b, c))
-    # Translate to the bounding-box midpoint before solving; this conditions
-    # the linear system much better for far-from-origin inputs.
-    ox = (min(a.x, b.x, c.x) + max(a.x, b.x, c.x)) / 2.0
-    oy = (min(a.y, b.y, c.y) + max(a.y, b.y, c.y)) / 2.0
-    ax, ay = a.x - ox, a.y - oy
-    bx, by = b.x - ox, b.y - oy
-    cx, cy = c.x - ox, c.y - oy
-    cross = ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)
-    if abs(cross) < DEGENERACY_TOL:
-        return None
-    d = 2.0 * cross
-    ux = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
-    uy = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
-    center = Point(ux, uy)
-    r = max(dist(center, a), dist(center, b), dist(center, c))
-    return Disk(center, r)
+    got = _circumcircle(a.x, a.y, b.x, b.y, c.x, c.y)
+    return None if got is None else Disk(Point(got[0], got[1]), got[2])
 
 
 def min_enclosing_disk(points: Sequence[Point] | Iterable[Point], seed: int = 0) -> Disk:
     """Smallest disk containing every input point.
 
     Raises ValueError on empty input; use min_enclosing_disk_or when the
-    point set may be empty.  The randomized processing order is drawn from
-    `seed`, so identical input order and seed give a bit-identical disk.
+    point set may be empty.  `seed` orders the randomized processing.  The
+    smallest enclosing disk is unique and is built from canonically ordered
+    support points, so the seed moves the running time and not the disk,
+    unless four or more points lie on its rim and different seeds pick
+    different support triples.
     """
     pts = list(points)
     if not pts:
         raise ValueError("min_enclosing_disk requires at least one point (see min_enclosing_disk_or)")
     if len(pts) > 1:
         random.Random(seed).shuffle(pts)
-    d = Disk(pts[0], 0.0)
-    for i, p in enumerate(pts):
-        if not disk_contains(d, p):
-            d = _mec_one_point(pts[: i + 1], p)
-    return d
+    xy = [(p.x, p.y) for p in pts]
+    cx, cy = xy[0]
+    r = 0.0
+    for i, (px, py) in enumerate(xy):
+        if math.hypot(cx - px, cy - py) > r + CONTAINMENT_TOL:
+            cx, cy, r = _mec_one_point(xy[: i + 1], px, py)
+    return Disk(Point(cx, cy), r)
 
 
 def min_enclosing_disk_or(points: Sequence[Point] | Iterable[Point], anchor: Point, seed: int = 0) -> Disk:
@@ -204,46 +188,94 @@ def enclose_with_anchor(points: Sequence[Point], anchor: Point) -> Disk:
     construction; it lets callers grow a known disk by one outside point
     without a full restart.
     """
-    return _mec_one_point(list(points) + [anchor], anchor)
+    xy = [(p.x, p.y) for p in points]
+    xy.append((anchor.x, anchor.y))
+    cx, cy, r = _mec_one_point(xy, anchor.x, anchor.y)
+    return Disk(Point(cx, cy), r)
 
 
-def _mec_one_point(points: Sequence[Point], p: Point) -> Disk:
-    # Smallest enclosing disk of `points` constrained to have p on the boundary.
-    d = Disk(p, 0.0)
-    for i, q in enumerate(points):
-        if not disk_contains(d, q):
-            if d.radius == 0.0:
-                d = diametral_disk(p, q)
+# The solver's core works on plain floats: points are (x, y) pairs and disks
+# (cx, cy, r) triples, and a Point or Disk is built only for a result.  A
+# point q lies in a disk when hypot(cx - qx, cy - qy) <= r + CONTAINMENT_TOL,
+# the test of disk_contains.
+
+
+def _mec_one_point(pts: Sequence[tuple[float, float]], px: float, py: float) -> tuple[float, float, float]:
+    # Smallest enclosing disk of `pts` constrained to have p on the boundary.
+    cx, cy, r = px, py, 0.0
+    for i, (qx, qy) in enumerate(pts):
+        if math.hypot(cx - qx, cy - qy) > r + CONTAINMENT_TOL:
+            if r == 0.0:
+                cx, cy, r = _diametral(px, py, qx, qy)
             else:
-                d = _mec_two_points(points[: i + 1], p, q)
-    return d
+                cx, cy, r = _mec_two_points(pts[: i + 1], px, py, qx, qy)
+    return cx, cy, r
 
 
-def _mec_two_points(points: Sequence[Point], p: Point, q: Point) -> Disk:
-    # Smallest enclosing disk with both p and q on the boundary.
-    circ = diametral_disk(p, q)
-    left: Optional[Disk] = None
-    right: Optional[Disk] = None
-    for r in points:
-        if disk_contains(circ, r):
+def _mec_two_points(
+    pts: Sequence[tuple[float, float]], px: float, py: float, qx: float, qy: float
+) -> tuple[float, float, float]:
+    # Smallest enclosing disk with both p and q on the boundary.  `left_d`
+    # and `right_d` hold the cross product of each side's chosen center.
+    circ = _diametral(px, py, qx, qy)
+    ccx, ccy, cr = circ
+    left: Optional[tuple[float, float, float]] = None
+    right: Optional[tuple[float, float, float]] = None
+    left_d = right_d = 0.0
+    for rx, ry in pts:
+        if math.hypot(ccx - rx, ccy - ry) <= cr + CONTAINMENT_TOL:
             continue
-        cross = _cross(p, q, r)
-        c = circumcircle(p, q, r)
+        cross = _cross(px, py, qx, qy, rx, ry)
+        c = _circumcircle(px, py, qx, qy, rx, ry)
         if c is None:
             continue
-        d = _cross(p, q, c.center)
-        if cross > 0.0 and (left is None or d > _cross(p, q, left.center)):
-            left = c
-        elif cross < 0.0 and (right is None or d < _cross(p, q, right.center)):
-            right = c
+        d = _cross(px, py, qx, qy, c[0], c[1])
+        if cross > 0.0 and (left is None or d > left_d):
+            left, left_d = c, d
+        elif cross < 0.0 and (right is None or d < right_d):
+            right, right_d = c, d
     if left is None and right is None:
         return circ
     if left is None:
         return right  # type: ignore[return-value]
     if right is None:
         return left
-    return left if left.radius <= right.radius else right
+    return left if left[2] <= right[2] else right
 
 
-def _cross(o: Point, a: Point, b: Point) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _diametral(ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float]:
+    # Needs no canonical order: the sums commute and the radius is the larger
+    # of the two end distances, so swapping a and b gives the same bits.
+    cx = (ax + bx) / 2.0
+    cy = (ay + by) / 2.0
+    return cx, cy, max(math.hypot(ax - cx, ay - cy), math.hypot(bx - cx, by - cy))
+
+
+def _circumcircle(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float
+) -> Optional[tuple[float, float, float]]:
+    # Canonical order, by x then y, so the disk does not depend on the order
+    # the caller passed the points in.
+    (ax, ay), (bx, by), (cx, cy) = sorted(((ax, ay), (bx, by), (cx, cy)))
+    # Translate to the bounding-box midpoint before solving; this conditions
+    # the linear system much better for far-from-origin inputs.
+    ox = (min(ax, bx, cx) + max(ax, bx, cx)) / 2.0
+    oy = (min(ay, by, cy) + max(ay, by, cy)) / 2.0
+    tax, tay = ax - ox, ay - oy
+    tbx, tby = bx - ox, by - oy
+    tcx, tcy = cx - ox, cy - oy
+    cross = tax * (tby - tcy) + tbx * (tcy - tay) + tcx * (tay - tby)
+    if abs(cross) < DEGENERACY_TOL:
+        return None
+    d = 2.0 * cross
+    sa = tax * tax + tay * tay
+    sb = tbx * tbx + tby * tby
+    sc = tcx * tcx + tcy * tcy
+    ux = ox + (sa * (tby - tcy) + sb * (tcy - tay) + sc * (tay - tby)) / d
+    uy = oy + (sa * (tcx - tbx) + sb * (tax - tcx) + sc * (tbx - tax)) / d
+    r = max(math.hypot(ux - ax, uy - ay), math.hypot(ux - bx, uy - by), math.hypot(ux - cx, uy - cy))
+    return ux, uy, r
+
+
+def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)

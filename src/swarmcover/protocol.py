@@ -8,8 +8,10 @@ direct assignment when the auctions stall.  Phase 3 (refine) shaves cost with
 sweeps of pairwise boundary-asset transfers, alternated with guarded removals
 of overcovered assets that must strictly shrink the remover's disk.
 
-Every decision is a pure function of the published snapshot, the config, and
-the run seed, so runs are deterministic end to end.
+Every decision is a pure function of the published snapshot and the config,
+so runs are deterministic end to end.  The run seed orders the shuffle inside
+each enclosing-disk solve, and the disk does not depend on that order (see
+`geometry.min_enclosing_disk`), so it changes no decision.
 """
 
 from __future__ import annotations
@@ -364,15 +366,21 @@ def _bid(view: _View, robot: RobotState, asset_id: int) -> float:
     return max(0.0, math.pi * (d.radius * d.radius - robot.radius * robot.radius))
 
 
+def _tie_cut(best: float, eps: float) -> float:
+    # Bids up to this value tie with the best bid.
+    return best * (1.0 + eps) + 1e-12
+
+
 def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps: float) -> Optional[int]:
     """Lowest-cost bidder; bids within a relative eps of the best tie and the
     tie is broken by the h64 hash.  Returns None when no bid is feasible."""
     feasible = {j: d for j, d in bids.items() if d != INFEASIBLE}
     if not feasible:
         return None
-    best = min(feasible.values())
-    cut = best * (1.0 + eps) + 1e-12
+    cut = _tie_cut(min(feasible.values()), eps)
     tie = [j for j, d in feasible.items() if d <= cut]
+    if len(tie) == 1:
+        return tie[0]  # nothing to break: skip the hash
     return min(tie, key=lambda j: (h64(iteration, asset_id, j), j))
 
 
@@ -381,37 +389,57 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config) -> tuple[dict[int, Propos
 
     Every robot auctions each of its deficits (see `_View.deficits`) among
     itself and its neighbors and claims the asset when it wins its own
-    auction.  A robot's wins are grown into its disk one at a time (see
-    `_grow_disk`); a win is skipped if stacking it onto the earlier wins would
-    push the disk past r_max (it stays undercovered and is re-auctioned next
-    round).
+    auction.  The auctions are decided asset by asset, in ascending id.  Each
+    auctioneer is priced once (`_bid`), and so is every other bidder (a
+    robot that knows the asset and does not hold it) in the group (itself
+    and its neighbors) of an auctioneer whose own bid is feasible; the
+    feasible bids are sorted.  An auctioneer's best bid is the first
+    entry from its group, and the group's entries up to the tie cut above
+    it are the bids `select_winner` would keep from the group's full bid
+    dict; only those reach it.  So `select_winner` stays the one winner
+    rule, sees the same best bid, cut and tie set, and names the same
+    winner.
+
+    A robot's wins are grown into its disk one at a time, in ascending asset
+    id (see `_grow_disk`); a win is skipped if stacking it onto the earlier
+    wins would push the disk past r_max (it stays undercovered and is
+    re-auctioned next round).
     """
     view = _View(snapshot)
     r_max = snapshot.params.r_max
     iteration = snapshot.round
-    bid_cache: dict[tuple[int, int], float] = {}
-
-    def bid_for(j: int, asset_id: int) -> float:
-        key = (j, asset_id)
-        got = bid_cache.get(key)
-        if got is None:
-            got = _bid(view, view.robot[j], asset_id)
-            bid_cache[key] = got
-        return got
+    auctioneers: dict[int, list[int]] = {}
+    for rid in view.alive_ids:
+        for asset_id in view.deficits(rid):
+            auctioneers.setdefault(asset_id, []).append(rid)
+    groups: dict[int, set[int]] = {}
 
     wins: dict[int, list[int]] = {}
-    for rid in view.alive_ids:
-        group = sorted((rid, *view.nbrs[rid]))
-        for asset_id in view.deficits(rid):
-            if bid_for(rid, asset_id) == INFEASIBLE:
-                continue  # select_winner never picks an infeasible bid
-            bidders = [
-                j
-                for j in group
-                if asset_id not in view.robot[j].assigned and asset_id in view.knowledge[j]
-            ]
-            bids = {j: bid_for(j, asset_id) for j in bidders}
-            if select_winner(asset_id, bids, iteration, cfg.eps) == rid:
+    for asset_id in sorted(auctioneers):
+        price = {rid: _bid(view, view.robot[rid], asset_id) for rid in auctioneers[asset_id]}
+        # select_winner never picks an infeasible bid, so only auctioneers
+        # with a feasible bid of their own can win, and only their groups'
+        # bidders can matter.
+        live = [rid for rid in auctioneers[asset_id] if price[rid] != INFEASIBLE]
+        for rid in live:
+            for j in view.nbrs[rid]:
+                if j not in price and asset_id in view.knowledge[j] and asset_id not in view.robot[j].assigned:
+                    price[j] = _bid(view, view.robot[j], asset_id)
+        ranked = sorted((b, j) for j, b in price.items() if b != INFEASIBLE)
+        for rid in live:
+            group = groups.get(rid)
+            if group is None:
+                group = groups[rid] = {rid, *view.nbrs[rid]}
+            tie: dict[int, float] = {}
+            cut = INFEASIBLE
+            for b, j in ranked:
+                if b > cut:
+                    break
+                if j in group:
+                    if not tie:
+                        cut = _tie_cut(b, cfg.eps)
+                    tie[j] = b
+            if select_winner(asset_id, tie, iteration, cfg.eps) == rid:
                 wins.setdefault(rid, []).append(asset_id)
 
     proposals: dict[int, Proposal] = {}
@@ -547,38 +575,43 @@ def evaluate_swap(
     more than the tau fraction.
     """
     view = _View(snapshot)
-    return _evaluate_swap(view, donor, receiver, asset_id, cfg, seed)
-
-
-def _evaluate_swap(
-    view: _View, donor: int, receiver: int, asset_id: int, cfg: Config, seed: int
-) -> SwapDecision:
     di = view.robot[donor]
     dj = view.robot[receiver]
     if asset_id not in di.assigned:
         raise ValueError(f"asset {asset_id} is not assigned to robot {donor}")
     if receiver not in view.nbrs.get(donor, ()):
         raise ValueError(f"robots {donor} and {receiver} are not neighbors")
-    rejected = SwapDecision(False, 0.0, di.pos, di.radius, dj.pos, dj.radius)
+    dec = _evaluate_swap(view, donor, receiver, asset_id, cfg, seed)
+    return dec if dec is not None else SwapDecision(False, 0.0, di.pos, di.radius, dj.pos, dj.radius)
+
+
+def _evaluate_swap(
+    view: _View, donor: int, receiver: int, asset_id: int, cfg: Config, seed: int
+) -> Optional[SwapDecision]:
+    # The accepted decision, or None for a rejection; the donor must hold the
+    # asset and the receiver must be its neighbor.
+    di = view.robot[donor]
+    dj = view.robot[receiver]
     ppos = view.assets[asset_id].pos
-    if not dist(ppos, dj.pos) < dist(ppos, di.pos):
-        return rejected
-    if not dist(ppos, di.pos) > cfg.boundary_factor * di.radius:
-        return rejected
+    to_donor = dist(ppos, di.pos)
+    if not dist(ppos, dj.pos) < to_donor:
+        return None
+    if not to_donor > cfg.boundary_factor * di.radius:
+        return None
     held_by_receiver = asset_id in dj.assigned
     if view.local_coverage(donor, asset_id) - (1 if held_by_receiver else 0) < view.assets[asset_id].kappa:
-        return rejected
+        return None
     donor_after = view.donor_disk(donor, asset_id, seed)
     if held_by_receiver:
         recv_after = Disk(dj.pos, dj.radius)
     else:
         recv_after = view.grown_disk(receiver, asset_id)
         if recv_after.radius > view.params.r_max:
-            return rejected
+            return None
     before = math.pi * (di.radius ** 2 + dj.radius ** 2)
     after = math.pi * (donor_after.radius ** 2 + recv_after.radius ** 2)
     if before - after <= cfg.tau * before:
-        return rejected
+        return None
     return SwapDecision(
         True,
         before - after,
@@ -631,7 +664,7 @@ def swap_round(
                 if asset_id in used_assets:
                     continue
                 dec = _evaluate_swap(view, donor, receiver, asset_id, cfg, seed)
-                if dec.accepted:
+                if dec is not None:
                     if best is None or dec.reduction > best[0]:
                         best = (dec.reduction, donor, receiver, asset_id, dec)
                     break
@@ -729,6 +762,11 @@ def run(
     swarm back into the optimization phase, which is how dynamic scenarios
     adapt.  Returns the final snapshot, the per-round trace, executed swap
     records, and wall-clock milestones.
+
+    `seed` orders the point shuffle of every enclosing-disk solve.  The
+    solver's disk does not depend on that order (see
+    `geometry.min_enclosing_disk`), so the seed moves the running time but
+    no output.
     """
     cfg = config if config is not None else Config()
     t0 = time.perf_counter()

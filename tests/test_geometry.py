@@ -12,10 +12,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmcover.geometry import (
+    CONTAINMENT_TOL,
+    DEGENERACY_TOL,
     Disk,
     Point,
     circumcircle,
@@ -186,3 +188,140 @@ def test_med_boundary_support(pts):
         return
     slack = min(d.radius - dist(d.center, p) for p in pts)
     assert slack <= 1e-7 * d.radius
+
+
+# -- the float kernel against the Point/Disk solver it replaced ---------------
+#
+# The solver's core runs on (x, y) float pairs.  These references are the
+# same construction on Point and Disk objects, operation for operation, so
+# every disk must agree to the bit.
+
+
+def _ref_canon(points):
+    return sorted(points, key=lambda p: (p.x, p.y))
+
+
+def _ref_contains(d: Disk, p: Point) -> bool:
+    return math.hypot(d.center.x - p.x, d.center.y - p.y) <= d.radius + CONTAINMENT_TOL
+
+
+def _ref_diametral(a: Point, b: Point) -> Disk:
+    a, b = _ref_canon((a, b))
+    cx = (a.x + b.x) / 2.0
+    cy = (a.y + b.y) / 2.0
+    return Disk(Point(cx, cy), max(math.hypot(a.x - cx, a.y - cy), math.hypot(b.x - cx, b.y - cy)))
+
+
+def _ref_circumcircle(a: Point, b: Point, c: Point) -> Disk | None:
+    a, b, c = _ref_canon((a, b, c))
+    ox = (min(a.x, b.x, c.x) + max(a.x, b.x, c.x)) / 2.0
+    oy = (min(a.y, b.y, c.y) + max(a.y, b.y, c.y)) / 2.0
+    ax, ay = a.x - ox, a.y - oy
+    bx, by = b.x - ox, b.y - oy
+    cx, cy = c.x - ox, c.y - oy
+    cross = ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)
+    if abs(cross) < DEGENERACY_TOL:
+        return None
+    d = 2.0 * cross
+    ux = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
+    uy = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
+    center = Point(ux, uy)
+    return Disk(center, max(dist(center, a), dist(center, b), dist(center, c)))
+
+
+def _ref_cross(o: Point, a: Point, b: Point) -> float:
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def _ref_mec_one_point(points: list[Point], p: Point) -> Disk:
+    d = Disk(p, 0.0)
+    for i, q in enumerate(points):
+        if not _ref_contains(d, q):
+            if d.radius == 0.0:
+                d = _ref_diametral(p, q)
+            else:
+                d = _ref_mec_two_points(points[: i + 1], p, q)
+    return d
+
+
+def _ref_mec_two_points(points: list[Point], p: Point, q: Point) -> Disk:
+    circ = _ref_diametral(p, q)
+    left: Disk | None = None
+    right: Disk | None = None
+    for r in points:
+        if _ref_contains(circ, r):
+            continue
+        cross = _ref_cross(p, q, r)
+        c = _ref_circumcircle(p, q, r)
+        if c is None:
+            continue
+        d = _ref_cross(p, q, c.center)
+        if cross > 0.0 and (left is None or d > _ref_cross(p, q, left.center)):
+            left = c
+        elif cross < 0.0 and (right is None or d < _ref_cross(p, q, right.center)):
+            right = c
+    if left is None and right is None:
+        return circ
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return left if left.radius <= right.radius else right
+
+
+def _ref_min_enclosing_disk(points: list[Point], seed: int) -> Disk:
+    pts = list(points)
+    if len(pts) > 1:
+        random.Random(seed).shuffle(pts)
+    d = Disk(pts[0], 0.0)
+    for i, p in enumerate(pts):
+        if not _ref_contains(d, p):
+            d = _ref_mec_one_point(pts[: i + 1], p)
+    return d
+
+
+def _same_bits(got: Disk | None, want: Disk | None) -> bool:
+    if got is None or want is None:
+        return got is want
+    return (got.center.x, got.center.y, got.radius) == (want.center.x, want.center.y, want.radius)
+
+
+@st.composite
+def hard_point_sets(draw) -> list[Point]:
+    """Points with repeats, triples whose doubled area sits at
+    DEGENERACY_TOL, and coordinates far from the origin."""
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    base = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=9))
+    rows = list(base)
+    rows += draw(st.lists(st.sampled_from(base), max_size=3))  # duplicates
+    for _ in range(draw(st.integers(0, 2))):
+        # a, a + (s, 0), a + (2s, h): twice the area is s * h
+        x0, y0 = draw(st.sampled_from(base))
+        s = draw(st.sampled_from([1.0, 10.0]))
+        h = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])) * DEGENERACY_TOL / s
+        rows += [(x0 + s, y0), (x0 + 2.0 * s, y0 + h)]
+    rows = draw(st.permutations(rows))
+    return [Point(x + offset, y + offset) for x, y in rows]
+
+
+@given(st.tuples(points, points), st.tuples(points, points, points))
+@settings(max_examples=200, deadline=None)
+def test_support_disks_match_point_reference(pair, triple):
+    assert _same_bits(diametral_disk(*pair), _ref_diametral(*pair))
+    assert _same_bits(diametral_disk(*reversed(pair)), _ref_diametral(*pair))
+    assert _same_bits(circumcircle(*triple), _ref_circumcircle(*triple))
+
+
+@given(hard_point_sets(), st.sampled_from([0, 1, 7, 2**32 - 1]))
+@example([Point(1e6, 1e6), Point(1e6 + 1.0, 1e6), Point(1e6 + 2.0, 1e6 + 1e-9), Point(1e6, 1e6)], 0)
+@settings(max_examples=300, deadline=None)
+def test_min_enclosing_disk_matches_point_reference(pts, seed):
+    assert _same_bits(min_enclosing_disk(pts, seed), _ref_min_enclosing_disk(pts, seed))
+
+
+@given(hard_point_sets(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_enclose_with_anchor_matches_point_reference(pts, data):
+    anchor = data.draw(st.sampled_from(pts) | points, label="anchor")
+    want = _ref_mec_one_point(pts + [anchor], anchor)
+    assert _same_bits(enclose_with_anchor(pts, anchor), want)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from swarmcover.engine import AddAssets, AssetSpec, Event, KillRobot
 from swarmcover.geometry import Point
 from swarmcover.instances import Instance, Workspace, generate_uniform
@@ -33,11 +35,22 @@ def fingerprint(result, tmp_path) -> str:
     return h.hexdigest()
 
 
-def test_ladder_250_fingerprint(tmp_path):
+def ladder_250() -> Instance:
     ws = Workspace(0.0, 100.0, 0.0, 100.0)
-    inst = Instance(ws, tuple(generate_uniform(250, ws, (1, 2, 3), 0)), 50, 55.0, 40.0)
-    res = run(inst, Config(), (), 0)
+    return Instance(ws, tuple(generate_uniform(250, ws, (1, 2, 3), 0)), 50, 55.0, 40.0)
+
+
+def test_ladder_250_fingerprint(tmp_path):
+    res = run(ladder_250(), Config(), (), 0)
     assert res.status is RunStatus.FEASIBLE
+    assert fingerprint(res, tmp_path) == LADDER_250_FINGERPRINT
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_run_seed_changes_no_output(seed, tmp_path):
+    # The run seed only orders the shuffle inside the enclosing-disk solver,
+    # whose disk does not depend on that order.
+    res = run(ladder_250(), Config(), (), seed)
     assert fingerprint(res, tmp_path) == LADDER_250_FINGERPRINT
 
 

@@ -5,7 +5,8 @@ Sensing, the neighbor map, Lloyd's nearest-robot search and the cover counts
 of `summarize` go through `geometry.CellGrid`; each robot's knowledge, cover
 counts and deficits come from the round's view alone, and the completion
 certificate reuses its cover counts; the swap sweep reads memoized disks from
-that view.  Each must give exactly what the all-pairs
+that view, and the auctions decide every auctioneer's deficit from one
+sorted list of bids per asset.  Each must give exactly what the all-pairs
 definition gives, including on cell boundaries, at negative coordinates,
 with zero radii and dead robots, and when r_comm equals r_max.
 """
@@ -13,6 +14,7 @@ with zero radii and dead robots, and when r_comm equals r_max.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,11 +26,15 @@ from swarmcover.metrics import coverage_count, summarize
 from swarmcover.protocol import (
     Config,
     SwapRecord,
+    _bid,
+    _grow_disk,
     _View,
     evaluate_swap,
     has_undercovered_views,
     holders_certified,
     lloyd_round,
+    phase2_round,
+    select_winner,
     swap_round,
 )
 
@@ -359,3 +365,111 @@ def certificate_reference(snapshot: WorldSnapshot) -> bool:
 @settings(max_examples=200, deadline=None)
 def test_holders_certified_matches_brute_force(snap):
     assert holders_certified(snap) == certificate_reference(snap)
+
+
+# -- auctions -----------------------------------------------------------------
+
+
+def auction_reference(snapshot: WorldSnapshot, cfg: Config):
+    """The auction round robot by robot: every auctioneer prices its whole
+    group for each of its deficits and asks select_winner; wins are grown
+    in the order each robot collected them."""
+    view = _View(snapshot)
+    r_max = snapshot.params.r_max
+    wins: dict[int, list[int]] = {}
+    for rid in view.alive_ids:
+        group = sorted((rid, *view.nbrs[rid]))
+        for asset_id in view.deficits(rid):
+            bids = {
+                j: _bid(view, view.robot[j], asset_id)
+                for j in group
+                if asset_id not in view.robot[j].assigned and asset_id in view.knowledge[j]
+            }
+            if select_winner(asset_id, bids, snapshot.round, cfg.eps) == rid:
+                wins.setdefault(rid, []).append(asset_id)
+    proposals = {}
+    for rid in sorted(wins):
+        cur = view.robot[rid]
+        for asset_id in wins[rid]:
+            d = _grow_disk(view, cur, asset_id)
+            if d.radius <= r_max:
+                cur = replace(cur, pos=d.center, radius=d.radius, assigned=cur.assigned | {asset_id})
+        if cur is not view.robot[rid]:
+            proposals[rid] = Proposal(cur.pos, cur.radius, cur.assigned)
+    return proposals, bool(proposals)
+
+
+# Two empty robots price the asset between them at 0.0 each: the h64 hash
+# decides, and at round 0 it picks robot 1.
+TIED_BIDDERS = holding_snapshot([(0.0, 0.0, 1)], [(Point(-5.0, 0.0), set()), (Point(5.0, 0.0), set())], 55.0, 40.0)
+
+# Robot 0 alone sees asset 0 uncovered.  Robot 1 knows it through robot 2,
+# its holder, and would bid 0.0, the best bid, but it is nobody's neighbor
+# who auctions the asset: robot 0 must still win its own auction.
+HIDDEN_BIDDER = holding_snapshot(
+    [(0.0, 0.0, 1), (-50.0, 0.0, 1), (-30.0, 0.0, 1), (60.0, 0.0, 1)],
+    [(Point(-40.0, 0.0), {1, 2}), (Point(80.0, 0.0), set()), (Point(30.0, 0.0), {0, 3})],
+    55.0,
+    40.0,
+)
+
+# Robot 0 auctions asset 0.  Its neighbor, robot 1, sees robot 2 hold it,
+# so robot 1 auctions nothing, but it underbids robot 0 and wins robot 0's
+# auction: nobody claims the asset.
+NEIGHBOR_UNDERBIDS = holding_snapshot(
+    [(0.0, 0.0, 1), (-50.0, 0.0, 1), (-30.0, 0.0, 1), (60.0, 0.0, 1)],
+    [(Point(-40.0, 0.0), {1, 2}), (Point(5.0, 0.0), set()), (Point(30.0, 0.0), {0, 3})],
+    55.0,
+    40.0,
+)
+
+# Robots 0 and 2 both auction asset 0, and are not neighbors.  Robot 2's
+# bid of 0.0 is the best of all, but only robot 1 sees it; robot 0 must win
+# its own auction, with the highest bid of the three.
+RIVAL_GROUPS = holding_snapshot(
+    [(0.0, 0.0, 1), (-50.0, 0.0, 1), (-30.0, 0.0, 1), (30.0, 0.0, 1), (46.0, 0.0, 1)],
+    [(Point(-40.0, 0.0), {1, 2}), (Point(38.0, 0.0), {3, 4}), (Point(20.0, 30.0), set())],
+    55.0,
+    40.0,
+)
+
+# Robot 0 wins both assets 1 and 2, which it knows through their holders;
+# either fits alone but not both, so the fold keeps the lower id.
+STACKED_WINS = holding_snapshot(
+    [(0.0, 0.0, 1), (-20.0, 0.0, 2), (20.0, 0.0, 2)],
+    [(Point(0.0, 0.0), {0}), (Point(-20.0, 0.0), {1}), (Point(20.0, 0.0), {2})],
+    55.0,
+    15.0,
+)
+
+
+def test_auction_fixtures():
+    cfg = Config()
+    tied = replace(TIED_BIDDERS, round=0)
+    assert phase2_round(tied, cfg)[0].keys() == {1}
+    assert neighbor_map(HIDDEN_BIDDER) == {0: (), 1: (2,), 2: (1,)}
+    plan, _ = phase2_round(HIDDEN_BIDDER, cfg)
+    assert plan.keys() == {0}
+    assert plan[0].assigned == {0, 1, 2}
+    assert neighbor_map(NEIGHBOR_UNDERBIDS) == {0: (1,), 1: (0, 2), 2: (1,)}
+    assert phase2_round(NEIGHBOR_UNDERBIDS, cfg) == ({}, False)
+    assert neighbor_map(RIVAL_GROUPS) == {0: (), 1: (2,), 2: (1,)}
+    plan, _ = phase2_round(RIVAL_GROUPS, cfg)
+    assert plan.keys() == {0, 2}
+    assert (plan[0].assigned, plan[2].assigned) == ({0, 1, 2}, {0})
+    plan, _ = phase2_round(STACKED_WINS, cfg)
+    assert plan.keys() == {0}
+    assert (plan[0].pos, plan[0].radius, plan[0].assigned) == (Point(-10.0, 0.0), 10.0, {0, 1})
+
+
+@given(st.one_of(worlds(), holding_worlds()), st.sampled_from([0.01, 0.5, 5.0]), st.integers(0, 60))
+@example(TIED_BIDDERS, 0.01, 0)
+@example(HIDDEN_BIDDER, 0.01, 0)
+@example(NEIGHBOR_UNDERBIDS, 0.01, 0)
+@example(RIVAL_GROUPS, 0.01, 0)
+@example(STACKED_WINS, 0.01, 0)
+@settings(max_examples=250, deadline=None)
+def test_phase2_round_matches_per_auction_reference(snap, eps, rnd):
+    snap = replace(snap, round=rnd)
+    cfg = Config(eps=eps)
+    assert phase2_round(snap, cfg) == auction_reference(snap, cfg)
