@@ -7,9 +7,15 @@ reproducibility:
 
 * the point shuffle is driven by an explicit seed, never the wall clock;
 * the support-point constructors do not depend on their argument order (the
-  circumcircle sorts its points, the diametral disk is symmetric), so the
-  returned disk is a function of the support set alone and does not pick up
-  floating-point noise from the traversal order.
+  circumcircle sorts its points, the diametral disk is symmetric), so a
+  given support set always yields the same bits.
+
+On near-degenerate input the processing order can still change the disk's
+bits, because the tolerances let different orders settle on different
+support sets: `min_enclosing_disk` of (0,0), (1,0), (2,0), (1,0) and
+(2, 5e-10) returns a center.y of 0 for some seeds and about 2.5e-10 for
+others.  The benchmark missions and `tests/test_golden.py` show no such
+dependence on the seed.
 
 The solver itself runs on plain floats; see `_mec_one_point`.
 """
@@ -153,10 +159,10 @@ def min_enclosing_disk(points: Sequence[Point] | Iterable[Point], seed: int = 0)
 
     Raises ValueError on empty input; use min_enclosing_disk_or when the
     point set may be empty.  `seed` orders the randomized processing.  The
-    smallest enclosing disk is unique and is built from canonically ordered
-    support points, so the seed moves the running time and not the disk,
-    unless four or more points lie on its rim and different seeds pick
-    different support triples.
+    disk is built from canonically ordered support points, but on
+    near-degenerate input (near-collinear or near-coincident points, ties
+    within the tolerances) the order can pick a different support set and
+    so change the disk's bits; see the module docstring.
     """
     pts = list(points)
     if not pts:

@@ -8,10 +8,12 @@ direct assignment when the auctions stall.  Phase 3 (refine) shaves cost with
 sweeps of pairwise boundary-asset transfers, alternated with guarded removals
 of overcovered assets that must strictly shrink the remover's disk.
 
-Every decision is a pure function of the published snapshot and the config,
-so runs are deterministic end to end.  The run seed orders the shuffle inside
-each enclosing-disk solve, and the disk does not depend on that order (see
-`geometry.min_enclosing_disk`), so it changes no decision.
+Every decision is a pure function of the published snapshot, the config and
+the run seed, so runs are deterministic end to end.  The seed only orders the
+shuffle inside each enclosing-disk solve.  On near-degenerate input that
+order can change a disk's bits (see `geometry`), so the seed can in principle
+change a decision; the benchmark missions and `tests/test_golden.py` show no
+such dependence.
 """
 
 from __future__ import annotations
@@ -164,7 +166,9 @@ class _View:
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
       (donor, asset, seed);
     * `grown_disk`: a receiver's disk grown by one asset, per
-      (receiver, asset).
+      (receiver, asset);
+    * `held_xy`: a robot's held assets as (x, y) float pairs, in ascending
+      id, for the auction's bid bound (see `_bid_bound`).
     """
 
     def __init__(self, snapshot: WorldSnapshot):
@@ -194,6 +198,7 @@ class _View:
         self._deficits: dict[int, list[int]] = {}
         self._donor_disks: dict[tuple[int, int, int], Disk] = {}
         self._grown_disks: dict[tuple[int, int], Disk] = {}
+        self._held_xy: dict[int, list[tuple[float, float]]] = {}
 
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
@@ -236,6 +241,13 @@ class _View:
         if got is None:
             got = _grow_disk(self, self.robot[receiver], asset_id)
             self._grown_disks[key] = got
+        return got
+
+    def held_xy(self, rid: int) -> list[tuple[float, float]]:
+        got = self._held_xy.get(rid)
+        if got is None:
+            got = [(p.x, p.y) for p in self.positions(sorted(self.robot[rid].assigned))]
+            self._held_xy[rid] = got
         return got
 
 
@@ -366,6 +378,34 @@ def _bid(view: _View, robot: RobotState, asset_id: int) -> float:
     return max(0.0, math.pi * (d.radius * d.radius - robot.radius * robot.radius))
 
 
+def _bid_bound(view: _View, robot: RobotState, asset_id: int) -> float:
+    # A lower bound on _bid(view, robot, asset_id) that solves no disk; robot
+    # must be view.robot[robot.id].  A disk holding the asset and the held
+    # asset `far` from it has radius at least far/2.  The solver accepts
+    # points up to CONTAINMENT_TOL outside its disk, so its radius can fall
+    # up to about that much below far/2 (tests/test_protocol.py has a
+    # case): the absolute slack covers it, and the relative shrink covers
+    # the rounding of the area formula.
+    ppos = view.assets[asset_id].pos
+    if not robot.assigned or dist(robot.pos, ppos) <= robot.radius + CONTAINMENT_TOL:
+        return 0.0  # the exact bid is 0 here too
+    ax, ay = ppos.x, ppos.y
+    far2 = 0.0
+    for x, y in view.held_xy(robot.id):
+        dx = ax - x
+        dy = ay - y
+        d2 = dx * dx + dy * dy
+        if d2 > far2:
+            far2 = d2
+    half = math.sqrt(far2) / 2.0 - 2.0 * CONTAINMENT_TOL
+    if half > view.params.r_max + 2.0 * CONTAINMENT_TOL:
+        return INFEASIBLE
+    r = robot.radius
+    if half <= r:
+        return 0.0
+    return math.pi * (half * half - r * r) * (1.0 - 1e-9)
+
+
 def _tie_cut(best: float, eps: float) -> float:
     # Bids up to this value tie with the best bid.
     return best * (1.0 + eps) + 1e-12
@@ -389,16 +429,28 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config) -> tuple[dict[int, Propos
 
     Every robot auctions each of its deficits (see `_View.deficits`) among
     itself and its neighbors and claims the asset when it wins its own
-    auction.  The auctions are decided asset by asset, in ascending id.  Each
-    auctioneer is priced once (`_bid`), and so is every other bidder (a
-    robot that knows the asset and does not hold it) in the group (itself
-    and its neighbors) of an auctioneer whose own bid is feasible; the
-    feasible bids are sorted.  An auctioneer's best bid is the first
-    entry from its group, and the group's entries up to the tie cut above
-    it are the bids `select_winner` would keep from the group's full bid
-    dict; only those reach it.  So `select_winner` stays the one winner
-    rule, sees the same best bid, cut and tie set, and names the same
-    winner.
+    auction.  The bidders of an auction are the robots of its group (the
+    auctioneer and its neighbors) that know the asset and do not hold it.
+
+    The auctions are decided asset by asset, in ascending id, and a bid is
+    priced exactly (`_bid`, memoized per asset) only when it could still be
+    its group's best or fall in the tie window.  Every candidate (a bidder
+    in some auctioneer's group) gets a lower bound that solves no disk
+    (`_bid_bound`), and the candidates are sorted once by (bound, id).  Each
+    auctioneer walks that list over its group:
+
+    * it prices bids in bound order until the next bound exceeds the best
+      exact bid, which is then the group's best, since no later bid can
+      undercut it; an infeasible best means no winner;
+    * it loses at once if its own bound, or its own exact bid, is above the
+      tie cut of the best (`_tie_cut`);
+    * otherwise the group's exact bids up to the cut, priced among the
+      entries whose bound is up to the cut, are exactly the bids
+      `select_winner` would keep from the group's full bid dict, and only
+      those reach it.
+
+    So `select_winner` stays the one winner rule, sees the same best bid,
+    cut and tie set as with every bid priced, and names the same winner.
 
     A robot's wins are grown into its disk one at a time, in ascending asset
     id (see `_grow_disk`); a win is skipped if stacking it onto the earlier
@@ -416,29 +468,47 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config) -> tuple[dict[int, Propos
 
     wins: dict[int, list[int]] = {}
     for asset_id in sorted(auctioneers):
-        price = {rid: _bid(view, view.robot[rid], asset_id) for rid in auctioneers[asset_id]}
-        # select_winner never picks an infeasible bid, so only auctioneers
-        # with a feasible bid of their own can win, and only their groups'
-        # bidders can matter.
-        live = [rid for rid in auctioneers[asset_id] if price[rid] != INFEASIBLE]
-        for rid in live:
-            for j in view.nbrs[rid]:
-                if j not in price and asset_id in view.knowledge[j] and asset_id not in view.robot[j].assigned:
-                    price[j] = _bid(view, view.robot[j], asset_id)
-        ranked = sorted((b, j) for j, b in price.items() if b != INFEASIBLE)
-        for rid in live:
+        # The candidates: every bidder in some auctioneer's group, the
+        # auctioneers among them.
+        near = set(auctioneers[asset_id]).union(*(view.nbrs[rid] for rid in auctioneers[asset_id]))
+        bound = {
+            j: _bid_bound(view, view.robot[j], asset_id)
+            for j in near
+            if asset_id in view.knowledge[j] and asset_id not in view.robot[j].assigned
+        }
+        # An infeasible bound means an infeasible bid, which never wins.
+        ranked = sorted((b, j) for j, b in bound.items() if b != INFEASIBLE)
+        price: dict[int, float] = {}
+
+        def exact(j: int) -> float:
+            got = price.get(j)
+            if got is None:
+                got = price[j] = _bid(view, view.robot[j], asset_id)
+            return got
+
+        for rid in auctioneers[asset_id]:
             group = groups.get(rid)
             if group is None:
                 group = groups[rid] = {rid, *view.nbrs[rid]}
+            best = INFEASIBLE
+            for b, j in ranked:
+                if b > best:
+                    break
+                if j in group:
+                    best = min(best, exact(j))
+            if best == INFEASIBLE:
+                continue
+            cut = _tie_cut(best, cfg.eps)
+            if bound[rid] > cut or exact(rid) > cut:
+                continue
             tie: dict[int, float] = {}
-            cut = INFEASIBLE
             for b, j in ranked:
                 if b > cut:
                     break
                 if j in group:
-                    if not tie:
-                        cut = _tie_cut(b, cfg.eps)
-                    tie[j] = b
+                    got = exact(j)
+                    if got <= cut:
+                        tie[j] = got
             if select_winner(asset_id, tie, iteration, cfg.eps) == rid:
                 wins.setdefault(rid, []).append(asset_id)
 
@@ -763,10 +833,11 @@ def run(
     adapt.  Returns the final snapshot, the per-round trace, executed swap
     records, and wall-clock milestones.
 
-    `seed` orders the point shuffle of every enclosing-disk solve.  The
-    solver's disk does not depend on that order (see
-    `geometry.min_enclosing_disk`), so the seed moves the running time but
-    no output.
+    `seed` orders the point shuffle of every enclosing-disk solve.  On
+    near-degenerate input that order can change a disk's bits (see
+    `geometry.min_enclosing_disk`), so the seed can change the output; on
+    the benchmark missions and the golden tests it moves only the running
+    time.
     """
     cfg = config if config is not None else Config()
     t0 = time.perf_counter()

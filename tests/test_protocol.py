@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmcover.engine import Params, Phase, WorldSnapshot
-from swarmcover.geometry import Disk
+from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, min_enclosing_disk
 from swarmcover.instances import Workspace
 from swarmcover.protocol import (
     INFEASIBLE,
@@ -33,6 +33,8 @@ from swarmcover.protocol import (
     phase3_round,
     select_winner,
     swap_round,
+    _bid,
+    _bid_bound,
     _View,
 )
 
@@ -259,6 +261,91 @@ def test_marginal_cost_rejects_held_asset():
     snap = wide_snap([mkrobot(0, 0, 0, {0})], mkassets([(0, 0, 1)]))
     with pytest.raises(ValueError):
         marginal_cost(snap, 0, 0)
+
+
+# A robot holding `held` (global (x, y) pairs) with disk (center, radius),
+# an asset at `asset`, and the run's r_max.
+BoundCase = tuple[list[tuple[float, float]], tuple[float, float], tuple[float, float], float, float]
+
+_WOBBLE = st.sampled_from([0.0, 1e-12, 5e-10, -5e-10, 9e-10, 1e-9, -1e-9, 2e-9, 3e-9])
+_LOCAL = st.floats(-30.0, 30.0)
+
+
+def _nudge(x: float, ulps: int) -> float:
+    step = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, step)
+    return x
+
+
+@st.composite
+def bound_cases(draw) -> BoundCase:
+    """Held sets with duplicate points and near-collinear triples, far from
+    or near the origin, and an asset whose far/2 can sit within a few ulps
+    of the robot's radius or of r_max (or of the bound's INFEASIBLE edge)."""
+    pts: list[tuple[float, float]] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["free", "duplicate", "collinear"]))
+        if kind == "duplicate" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "collinear" and len(pts) >= 2:
+            # On the line through the last two points, nudged off it.
+            (ax, ay), (bx, by) = pts[-2], pts[-1]
+            t, w = draw(st.floats(-2.0, 3.0)), draw(_WOBBLE)
+            norm = math.hypot(bx - ax, by - ay) or 1.0
+            pts.append((ax + t * (bx - ax) - w * (by - ay) / norm, ay + t * (by - ay) + w * (bx - ax) / norm))
+        else:
+            pts.append((draw(_LOCAL), draw(_LOCAL)))
+    if draw(st.booleans()):
+        asset = (draw(st.floats(-60.0, 60.0)), draw(st.floats(-60.0, 60.0)))
+    else:  # just off a held point
+        hx, hy = draw(st.sampled_from(pts))
+        asset = (hx + draw(_WOBBLE), hy + draw(_WOBBLE))
+    ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.sampled_from([0.0, 1e6, -1e6]))
+    held = [(x + ox, y + oy) for x, y in pts]
+    asset = (asset[0] + ox, asset[1] + oy)
+    far = max(math.hypot(asset[0] - x, asset[1] - y) for x, y in held)
+    mec = min_enclosing_disk([Point(x, y) for x, y in held])
+    center, radius = (mec.center.x, mec.center.y), mec.radius
+    mode = draw(st.sampled_from(["mec", "rim", "free"]))
+    if mode == "rim":
+        radius = _nudge(far / 2.0 + draw(st.sampled_from([0.0, -1e-9, -2e-9])), draw(st.integers(-4, 4)))
+    elif mode == "free":
+        center = (center[0] + draw(_LOCAL), center[1] + draw(_LOCAL))
+        radius = draw(st.floats(0.0, 40.0))
+    # As in every run, the robot's disk holds its assets; the solver's
+    # one-anchor precondition rests on that.
+    radius = max(radius, *(math.hypot(center[0] - x, center[1] - y) for x, y in held))
+    r_max = draw(st.sampled_from([40.0, far / 2.0, far / 2.0 - 4 * CONTAINMENT_TOL]))
+    r_max = _nudge(r_max, draw(st.integers(-4, 4)))
+    return held, asset, center, radius, r_max if r_max > 1e-6 else 40.0
+
+
+# The solver accepts the held point (1 + 9e-10, 0) within CONTAINMENT_TOL of
+# the disk it grows to, so its radius ends ~4.5e-10 below far/2, while far/2
+# sits above the robot's radius (and, in the second case, above r_max): only
+# the bound's absolute slack keeps it at or below the exact bid.
+_SLACK_CASE = ([(0.0, 0.0), (1.0, 0.0), (1.0 + 9e-10, 0.0)], (-2e-9, 0.0), (0.50000000045, 0.0), 0.50000000045)
+
+
+@given(bound_cases())
+@example((*_SLACK_CASE, 40.0))
+@example((*_SLACK_CASE, 0.5000000012))
+@settings(max_examples=400, deadline=None)
+def test_bid_bound_never_exceeds_exact_bid(case):
+    held, asset, center, radius, r_max = case
+    assets = mkassets([(x, y, 1) for x, y in held] + [(*asset, 1)])
+    robots = [
+        mkrobot(0, *center, range(len(held)), radius=radius),
+        mkrobot(1, *center, radius=radius),  # holds nothing
+    ]
+    view = _View(wide_snap(robots, assets, r_max=r_max))
+    for robot in view.robot:
+        for a in view.assets:
+            lo, bid = _bid_bound(view, robot, a.id), _bid(view, robot, a.id)
+            assert lo <= bid, (robot.id, a.id, lo, bid)
+            if lo == INFEASIBLE:
+                assert bid == INFEASIBLE
 
 
 def test_select_winner_lowest_bid():
