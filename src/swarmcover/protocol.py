@@ -14,6 +14,12 @@ shuffle inside each enclosing-disk solve.  On near-degenerate input that
 order can change a disk's bits (see `geometry`), so the seed can in principle
 change a decision; the benchmark missions and `tests/test_golden.py` show no
 such dependence.
+
+The robots' local knowledge lives in one `_View`, which `run` builds once
+and carries from round to round (see `_View.update`).  Each phase function
+takes it after its other arguments, carries it to the snapshot it decides
+on, and builds a fresh view when none is passed; the carried view always
+equals a fresh one, so the decisions are the same either way.
 """
 
 from __future__ import annotations
@@ -153,52 +159,130 @@ class RunResult:
 
 
 class _View:
-    """Caches shared by the decision rules within one round.
+    """Every alive robot's local knowledge, carried by `run` from round to
+    round.
 
-    Everything here is derived from the snapshot alone, so per-robot decisions
-    that consult the view stay pure and order-independent.  This is the one
-    place local knowledge is computed.  Built up front: the alive robots, the
+    This is the one place local knowledge is computed: the alive robots, the
     neighbor map, each robot's sensed assets (through a cell grid of side
     r_max), its membership cover counts (see `_cover_counts`) and its
-    knowledge set (sensed, held, and held by a neighbor).  Filled on demand:
+    knowledge set (sensed, held, and held by a neighbor), all for
+    `snapshot`.  Filled on demand, and kept per robot:
 
-    * `deficits`: the assets a robot may claim, per robot;
+    * `deficits`: the assets a robot may claim;
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
-      (donor, asset, seed);
-    * `grown_disk`: a receiver's disk grown by one asset, per
-      (receiver, asset);
+      (asset, seed);
+    * `grown_disk`: a receiver's disk grown by one asset, per asset;
     * `held_xy`: a robot's held assets as (x, y) float pairs, in ascending
-      id, for the auction's bid bound (see `_bid_bound`).
+      id, for the auction's bid bound (see `_bid_bound`);
+    * `clean`: the neighbor pairs whose last swap sweep, under the config
+      and seed in `clean_for`, rejected every candidate (see `swap_round`).
+
+    `update` carries the view in place to another snapshot of the same run.
+    A robot knows only what it senses and hears from its neighbors, and
+    `engine.step` keeps the `RobotState` object of every robot without a
+    plan entry, so the work is confined to the robots whose object changed
+    and their neighbors:
+
+    * the robots that moved are re-sensed, and the neighbor map is
+      recomputed;
+    * cover counts are patched by deltas: +1 or -1, per asset gained or
+      lost, at the robot and at each neighbor it kept, and a whole assigned
+      list added or removed where a pair came into or went out of range;
+    * knowledge is recomputed where sensing or cover counts changed;
+    * a changed robot loses its memo entries, and a changed robot or one
+      whose cover counts changed loses its deficits and its clean pairs.
+
+    An event (new assets, a robot killed) rebuilds the whole view.  So the
+    view always equals a fresh `_View(snapshot)`, and per-robot decisions
+    that consult it stay pure functions of the snapshot.
     """
 
     def __init__(self, snapshot: WorldSnapshot):
+        self._build(snapshot)
+
+    def _build(self, snapshot: WorldSnapshot) -> None:
         self.snapshot = snapshot
         self.params = snapshot.params
         self.assets = snapshot.assets
         self.robot = snapshot.robots  # robot ids are dense
-        self.alive = [r for r in snapshot.robots if r.alive]
-        self.alive_ids = [r.id for r in self.alive]
+        self.alive_ids = [r.id for r in snapshot.robots if r.alive]
         self.nbrs = neighbor_map(snapshot)
-        r_max = self.params.r_max
-        r_max2 = r_max ** 2
-        grid = CellGrid(r_max, ((a.pos, a) for a in self.assets))
-        self.sensed: dict[int, set[int]] = {}
-        for r in self.alive:
-            px, py = r.pos.x, r.pos.y
-            got = set()
-            for a in grid.near(r.pos):
-                dx = a.pos.x - px
-                dy = a.pos.y - py
-                if dx * dx + dy * dy <= r_max2:
-                    got.add(a.id)
-            self.sensed[r.id] = got
+        self._grid = CellGrid(self.params.r_max, ((a.pos, a) for a in self.assets))
+        self.sensed = {rid: self._sense(self.robot[rid]) for rid in self.alive_ids}
         self.cover = _cover_counts(snapshot, self.nbrs)
         # The counted assets are exactly those held by the robot or a neighbor.
         self.knowledge = {rid: self.sensed[rid].union(self.cover[rid]) for rid in self.alive_ids}
         self._deficits: dict[int, list[int]] = {}
-        self._donor_disks: dict[tuple[int, int, int], Disk] = {}
-        self._grown_disks: dict[tuple[int, int], Disk] = {}
+        self._donor_disks: dict[int, dict[tuple[int, int], Disk]] = {}
+        self._grown_disks: dict[int, dict[int, Disk]] = {}
         self._held_xy: dict[int, list[tuple[float, float]]] = {}
+        self.clean: set[tuple[int, int]] = set()
+        self.clean_for: Optional[tuple[Config, int]] = None
+
+    def _sense(self, robot: RobotState) -> set[int]:
+        px, py = robot.pos.x, robot.pos.y
+        r_max2 = self.params.r_max ** 2
+        got = set()
+        for a in self._grid.near(robot.pos):
+            dx = a.pos.x - px
+            dy = a.pos.y - py
+            if dx * dx + dy * dy <= r_max2:
+                got.add(a.id)
+        return got
+
+    def update(self, snapshot: WorldSnapshot) -> None:
+        """Carry the view to `snapshot` (see the class docstring)."""
+        if snapshot is self.snapshot:
+            return
+        prev = self.robot
+        changed = [r for r, old in zip(snapshot.robots, prev) if r is not old]
+        if (
+            snapshot.assets is not self.assets
+            or snapshot.params != self.params
+            or any(r.alive != prev[r.id].alive for r in changed)
+        ):
+            self._build(snapshot)
+            return
+        self.snapshot = snapshot
+        self.robot = snapshot.robots
+        cover = self.cover
+        old_nbrs = self.nbrs
+        moved = {r.id for r in changed if r.pos != prev[r.id].pos}
+        dirty = set(moved)
+        if moved:
+            for rid in moved:
+                self.sensed[rid] = self._sense(self.robot[rid])
+            self.nbrs = neighbor_map(snapshot)
+            for k in self.alive_ids:
+                if self.nbrs[k] == old_nbrs[k]:
+                    continue
+                was, now = set(old_nbrs[k]), set(self.nbrs[k])
+                for j in now - was:
+                    _count_in(cover[k], self.robot[j].assigned, 1)
+                for j in was - now:
+                    _count_in(cover[k], prev[j].assigned, -1)
+                dirty.add(k)
+        for r in changed:
+            old = prev[r.id].assigned
+            if r.assigned == old:
+                continue
+            gained, lost = r.assigned - old, old - r.assigned
+            kept = set(old_nbrs[r.id]).intersection(self.nbrs[r.id])
+            kept.add(r.id)
+            for k in kept:
+                _count_in(cover[k], gained, 1)
+                _count_in(cover[k], lost, -1)
+            dirty.update(kept)
+        for k in dirty:
+            self.knowledge[k] = self.sensed[k].union(cover[k])
+        for r in changed:
+            dirty.add(r.id)
+            self._donor_disks.pop(r.id, None)
+            self._grown_disks.pop(r.id, None)
+            self._held_xy.pop(r.id, None)
+        for k in dirty:
+            self._deficits.pop(k, None)
+        self.clean = {p for p in self.clean if p[0] not in dirty and p[1] not in dirty}
 
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
@@ -226,21 +310,19 @@ class _View:
 
     def donor_disk(self, donor: int, asset_id: int, seed: int) -> Disk:
         """Enclosing disk of the donor's assets other than asset_id."""
-        key = (donor, asset_id, seed)
-        got = self._donor_disks.get(key)
+        memo = self._donor_disks.setdefault(donor, {})
+        got = memo.get((asset_id, seed))
         if got is None:
             robot = self.robot[donor]
-            got = consolidate(robot.pos, robot.assigned - {asset_id}, self.assets, seed)
-            self._donor_disks[key] = got
+            got = memo[asset_id, seed] = consolidate(robot.pos, robot.assigned - {asset_id}, self.assets, seed)
         return got
 
     def grown_disk(self, receiver: int, asset_id: int) -> Disk:
         """The receiver's disk after adding asset_id (see _grow_disk)."""
-        key = (receiver, asset_id)
-        got = self._grown_disks.get(key)
+        memo = self._grown_disks.setdefault(receiver, {})
+        got = memo.get(asset_id)
         if got is None:
-            got = _grow_disk(self, self.robot[receiver], asset_id)
-            self._grown_disks[key] = got
+            got = memo[asset_id] = _grow_disk(self, self.robot[receiver], asset_id)
         return got
 
     def held_xy(self, rid: int) -> list[tuple[float, float]]:
@@ -261,10 +343,28 @@ def _cover_counts(
     for rid, near in nbrs.items():
         counts = dict.fromkeys(robots[rid].assigned, 1)
         for j in near:
-            for p in robots[j].assigned:
-                counts[p] = counts.get(p, 0) + 1
+            _count_in(counts, robots[j].assigned, 1)
         cover[rid] = counts
     return cover
+
+
+def _count_in(counts: dict[int, int], held: Iterable[int], delta: int) -> None:
+    # Add delta to the count of every asset in held, dropping counts that
+    # reach zero: a cover dict lists only assets with a holder.
+    for p in held:
+        c = counts.get(p, 0) + delta
+        if c:
+            counts[p] = c
+        else:
+            del counts[p]
+
+
+def _view_at(snapshot: WorldSnapshot, view: Optional[_View]) -> _View:
+    # The view of snapshot: `view` carried to it, or a fresh one if None.
+    if view is None:
+        return _View(snapshot)
+    view.update(snapshot)
+    return view
 
 
 def _finalize_radius(radius: float, r_max: float) -> float:
@@ -424,7 +524,9 @@ def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps:
     return min(tie, key=lambda j: (h64(iteration, asset_id, j), j))
 
 
-def phase2_round(snapshot: WorldSnapshot, cfg: Config) -> tuple[dict[int, Proposal], bool]:
+def phase2_round(
+    snapshot: WorldSnapshot, cfg: Config, view: Optional[_View] = None
+) -> tuple[dict[int, Proposal], bool]:
     """One auction round.
 
     Every robot auctions each of its deficits (see `_View.deficits`) among
@@ -457,7 +559,7 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config) -> tuple[dict[int, Propos
     wins would push the disk past r_max (it stays undercovered and is
     re-auctioned next round).
     """
-    view = _View(snapshot)
+    view = _view_at(snapshot, view)
     r_max = snapshot.params.r_max
     iteration = snapshot.round
     auctioneers: dict[int, list[int]] = {}
@@ -564,7 +666,7 @@ def coverage_satisfied(snapshot: WorldSnapshot) -> bool:
     return True
 
 
-def holders_certified(snapshot: WorldSnapshot) -> bool:
+def holders_certified(snapshot: WorldSnapshot, view: Optional[_View] = None) -> bool:
     """Distributed completion certificate: no robot holds an asset whose
     coverage requirement it cannot verify within its own neighborhood.
 
@@ -578,14 +680,16 @@ def holders_certified(snapshot: WorldSnapshot) -> bool:
     saturates every custodian's neighborhood before it goes quiet, so the
     certificate holds exactly when coordination sufficed.
     """
-    cover = _cover_counts(snapshot, neighbor_map(snapshot))
+    view = _view_at(snapshot, view)
     assets = snapshot.assets
     return all(
-        counts[a] >= assets[a].kappa for rid, counts in cover.items() for a in snapshot.robots[rid].assigned
+        counts[a] >= assets[a].kappa for rid, counts in view.cover.items() for a in snapshot.robots[rid].assigned
     )
 
 
-def fallback_assign(snapshot: WorldSnapshot, cfg: Config, seed: int = 0) -> tuple[dict[int, Proposal], bool]:
+def fallback_assign(
+    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, view: Optional[_View] = None
+) -> tuple[dict[int, Proposal], bool]:
     """Direct assignment when the auctions stall.
 
     In every connected component of the communication graph, the robot with
@@ -594,7 +698,7 @@ def fallback_assign(snapshot: WorldSnapshot, cfg: Config, seed: int = 0) -> tupl
     disk would exceed r_max it first releases its own locally overcovered
     assets farthest-first, one at a time, retrying after each.
     """
-    view = _View(snapshot)
+    view = _view_at(snapshot, view)
     r_max = snapshot.params.r_max
     proposals: dict[int, Proposal] = {}
     seen: set[int] = set()
@@ -693,7 +797,7 @@ def _evaluate_swap(
 
 
 def swap_round(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0
+    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool, tuple[SwapRecord, ...]]:
     """One sweep over neighbor pairs in (min id, max id) order.
 
@@ -702,11 +806,19 @@ def swap_round(
     orientation competes on area reduction.  A robot participates in at most
     one transfer per sweep and an asset moves at most once per sweep, which
     keeps the concurrently applied transfers coverage-safe.
+
+    A pair is skipped while it is clean (`_View.clean`): its last sweep
+    rejected every candidate in both orientations and skipped none as
+    already moved, and neither robot nor either robot's cover counts have
+    changed since.  Every input of `_evaluate_swap` and of the candidate
+    lists is then unchanged, so the pair would be rejected again.
     """
-    view = _View(snapshot)
-    pairs = sorted(
-        {(min(i, j), max(i, j)) for i in view.alive_ids for j in view.nbrs[i]}
-    )
+    view = _view_at(snapshot, view)
+    if view.clean_for != (cfg, seed):
+        view.clean_for = (cfg, seed)
+        view.clean.clear()
+    # Ascending ids and sorted neighbor tuples give the pairs in order.
+    pairs = [(i, j) for i in view.alive_ids for j in view.nbrs[i] if i < j]
     # Each donor's assets in scan order, less those no receiver can take:
     # the rim test and the donor's own cover >= kappa test depend on the
     # (donor, asset) pair alone, so dropping the assets that fail them
@@ -726,12 +838,14 @@ def swap_round(
     proposals: dict[int, Proposal] = {}
     records: list[SwapRecord] = []
     for i, j in pairs:
-        if i in used_robots or j in used_robots:
+        if i in used_robots or j in used_robots or (i, j) in view.clean:
             continue
         best: tuple[float, int, int, int, SwapDecision] | None = None
+        skipped = False
         for donor, receiver in ((i, j), (j, i)):
             for asset_id in candidates[donor]:
                 if asset_id in used_assets:
+                    skipped = True
                     continue
                 dec = _evaluate_swap(view, donor, receiver, asset_id, cfg, seed)
                 if dec is not None:
@@ -739,6 +853,8 @@ def swap_round(
                         best = (dec.reduction, donor, receiver, asset_id, dec)
                     break
         if best is None:
+            if not skipped:
+                view.clean.add((i, j))
             continue
         _, donor, receiver, asset_id, dec = best
         dr = view.robot[donor]
@@ -759,7 +875,7 @@ def swap_round(
 
 
 def phase3_round(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0
+    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool]:
     """One guarded removal round.
 
@@ -770,7 +886,7 @@ def phase3_round(
     below kappa; the hash ordering lets exactly the right subset proceed when
     neighbors contend for the same slack.
     """
-    view = _View(snapshot)
+    view = _view_at(snapshot, view)
     r_max = snapshot.params.r_max
     rnd = snapshot.round
     intents: dict[int, list[int]] = {}
@@ -873,6 +989,10 @@ def run(
         if phase1_converged(prev, snapshot, cfg.tol):
             break
     advance(_transition_plan(snapshot, seed), Phase.OPTIMIZE)
+    # The one view of the run: each phase function carries it to the
+    # snapshot it decides on.  It is passed by position, because wrappers
+    # of the phase functions (spans, test probes) may take no keywords.
+    view = _View(snapshot)
 
     status = RunStatus.FEASIBLE
     feas_time: Optional[float] = None
@@ -896,11 +1016,11 @@ def run(
         # deficits nobody can serve, or custodians that cannot reach enough
         # peers to confirm coverage.
         while True:
-            if coverage_satisfied(snapshot) and holders_certified(snapshot):
+            if coverage_satisfied(snapshot) and holders_certified(snapshot, view):
                 break
-            plan, progress = phase2_round(snapshot, cfg)
+            plan, progress = phase2_round(snapshot, cfg, view)
             if not progress:
-                plan, progress = fallback_assign(snapshot, cfg, seed)
+                plan, progress = fallback_assign(snapshot, cfg, seed, view)
             if progress:
                 if bid_budget <= 0:
                     status = RunStatus.ITERATION_CAP
@@ -929,7 +1049,7 @@ def run(
         while coverage_satisfied(snapshot):
             acted = False
             while sweep_budget > 0:
-                plan, progress, records = swap_round(snapshot, cfg, seed)
+                plan, progress, records = swap_round(snapshot, cfg, seed, view)
                 if not progress:
                     break
                 swaps.extend(records)
@@ -939,7 +1059,7 @@ def run(
             if not coverage_satisfied(snapshot):
                 break
             while removal_budget > 0:
-                plan, progress = phase3_round(snapshot, cfg, seed)
+                plan, progress = phase3_round(snapshot, cfg, seed, view)
                 if not progress:
                     break
                 advance(plan, Phase.REFINE)

@@ -8,7 +8,9 @@ certificate reuses its cover counts; the swap sweep reads memoized disks from
 that view, and the auctions decide every auctioneer's deficit from one
 sorted list of bids per asset.  Each must give exactly what the all-pairs
 definition gives, including on cell boundaries, at negative coordinates,
-with zero radii and dead robots, and when r_comm equals r_max.
+with zero radii and dead robots, and when r_comm equals r_max.  The view
+`run` carries from round to round must equal a fresh view of each round,
+memos included.
 """
 
 from __future__ import annotations
@@ -16,27 +18,46 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmcover.engine import Params, Phase, Proposal, RobotState, WorldSnapshot, neighbor_map, neighbors, sense
+from swarmcover.engine import (
+    AddAssets,
+    AssetSpec,
+    Event,
+    KillRobot,
+    Params,
+    Phase,
+    Proposal,
+    RobotState,
+    WorldSnapshot,
+    neighbor_map,
+    neighbors,
+    sense,
+    step,
+)
 from swarmcover.geometry import CellGrid, Point, dist, dist2, min_enclosing_disk_or
 from swarmcover.instances import Asset, Workspace
 from swarmcover.metrics import coverage_count, summarize
 from swarmcover.protocol import (
     Config,
+    RunStatus,
     SwapRecord,
     _bid,
     _grow_disk,
     _View,
+    consolidate,
     evaluate_swap,
     has_undercovered_views,
     holders_certified,
     lloyd_round,
     phase2_round,
+    run,
     select_winner,
     swap_round,
 )
+from test_golden import event_mission, ladder_250
 
 WS = Workspace(-120.0, 120.0, -120.0, 120.0)
 
@@ -341,6 +362,15 @@ def test_swap_round_matches_fresh_view_evaluations(snap, tau, seed):
         assert (plan[rec.receiver].pos, plan[rec.receiver].radius) == (dec.receiver_pos, dec.receiver_radius)
 
 
+def test_clean_pairs_hold_for_one_config_and_seed():
+    # No transfer pays off by 1000%, so the first sweep leaves every pair
+    # clean; a sweep with another config must not skip them.
+    view = _View(SHARED_DONOR)
+    assert swap_round(SHARED_DONOR, Config(tau=10.0), 0, view) == ({}, False, ())
+    assert view.clean
+    assert swap_round(SHARED_DONOR, Config(), 0, view) == swap_round(SHARED_DONOR, Config(), 0)
+
+
 def test_view_memoizes_swap_disks():
     view = _View(SHARED_DONOR)
     first = view.donor_disk(0, 1, 0)
@@ -473,3 +503,148 @@ def test_phase2_round_matches_per_auction_reference(snap, eps, rnd):
     snap = replace(snap, round=rnd)
     cfg = Config(eps=eps)
     assert phase2_round(snap, cfg) == auction_reference(snap, cfg)
+
+
+# -- the carried view ---------------------------------------------------------
+
+
+def assert_view_is_fresh(view: _View) -> None:
+    """The carried view equals a fresh view of its snapshot, and every memo
+    entry it carries equals a fresh solve."""
+    snap = view.snapshot
+    fresh = _View(snap)
+    assert view.alive_ids == fresh.alive_ids
+    assert view.nbrs == fresh.nbrs
+    assert view.sensed == fresh.sensed
+    assert view.cover == fresh.cover
+    assert view.knowledge == fresh.knowledge
+    for donor, memo in view._donor_disks.items():
+        robot = snap.robots[donor]
+        for (asset_id, seed), disk in memo.items():
+            assert disk == consolidate(robot.pos, robot.assigned - {asset_id}, snap.assets, seed)
+    for receiver, memo in view._grown_disks.items():
+        for asset_id, disk in memo.items():
+            assert disk == _grow_disk(fresh, snap.robots[receiver], asset_id)
+    for rid, xy in view._held_xy.items():
+        assert xy == fresh.held_xy(rid)
+    for rid in fresh.alive_ids:
+        assert view.deficits(rid) == fresh.deficits(rid)
+
+
+def outcome(call):
+    """What a phase function returns, or the type of what it raises: on
+    arbitrary worlds a consolidated disk can exceed r_max."""
+    try:
+        return call()
+    except RuntimeError as exc:
+        return type(exc)
+
+
+@st.composite
+def next_round(draw, snap: WorldSnapshot):
+    """A plan for one round of snap (moves, radius changes, assignment adds
+    and removes, transfers between robots, and entries that change nothing)
+    and the events due with it (a kill, new assets)."""
+    alive = [r.id for r in snap.robots if r.alive]
+    coord = coords(snap.params.r_max, snap.params.r_comm)
+    state = {}
+
+    def entry(rid):  # [pos, radius, held] of rid's proposal
+        r = snap.robots[rid]
+        return state.setdefault(rid, [r.pos, r.radius, set(r.assigned)])
+
+    for _ in range(draw(st.integers(0, 5)) if alive else 0):
+        got = entry(draw(st.sampled_from(alive)))
+        held = got[2]
+        kind = draw(st.sampled_from(["keep", "move", "resize", "add", "remove", "transfer"]))
+        if kind == "move":
+            got[0] = Point(draw(coord), draw(coord))
+        elif kind == "resize":
+            got[1] = draw(st.floats(0.0, snap.params.r_max))
+        elif kind == "add" and snap.assets:
+            held.add(draw(st.integers(0, len(snap.assets) - 1)))
+        elif kind in ("remove", "transfer") and held:
+            asset_id = draw(st.sampled_from(sorted(held)))
+            held.discard(asset_id)
+            if kind == "transfer":
+                entry(draw(st.sampled_from(alive)))[2].add(asset_id)
+    plan = {rid: Proposal(pos, radius, frozenset(held)) for rid, (pos, radius, held) in state.items()}
+    events = []
+    if draw(st.integers(0, 5)) == 0:
+        events.append(Event(snap.round + 1, KillRobot(draw(st.integers(0, len(snap.robots))))))
+    if draw(st.integers(0, 5)) == 0:
+        spec = st.builds(AssetSpec, st.builds(Point, coord, coord), st.integers(1, 3))
+        specs = draw(st.lists(spec, min_size=1, max_size=3))
+        events.append(Event(snap.round + 1, AddAssets(tuple(specs))))
+    return plan, events
+
+
+def pair_inputs(view: _View, pair: tuple[int, int]):
+    """What a swap sweep reads about a pair: both robots and their cover
+    counts, by value."""
+    return [(view.robot[rid], dict(view.cover[rid])) for rid in pair]
+
+
+@given(st.one_of(worlds(), holding_worlds()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_carried_view_matches_fresh_view(snap, data):
+    cfg = Config()
+    view = _View(snap)
+    clean_inputs = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        # Decide on the carried view as run does, which fills its memos and
+        # its clean pairs, and compare with decisions on a fresh view.
+        swaps = outcome(lambda: swap_round(snap, cfg, 0, view))
+        assert swaps == outcome(lambda: swap_round(snap, cfg, 0))
+        assert outcome(lambda: phase2_round(snap, cfg, view)) == outcome(lambda: phase2_round(snap, cfg))
+        assert holders_certified(snap, view) == holders_certified(snap)
+        for rid in view.alive_ids:
+            view.held_xy(rid)
+            for asset_id in view.robot[rid].assigned:
+                view.donor_disk(rid, asset_id, 0)
+            for asset_id in view.deficits(rid):
+                view.grown_disk(rid, asset_id)
+        for pair in view.clean:
+            clean_inputs.setdefault(pair, pair_inputs(view, pair))
+        plan, events = data.draw(next_round(snap))
+        if isinstance(swaps, tuple) and data.draw(st.booleans()):
+            plan = {**swaps[0], **plan}
+        snap, _ = step(snap, plan, events)
+        view.update(snap)
+        assert_view_is_fresh(view)
+        # A pair stays clean only while nothing the sweep reads about it
+        # has changed.
+        clean_inputs = {pair: clean_inputs[pair] for pair in view.clean}
+        for pair, inputs in clean_inputs.items():
+            assert pair_inputs(view, pair) == inputs
+
+
+@pytest.mark.parametrize("mission", ["ladder-250", "event-mission"])
+def test_run_carries_a_fresh_view_through_every_round(monkeypatch, mission):
+    build, update = _View._build, _View.update
+    builds, carried, checked = [], set(), set()
+
+    def counted_build(self, snapshot):
+        builds.append((self, snapshot.round))
+        build(self, snapshot)
+
+    def checked_update(self, snapshot):
+        carried.add(self)
+        update(self, snapshot)
+        if snapshot.round not in checked:
+            checked.add(snapshot.round)
+            assert_view_is_fresh(self)
+
+    monkeypatch.setattr(_View, "_build", counted_build)
+    monkeypatch.setattr(_View, "update", checked_update)
+    if mission == "ladder-250":
+        res = run(ladder_250(), Config(), (), 0)
+        rebuilt_at = []
+    else:
+        inst, events = event_mission()
+        res = run(inst, events=events, seed=1)
+        rebuilt_at = [40, 60]  # the new assets, then the kill
+    assert res.status is RunStatus.FEASIBLE
+    assert len(carried) == 1
+    assert [rnd for view, rnd in builds if view in carried][1:] == rebuilt_at
+    assert len(checked) > 5
