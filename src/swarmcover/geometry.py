@@ -1,5 +1,5 @@
 """Planar geometry: points, disks, circumcircles, smallest enclosing disks,
-and a cell-list index for fixed-radius queries.
+and a cell-list index for fixed-radius and nearest-item queries.
 
 The enclosing-disk code is the classic randomized incremental construction
 (Welzl, move-to-front variant) with two choices that matter for
@@ -36,7 +36,8 @@ DEGENERACY_TOL = 1e-9
 
 # Relative widening of a CellGrid's reach.  A caller's squared-distance test
 # can pass a pair up to a few ulps beyond its radius; this margin is far
-# wider than that rounding, so the grid never drops such a pair.
+# wider than that rounding, so the grid never drops such a pair.  The same
+# margin covers the rounding of `CellGrid.nearest`'s stopping bound.
 _REACH_SLACK = 1e-9
 
 T = TypeVar("T")
@@ -71,15 +72,19 @@ class Disk:
 
 
 class CellGrid(Generic[T]):
-    """Fixed-radius near-neighbour cell list (Bentley, 1975).
+    """Cell-list index of points in the plane (Bentley, 1975).
 
     Items are bucketed by the square cell, of side `reach`, that their point
-    falls in.  `near(p)` returns the items of the block of cells overlapping
-    the box of half-width `reach` around p (3x3 cells), which includes every
-    item within distance `reach` of p.  The grid only pre-filters: callers
-    keep their own exact distance test, so their results do not change.
-    Queries that land on the same block share one list, which callers must
-    not modify.
+    falls in.  Two queries:
+
+    * `near(p)` returns the items of the block of cells overlapping the box
+      of half-width `reach` around p (3x3 cells), which includes every item
+      within distance `reach` of p.  It only pre-filters: callers keep their
+      own exact distance test, so their results do not change.  Queries that
+      land on the same block share one list, which callers must not modify.
+    * `nearest(p, limit)` returns the item closest to p within `limit`,
+      searching rings of cells outward from p's cell; `limit` may exceed
+      `reach`.
     """
 
     def __init__(self, reach: float, items: Iterable[tuple[Point, T]]):
@@ -87,15 +92,15 @@ class CellGrid(Generic[T]):
             raise ValueError(f"cell grid reach must be positive, got {reach}")
         self._reach = reach * (1.0 + _REACH_SLACK)
         self._inv = 1.0 / self._reach
-        self._cells: dict[tuple[int, int], list[T]] = {}
+        self._cells: dict[tuple[int, int], list[tuple[float, float, T]]] = {}
         self._blocks: dict[tuple[int, int, int, int], list[T]] = {}
         for p, item in items:
             key = (math.floor(p.x * self._inv), math.floor(p.y * self._inv))
             bucket = self._cells.get(key)
             if bucket is None:
-                self._cells[key] = [item]
+                self._cells[key] = [(p.x, p.y, item)]
             else:
-                bucket.append(item)
+                bucket.append((p.x, p.y, item))
 
     def near(self, p: Point) -> list[T]:
         # The block's corners come from p -/+ reach through the same rounding
@@ -116,9 +121,65 @@ class CellGrid(Generic[T]):
                 for cy in range(y0, y1 + 1):
                     bucket = self._cells.get((cx, cy))
                     if bucket is not None:
-                        out.extend(bucket)
+                        out.extend([item for _, _, item in bucket])
             self._blocks[block] = out
         return out
+
+    def nearest(self, p: Point, limit: float) -> Optional[T]:
+        """The item minimizing (squared distance to p, item) among those
+        whose squared distance is at most limit * limit, or None.
+
+        Squared distances are computed as dx * dx + dy * dy with dx = x - p.x
+        and dy = y - p.y, the bits of `dist2`, so a scan of every item with
+        the same test finds the same item.  Ties go to the smallest item, so
+        items must be orderable (robot ids, say).
+        """
+        inv, reach = self._inv, self._reach
+        px, py = p.x, p.y
+        qx, qy = math.floor(px * inv), math.floor(py * inv)
+        lim2 = limit * limit
+        # After rings 0..k, every item left lies more than k * reach from p,
+        # less the rounding of the bucket keys: each key floors a product
+        # within an ulp of |x * inv|, so the bound is off by a few ulps of
+        # k * reach and of |p.x| + |p.y| + limit (a farther item cannot win
+        # anyway).  The margins below are far wider than that, and keep
+        # `outside` squared a normal float before it decides, so an item
+        # left is strictly farther than `outside` in computed d2 too, and
+        # farther than limit once `outside` exceeds it.
+        slack = _REACH_SLACK * (abs(px) + abs(py) + limit)
+        best: Optional[T] = None
+        best_d2 = math.inf
+        k = 0
+        while True:
+            for key in _ring(qx, qy, k):
+                bucket = self._cells.get(key)
+                if bucket is None:
+                    continue
+                for x, y, item in bucket:
+                    dx = x - px
+                    dy = y - py
+                    d2 = dx * dx + dy * dy
+                    if d2 <= lim2 and (d2 < best_d2 or (d2 == best_d2 and item < best)):  # type: ignore[operator]
+                        best, best_d2 = item, d2
+            outside = k * reach * (1.0 - _REACH_SLACK) - slack
+            if outside > limit:
+                return best
+            if outside > 1e-150 and best_d2 < outside * outside * (1.0 - _REACH_SLACK):
+                return best
+            k += 1
+
+
+def _ring(qx: int, qy: int, k: int) -> Iterable[tuple[int, int]]:
+    # The cells at Chebyshev distance k from cell (qx, qy).
+    if k == 0:
+        yield qx, qy
+        return
+    for cx in range(qx - k, qx + k + 1):
+        yield cx, qy - k
+        yield cx, qy + k
+    for cy in range(qy - k + 1, qy + k):
+        yield qx - k, cy
+        yield qx + k, cy
 
 
 def dist(a: Point, b: Point) -> float:

@@ -172,10 +172,13 @@ class _View:
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
       (asset, seed);
     * `grown_disk`: a receiver's disk grown by one asset, per asset;
-    * `held_xy`: a robot's held assets as (x, y) float pairs, in ascending
-      id, for the auction's bid bound (see `_bid_bound`);
+    * `bound_xy`: the points the auction's bid bound measures from (see
+      `_bid_bound`);
     * `clean`: the neighbor pairs whose last swap sweep, under the config
-      and seed in `clean_for`, rejected every candidate (see `swap_round`).
+      and seed in `clean_for`, rejected every candidate (see `swap_round`);
+    * `candidates`: a donor's swap candidates under the config in
+      `clean_for`, as (asset, distance to the donor's center) pairs (see
+      `_swap_candidates`).
 
     `update` carries the view in place to another snapshot of the same run.
     A robot knows only what it senses and hears from its neighbors, and
@@ -183,14 +186,15 @@ class _View:
     plan entry, so the work is confined to the robots whose object changed
     and their neighbors:
 
-    * the robots that moved are re-sensed, and the neighbor map is
-      recomputed;
+    * the robots that moved are re-sensed, and the neighbor map is patched
+      where a pair has a moved robot (see `_nbrs_after`);
     * cover counts are patched by deltas: +1 or -1, per asset gained or
       lost, at the robot and at each neighbor it kept, and a whole assigned
       list added or removed where a pair came into or went out of range;
     * knowledge is recomputed where sensing or cover counts changed;
     * a changed robot loses its memo entries, and a changed robot or one
-      whose cover counts changed loses its deficits and its clean pairs.
+      whose cover counts changed loses its deficits, its swap candidates
+      and its clean pairs.
 
     An event (new assets, a robot killed) rebuilds the whole view.  So the
     view always equals a fresh `_View(snapshot)`, and per-robot decisions
@@ -215,9 +219,10 @@ class _View:
         self._deficits: dict[int, list[int]] = {}
         self._donor_disks: dict[int, dict[tuple[int, int], Disk]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
-        self._held_xy: dict[int, list[tuple[float, float]]] = {}
+        self._bound_xy: dict[int, list[tuple[float, float]]] = {}
         self.clean: set[tuple[int, int]] = set()
         self.clean_for: Optional[tuple[Config, int]] = None
+        self.candidates: dict[int, list[tuple[int, float]]] = {}
 
     def _sense(self, robot: RobotState) -> set[int]:
         px, py = robot.pos.x, robot.pos.y
@@ -252,7 +257,7 @@ class _View:
         if moved:
             for rid in moved:
                 self.sensed[rid] = self._sense(self.robot[rid])
-            self.nbrs = neighbor_map(snapshot)
+            self.nbrs = self._nbrs_after(moved)
             for k in self.alive_ids:
                 if self.nbrs[k] == old_nbrs[k]:
                     continue
@@ -279,10 +284,47 @@ class _View:
             dirty.add(r.id)
             self._donor_disks.pop(r.id, None)
             self._grown_disks.pop(r.id, None)
-            self._held_xy.pop(r.id, None)
+            self._bound_xy.pop(r.id, None)
         for k in dirty:
             self._deficits.pop(k, None)
+            self.candidates.pop(k, None)
         self.clean = {p for p in self.clean if p[0] not in dirty and p[1] not in dirty}
+
+    def _nbrs_after(self, moved: set[int]) -> dict[int, tuple[int, ...]]:
+        # The neighbor map once the robots in `moved` have moved.  Only pairs
+        # with a moved robot can change: each is tested once, from its moved
+        # end with the lower id, on a cell grid of side r_comm, and each
+        # robot that stayed keeps its old neighbors that stayed.  The
+        # squared-distance test is neighbor_map's, bit for bit, so the map
+        # equals a fresh one.
+        robots = self.robot
+        r_comm = self.params.r_comm
+        thr2 = r_comm ** 2
+        grid = CellGrid(r_comm, ((robots[k].pos, k) for k in self.alive_ids))
+        old = self.nbrs
+        fresh: dict[int, list[int]] = {m: [] for m in moved}
+        found: dict[int, list[int]] = {}  # stayed robot -> moved neighbors
+        for m in moved:
+            p = robots[m].pos
+            mine = fresh[m]
+            for k in grid.near(p):
+                if k in fresh and k <= m:
+                    continue
+                q = robots[k].pos
+                dx = q.x - p.x
+                dy = q.y - p.y
+                if dx * dx + dy * dy <= thr2:
+                    mine.append(k)
+                    (fresh[k] if k in fresh else found.setdefault(k, [])).append(m)
+            for k in old[m]:
+                if k not in fresh:
+                    found.setdefault(k, [])
+        nbrs = dict(old)
+        for m, ids in fresh.items():
+            nbrs[m] = tuple(sorted(ids))
+        for k, movers in found.items():
+            nbrs[k] = tuple(sorted([j for j in old[k] if j not in fresh] + movers))
+        return nbrs
 
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
@@ -325,11 +367,17 @@ class _View:
             got = memo[asset_id] = _grow_disk(self, self.robot[receiver], asset_id)
         return got
 
-    def held_xy(self, rid: int) -> list[tuple[float, float]]:
-        got = self._held_xy.get(rid)
+    def bound_xy(self, rid: int) -> list[tuple[float, float]]:
+        """Robot rid's held assets as (x, y) pairs in ascending id, or none
+        when its disk does not hold them all (see `_bid_bound`)."""
+        got = self._bound_xy.get(rid)
         if got is None:
-            got = [(p.x, p.y) for p in self.positions(sorted(self.robot[rid].assigned))]
-            self._held_xy[rid] = got
+            robot = self.robot[rid]
+            cx, cy, reach = robot.pos.x, robot.pos.y, robot.radius + CONTAINMENT_TOL
+            got = [(p.x, p.y) for p in self.positions(sorted(robot.assigned))]
+            if any(math.hypot(cx - x, cy - y) > reach for x, y in got):
+                got = []
+            self._bound_xy[rid] = got
         return got
 
 
@@ -379,21 +427,31 @@ def _finalize_radius(radius: float, r_max: float) -> float:
 # Phase 1: exploration
 
 
+# Lloyd's ring search uses cells of side r_max / 4.  At the ladders' density
+# (one robot per 200 m^2, r_max 40 m) an asset's nearest robot is usually
+# within ~10 m, so rings 0 and 1, a block 3/4 r_max wide, mostly settle it:
+# 1/16 of the area of a 3x3 block of r_max cells.  Finer cells would add
+# empty cell lookups per ring, coarser ones robots per cell.
+_LLOYD_CELL = 0.25
+
+
 def lloyd_round(snapshot: WorldSnapshot) -> dict[int, Proposal]:
     """One Lloyd iteration: assets are claimed by the nearest sensing robot,
-    robots move to the centroid of their cell, radius capped at r_max."""
+    robots move to the centroid of their cell, radius capped at r_max.
+
+    The nearest robot minimizes (squared distance, id) among the robots
+    within r_max; `CellGrid.nearest` finds it in rings of cells of side
+    `_LLOYD_CELL` * r_max.  Each cell's centroid and radius are summed over
+    its assets in ascending id.
+    """
     alive = [r for r in snapshot.robots if r.alive]
     r_max = snapshot.params.r_max
-    grid = CellGrid(r_max, ((r.pos, r) for r in alive))
+    grid = CellGrid(_LLOYD_CELL * r_max, ((r.pos, r.id) for r in alive))
     cells: dict[int, list[int]] = {}
     for a in snapshot.assets:
-        best: tuple[float, int] | None = None
-        for r in grid.near(a.pos):
-            d2 = dist2(r.pos, a.pos)
-            if d2 <= r_max * r_max and (best is None or (d2, r.id) < best):
-                best = (d2, r.id)
-        if best is not None:
-            cells.setdefault(best[1], []).append(a.id)
+        rid = grid.nearest(a.pos, r_max)
+        if rid is not None:
+            cells.setdefault(rid, []).append(a.id)
     proposals: dict[int, Proposal] = {}
     for r in alive:
         cell = cells.get(r.id)
@@ -485,13 +543,17 @@ def _bid_bound(view: _View, robot: RobotState, asset_id: int) -> float:
     # points up to CONTAINMENT_TOL outside its disk, so its radius can fall
     # up to about that much below far/2 (tests/test_protocol.py has a
     # case): the absolute slack covers it, and the relative shrink covers
-    # the rounding of the area formula.
+    # the rounding of the area formula.  The far/2 argument needs the grown
+    # disk to hold the robot's assets, and `enclose_with_anchor` can return
+    # one that misses them when the robot's disk does not hold them (see
+    # its precondition).  Every run keeps each disk around its assets; for
+    # a robot whose disk does not, `bound_xy` is empty and the bound is 0.
     ppos = view.assets[asset_id].pos
     if not robot.assigned or dist(robot.pos, ppos) <= robot.radius + CONTAINMENT_TOL:
         return 0.0  # the exact bid is 0 here too
     ax, ay = ppos.x, ppos.y
     far2 = 0.0
-    for x, y in view.held_xy(robot.id):
+    for x, y in view.bound_xy(robot.id):
         dx = ax - x
         dy = ay - y
         d2 = dx * dx + dy * dy
@@ -796,6 +858,50 @@ def _evaluate_swap(
     )
 
 
+# Margin of the swap sweep's gap bound, relative and in meters (see
+# `_gap_prunes`).
+_GAP_SLACK = 1e-9
+
+
+def _gap_prunes(gap: float, t: float) -> bool:
+    """Does a donor asset at distance t from the donor's center certainly
+    fail `_evaluate_swap`'s closer test, for a receiver whose center is
+    `gap` from the donor's?
+
+    By the triangle inequality the receiver is at least gap - t from the
+    asset, which is at least t when gap >= 2t.  The three distances are
+    rounded hypots of rounded coordinate differences, each within a few
+    ulps of the true distance between the stored points, so with a
+    relative margin far above that the receiver's computed distance is
+    still at least the donor's.  The margin also covers the farthest-first
+    order: it compares squared distances, which can put a t a few ulps
+    larger (or, below ~1e-154 m where squares underflow, ~1e-161 m larger)
+    after a smaller one; the absolute term covers the latter.  So once one
+    candidate is pruned, every later one fails the closer test too.
+    """
+    return gap >= 2.0 * t * (1.0 + _GAP_SLACK) + _GAP_SLACK
+
+
+def _swap_candidates(view: _View, rid: int, cfg: Config) -> list[tuple[int, float]]:
+    # Robot rid's assets as a donor, in scan order, each with its distance t
+    # to rid's center, less those no receiver can take: the rim test and
+    # the donor's own cover >= kappa test depend on the (donor, asset) pair
+    # alone, so dropping the assets that fail them cannot change which
+    # transfer is accepted first.  Memoized in view.candidates for the
+    # config in view.clean_for.
+    got = view.candidates.get(rid)
+    if got is None:
+        dr = view.robot[rid]
+        rim = cfg.boundary_factor * dr.radius
+        got = []
+        for a in view.farthest_first(rid):
+            t = dist(view.assets[a].pos, dr.pos)
+            if t > rim and view.local_coverage(rid, a) >= view.assets[a].kappa:
+                got.append((a, t))
+        view.candidates[rid] = got
+    return got
+
+
 def swap_round(
     snapshot: WorldSnapshot, cfg: Config, seed: int = 0, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool, tuple[SwapRecord, ...]]:
@@ -807,31 +913,29 @@ def swap_round(
     one transfer per sweep and an asset moves at most once per sweep, which
     keeps the concurrently applied transfers coverage-safe.
 
+    A scan stops at the first candidate the gap bound prunes
+    (`_gap_prunes`): the receiver is then no closer to it than the donor,
+    nor to any later candidate, so `_evaluate_swap` would reject them all.
+    A pruned candidate counts as rejected, even one already moved this
+    sweep.
+
     A pair is skipped while it is clean (`_View.clean`): its last sweep
     rejected every candidate in both orientations and skipped none as
     already moved, and neither robot nor either robot's cover counts have
     changed since.  Every input of `_evaluate_swap` and of the candidate
-    lists is then unchanged, so the pair would be rejected again.
+    lists is then unchanged, so the pair would be rejected again.  The
+    prune reads only the two centers and the candidates' distances, so it
+    repeats too; a candidate skipped as moved inside the pruned tail would
+    fail the closer test when not moved, so it does not keep a pair from
+    becoming clean.
     """
     view = _view_at(snapshot, view)
     if view.clean_for != (cfg, seed):
         view.clean_for = (cfg, seed)
         view.clean.clear()
+        view.candidates.clear()
     # Ascending ids and sorted neighbor tuples give the pairs in order.
     pairs = [(i, j) for i in view.alive_ids for j in view.nbrs[i] if i < j]
-    # Each donor's assets in scan order, less those no receiver can take:
-    # the rim test and the donor's own cover >= kappa test depend on the
-    # (donor, asset) pair alone, so dropping the assets that fail them
-    # cannot change which transfer is accepted first.
-    candidates: dict[int, list[int]] = {}
-    for rid in view.alive_ids:
-        dr = view.robot[rid]
-        rim = cfg.boundary_factor * dr.radius
-        candidates[rid] = [
-            a
-            for a in view.farthest_first(rid)
-            if dist(view.assets[a].pos, dr.pos) > rim and view.local_coverage(rid, a) >= view.assets[a].kappa
-        ]
 
     used_robots: set[int] = set()
     used_assets: set[int] = set()
@@ -842,8 +946,11 @@ def swap_round(
             continue
         best: tuple[float, int, int, int, SwapDecision] | None = None
         skipped = False
+        gap = dist(view.robot[i].pos, view.robot[j].pos)
         for donor, receiver in ((i, j), (j, i)):
-            for asset_id in candidates[donor]:
+            for asset_id, t in _swap_candidates(view, donor, cfg):
+                if _gap_prunes(gap, t):
+                    break
                 if asset_id in used_assets:
                     skipped = True
                     continue

@@ -1,16 +1,16 @@
 """Equivalence of the locality-bounded queries with their brute-force
 references.
 
-Sensing, the neighbor map, Lloyd's nearest-robot search and the cover counts
-of `summarize` go through `geometry.CellGrid`; each robot's knowledge, cover
-counts and deficits come from the round's view alone, and the completion
-certificate reuses its cover counts; the swap sweep reads memoized disks from
-that view, and the auctions decide every auctioneer's deficit from one
-sorted list of bids per asset.  Each must give exactly what the all-pairs
+Sensing, the neighbor map, Lloyd's nearest-robot search (a ring search) and
+the cover counts of `summarize` go through `geometry.CellGrid`; each robot's
+knowledge, cover counts and deficits come from the round's view alone, and
+the completion certificate reuses its cover counts; the swap sweep reads
+memoized disks and candidate lists from that view, and the auctions decide
+every auctioneer's deficit from one sorted list of bids per asset.  Each must give exactly what the all-pairs
 definition gives, including on cell boundaries, at negative coordinates,
-with zero radii and dead robots, and when r_comm equals r_max.  The view
-`run` carries from round to round must equal a fresh view of each round,
-memos included.
+with zero radii and dead robots, with ties, and when r_comm equals r_max.
+The view `run` carries from round to round must equal a fresh view of each
+round, memos and neighbor map included.
 """
 
 from __future__ import annotations
@@ -41,11 +41,13 @@ from swarmcover.geometry import CellGrid, Point, dist, dist2, min_enclosing_disk
 from swarmcover.instances import Asset, Workspace
 from swarmcover.metrics import coverage_count, summarize
 from swarmcover.protocol import (
+    _LLOYD_CELL,
     Config,
     RunStatus,
     SwapRecord,
     _bid,
     _grow_disk,
+    _swap_candidates,
     _View,
     consolidate,
     evaluate_swap,
@@ -77,7 +79,7 @@ def worlds(draw, max_robots: int = 12, max_assets: int = 30) -> WorldSnapshot:
     robots, and r_comm sometimes equal to r_max."""
     r_max = draw(radii)
     r_comm = draw(st.just(r_max) | radii)
-    coord = coords(r_max, r_comm)
+    coord = coords(r_max, r_comm, _LLOYD_CELL * r_max)
     n_assets = draw(st.integers(0, max_assets))
     assets = tuple(Asset(i, Point(draw(coord), draw(coord)), draw(st.integers(1, 3))) for i in range(n_assets))
     zero_radii = draw(st.booleans())  # the all-zero radii of round 0
@@ -108,6 +110,27 @@ def test_cell_grid_returns_every_item_within_reach(points, queries, reach):
         for k, (x, y) in enumerate(points):
             if (x - qx) ** 2 + (y - qy) ** 2 <= thr2:
                 assert k in near
+
+
+@given(
+    st.lists(st.tuples(coords(7.0), coords(7.0)), max_size=40),
+    st.lists(st.tuples(coords(7.0), coords(7.0)), min_size=1, max_size=10),
+    st.sampled_from([7.0, 1.75]) | st.floats(0.5, 80.0),
+    st.sampled_from([1.0, 4.0, 0.5]) | st.floats(0.1, 10.0),
+    st.sampled_from([0.0, 1e6, -1e6]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cell_grid_nearest_matches_brute_force(points, queries, reach, ratio, offset):
+    # Exact multiples of 7 put points on cell edges and make ties common;
+    # ties go to the lower index.
+    points = [(x + offset, y - offset) for x, y in points]
+    limit = reach * ratio
+    grid = CellGrid(reach, ((Point(x, y), k) for k, (x, y) in enumerate(points)))
+    for qx, qy in queries:
+        q = Point(qx + offset, qy - offset)
+        within = [(dist2(Point(x, y), q), k) for k, (x, y) in enumerate(points)]
+        want = min((d2k for d2k in within if d2k[0] <= limit * limit), default=None)
+        assert grid.nearest(q, limit) == (None if want is None else want[1])
 
 
 @given(worlds())
@@ -250,8 +273,27 @@ def lloyd_reference(snapshot: WorldSnapshot) -> dict[int, Proposal]:
     return out
 
 
-@given(worlds())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def tied_worlds(draw) -> WorldSnapshot:
+    """A world of `worlds()` plus an asset at integer coordinates and two
+    alive robots exactly as far from it, at integer offsets (u, v) and
+    (-v, u) or (v, -u); (24, 32) puts both at exactly r_max when it is 40."""
+    snap = draw(worlds())
+    ax, ay = draw(st.integers(-100, 100)), draw(st.integers(-100, 100))
+    u, v = draw(st.tuples(st.integers(-45, 45), st.integers(-45, 45)) | st.just((24, 32)))
+    other = draw(st.sampled_from([(-v, u), (v, -u)]))
+    assets = (*snap.assets, Asset(len(snap.assets), Point(float(ax), float(ay)), 1))
+    n = len(snap.robots)
+    twins = [
+        RobotState(n + k, Point(float(ax + du), float(ay + dv)), 0.0, frozenset(), True)
+        for k, (du, dv) in enumerate(draw(st.permutations([(u, v), other])))
+    ]
+    robots = (*snap.robots, *twins)
+    return replace(snap, robots=robots, assets=assets, params=replace(snap.params, m=len(robots)))
+
+
+@given(worlds() | tied_worlds())
+@settings(max_examples=300, deadline=None)
 def test_lloyd_round_matches_brute_force_reference(snap):
     assert lloyd_round(snap) == lloyd_reference(snap)
 
@@ -369,6 +411,12 @@ def test_clean_pairs_hold_for_one_config_and_seed():
     assert swap_round(SHARED_DONOR, Config(tau=10.0), 0, view) == ({}, False, ())
     assert view.clean
     assert swap_round(SHARED_DONOR, Config(), 0, view) == swap_round(SHARED_DONOR, Config(), 0)
+    # The candidate lists hang on the rim test's boundary factor: a rim
+    # beyond every asset leaves robot 0 with none.
+    rimless = Config(boundary_factor=1.5)
+    assert swap_round(SHARED_DONOR, rimless, 0, view) == ({}, False, ())
+    assert view.candidates[0] == []
+    assert_view_is_fresh(view)
 
 
 def test_view_memoizes_swap_disks():
@@ -473,6 +521,19 @@ STACKED_WINS = holding_snapshot(
 )
 
 
+# Robot 0's disk, radius 0 at the origin, does not hold its asset 0 at
+# (0, 3).  Growing it by asset 2 returns a disk of radius 0.5 that misses
+# asset 0 (see geometry.enclose_with_anchor), a bid below the far/2 bound,
+# yet robot 0 must still win its own auction.
+LOOSE_DISK = WorldSnapshot(
+    0,
+    Phase.OPTIMIZE,
+    (RobotState(0, Point(0.0, 0.0), 0.0, frozenset({0, 1}), True),),
+    (Asset(0, Point(0.0, 3.0), 1), Asset(1, Point(0.0, 0.0), 1), Asset(2, Point(0.0, 1.0), 1)),
+    Params(WS, 1, 2.5, 2.5),
+)
+
+
 def test_auction_fixtures():
     cfg = Config()
     tied = replace(TIED_BIDDERS, round=0)
@@ -498,6 +559,7 @@ def test_auction_fixtures():
 @example(NEIGHBOR_UNDERBIDS, 0.01, 0)
 @example(RIVAL_GROUPS, 0.01, 0)
 @example(STACKED_WINS, 0.01, 0)
+@example(LOOSE_DISK, 0.01, 0)
 @settings(max_examples=250, deadline=None)
 def test_phase2_round_matches_per_auction_reference(snap, eps, rnd):
     snap = replace(snap, round=rnd)
@@ -525,8 +587,10 @@ def assert_view_is_fresh(view: _View) -> None:
     for receiver, memo in view._grown_disks.items():
         for asset_id, disk in memo.items():
             assert disk == _grow_disk(fresh, snap.robots[receiver], asset_id)
-    for rid, xy in view._held_xy.items():
-        assert xy == fresh.held_xy(rid)
+    for rid, xy in view._bound_xy.items():
+        assert xy == fresh.bound_xy(rid)
+    for rid, cands in view.candidates.items():
+        assert cands == _swap_candidates(fresh, rid, view.clean_for[0])
     for rid in fresh.alive_ids:
         assert view.deficits(rid) == fresh.deficits(rid)
 
@@ -599,7 +663,7 @@ def test_carried_view_matches_fresh_view(snap, data):
         assert outcome(lambda: phase2_round(snap, cfg, view)) == outcome(lambda: phase2_round(snap, cfg))
         assert holders_certified(snap, view) == holders_certified(snap)
         for rid in view.alive_ids:
-            view.held_xy(rid)
+            view.bound_xy(rid)
             for asset_id in view.robot[rid].assigned:
                 view.donor_disk(rid, asset_id, 0)
             for asset_id in view.deficits(rid):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmcover.engine import Params, Phase, WorldSnapshot
-from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, min_enclosing_disk
+from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, dist, dist2, min_enclosing_disk
 from swarmcover.instances import Workspace
 from swarmcover.protocol import (
     INFEASIBLE,
@@ -35,6 +35,7 @@ from swarmcover.protocol import (
     swap_round,
     _bid,
     _bid_bound,
+    _gap_prunes,
     _View,
 )
 
@@ -531,6 +532,54 @@ def test_evaluate_swap_validates_arguments():
     )
     with pytest.raises(ValueError):
         evaluate_swap(far, 0, 1, 0, Config())
+
+
+@st.composite
+def gap_cases(draw):
+    """A donor center, a receiver center and two donor assets, near the gap
+    bound's edge: the receiver sits about 2t from the donor along the ray
+    through the first asset (t its distance), a few ulps either way, or
+    anywhere; the second asset sits about as far from the donor.  Near the
+    origin or offset by 1e6."""
+    ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.sampled_from([0.0, 1e6, -1e6]))
+    dx, dy = ox + draw(_LOCAL), oy + draw(_LOCAL)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    t = draw(st.sampled_from([1e-6, 1.0, 10.0]) | st.floats(1e-3, 40.0))
+    px, py = dx + t * math.cos(angle), dy + t * math.sin(angle)
+    if draw(st.booleans()):
+        rx = _nudge(2.0 * px - dx, draw(st.integers(-4, 4)))
+        ry = _nudge(2.0 * py - dy, draw(st.integers(-4, 4)))
+    else:
+        rx, ry = ox + draw(_LOCAL), oy + draw(_LOCAL)
+    turn = angle + draw(st.sampled_from([0.0, 1e-9, math.pi / 2.0]) | st.floats(0.0, 2.0 * math.pi))
+    t2 = t * draw(st.sampled_from([1.0, 1.0 - 1e-15, 1.0 + 1e-15]) | st.floats(0.0, 1.0))
+    qx, qy = _nudge(dx + t2 * math.cos(turn), draw(st.integers(-2, 2))), dy + t2 * math.sin(turn)
+    return Point(dx, dy), Point(rx, ry), Point(px, py), Point(qx, qy)
+
+
+# The receiver is the donor reflected through the asset, rounded: the gap
+# reads exactly 2t, yet the receiver reads 1.8e-15 closer than the donor.
+_GAP_EDGE = (
+    Point(4.393532425740304, -27.843227643737972),
+    Point(17.46684809862024, -42.97889470261687),
+    Point(10.930190262180272, -35.41106117317742),
+    Point(10.930190262180272, -35.41106117317742),
+)
+
+
+@given(gap_cases())
+@example(_GAP_EDGE)
+@settings(max_examples=600, deadline=None)
+def test_gap_bound_prunes_only_what_the_closer_test_rejects(case):
+    # Both assets are scanned farthest first, as the sweep orders them.  If
+    # the first is pruned, the receiver must be no closer than the donor to
+    # either one: the closer test of _evaluate_swap rejects both.
+    donor, receiver, *assets = case
+    first, second = sorted(assets, key=lambda p: -dist2(donor, p))
+    gap = dist(donor, receiver)
+    if _gap_prunes(gap, dist(first, donor)):
+        for p in (first, second):
+            assert not dist(p, receiver) < dist(p, donor)
 
 
 def test_swap_round_executes_and_records():
