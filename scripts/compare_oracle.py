@@ -35,7 +35,7 @@ def main() -> int:
     for case in range(args.cases):
         assets = generate_uniform(args.n, ws, (1, 2), seed=args.seed + case)
         inst = Instance(ws, tuple(assets), args.m, r_comm, r_max)
-        result = run(inst, seed=args.seed + case)
+        result = run(inst)
         exact = solve_exact(assets, args.m, r_max)
         if result.status is not RunStatus.FEASIBLE or not exact.feasible:
             print(f"case {case:2d}: skipped ({result.status.value})")

@@ -22,7 +22,7 @@ def main() -> int:
     args = ap.parse_args()
 
     inst = preset(args.family, args.param, seed=args.seed)
-    result = run(inst, seed=args.seed)
+    result = run(inst)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,7 @@ def main() -> int:
     args = ap.parse_args()
 
     sc = load_scenario(Path(args.scenario), cli_seed=args.seed)
-    result = run(sc.instance, sc.config, sc.events, sc.seed)
+    result = run(sc.instance, sc.config, sc.events)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

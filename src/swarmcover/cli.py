@@ -10,8 +10,9 @@ Subcommands:
 * ``oracle``    — exact solver only, emit the placement as JSON
 
 Exit codes: 0 feasible, 2 infeasible (or iteration cap), 1 I/O or
-validation error.  All randomness flows from a single seed: ``--seed``
-wins, else the scenario config seed, else 0.
+validation error.  The seed drives only the instance generators (the
+protocol itself has no randomness): ``--seed`` wins, else the scenario
+config seed, else 0.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
-    result = run(scenario.instance, scenario.config, scenario.events, scenario.seed)
+    result = run(scenario.instance, scenario.config, scenario.events)
     _write_run_outputs(result, Path(args.out or "."))
     sm = summarize(result.snapshot)
     print(
@@ -281,7 +282,7 @@ def sweep(spec: dict[str, Any], seed: int, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, trial, trial_seed, inst in cases:
-        result = run(inst, config, (), trial_seed)
+        result = run(inst, config)
         sm = summarize(result.snapshot)
         ok = result.status is RunStatus.FEASIBLE and sm.undercovered_count == 0
         rows.append(
@@ -360,7 +361,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    result = run(inst, scenario.config, scenario.events, scenario.seed)
+    result = run(inst, scenario.config, scenario.events)
     sm = summarize(result.snapshot)
     placement = solve_exact(inst.assets, inst.m, inst.r_max)
     dist_ok = result.status is RunStatus.FEASIBLE and sm.undercovered_count == 0
@@ -390,7 +391,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
     scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
     if not scenario.events:
         raise ScenarioError("dynamic scenarios must declare at least one event")
-    result = run(scenario.instance, scenario.config, scenario.events, scenario.seed)
+    result = run(scenario.instance, scenario.config, scenario.events)
     out = Path(args.out or ".")
     _write_run_outputs(result, out)
 

@@ -1,5 +1,5 @@
-"""Synchronous round engine: immutable world snapshots, sensing and
-communication queries, event injection, and the deterministic step cycle.
+"""Synchronous round engine: immutable world snapshots, the communication
+neighbor map, event injection, and the deterministic step cycle.
 
 A round takes one plan: the proposals of the alive robots that act, all
 decided against the same frozen snapshot.  The engine merges them in
@@ -109,36 +109,6 @@ class WorldSnapshot:
 
     def asset(self, aid: int) -> Asset:
         return self.assets[aid]
-
-
-def sense(robot: RobotState, assets: Sequence[Asset], r_max: float) -> set[int]:
-    """Ids of assets within the closed sensing ball of radius r_max."""
-    thr2 = r_max * r_max
-    px, py = robot.pos.x, robot.pos.y
-    out = set()
-    for a in assets:
-        dx = a.pos.x - px
-        dy = a.pos.y - py
-        if dx * dx + dy * dy <= thr2:
-            out.add(a.id)
-    return out
-
-
-def neighbors(snapshot: WorldSnapshot, rid: int) -> set[int]:
-    """Alive robots within r_comm of alive robot rid (excluding itself)."""
-    me = snapshot.robot(rid)
-    if not me.alive:
-        raise ValueError(f"robot {rid} is not alive")
-    thr2 = snapshot.params.r_comm ** 2
-    out = set()
-    for r in snapshot.robots:
-        if r.id == rid or not r.alive:
-            continue
-        dx = r.pos.x - me.pos.x
-        dy = r.pos.y - me.pos.y
-        if dx * dx + dy * dy <= thr2:
-            out.add(r.id)
-    return out
 
 
 def neighbor_map(snapshot: WorldSnapshot) -> dict[int, tuple[int, ...]]:

@@ -1,21 +1,21 @@
 """Planar geometry: points, disks, circumcircles, smallest enclosing disks,
 and a cell-list index for fixed-radius and nearest-item queries.
 
-The enclosing-disk code is the classic randomized incremental construction
-(Welzl, move-to-front variant) with two choices that matter for
+The enclosing-disk code is the randomized incremental construction of
+Welzl (1991) in its iterative form, with two choices that matter for
 reproducibility:
 
-* the point shuffle is driven by an explicit seed, never the wall clock;
+* the points are taken in one fixed pseudo-random permutation of the input
+  sequence (see `SOLVE_ORDER_SEED`), never one drawn from the wall clock;
 * the support-point constructors do not depend on their argument order (the
   circumcircle sorts its points, the diametral disk is symmetric), so a
   given support set always yields the same bits.
 
-On near-degenerate input the processing order can still change the disk's
-bits, because the tolerances let different orders settle on different
-support sets: `min_enclosing_disk` of (0,0), (1,0), (2,0), (1,0) and
-(2, 5e-10) returns a center.y of 0 for some seeds and about 2.5e-10 for
-others.  The benchmark missions and `tests/test_golden.py` show no such
-dependence on the seed.
+So the disk is a function of the input sequence.  On near-degenerate input
+its bits can still depend on that sequence's order, because the tolerances
+let different processing orders settle on different support sets:
+`min_enclosing_disk` of (0,0), (1,0), (2,0), (1,0) and (2, 5e-10) returns a
+center.y of 0 for some orders of those points and 2.5e-10 for others.
 
 The solver itself runs on plain floats; see `_mec_one_point`.
 """
@@ -39,6 +39,14 @@ DEGENERACY_TOL = 1e-9
 # wider than that rounding, so the grid never drops such a pair.  The same
 # margin covers the rounding of `CellGrid.nearest`'s stopping bound.
 _REACH_SLACK = 1e-9
+
+# Seed of the fixed shuffle in `min_enclosing_disk`.  Taken in input order,
+# points that arrive in a spatial sweep (an outward spiral, a glyph's stroke
+# order) restart the incremental construction at nearly every point; in a
+# random order the i-th point restarts it with probability at most 3/i, so
+# the expected work is linear on any input.  Fixed, the shuffle keeps the
+# disk a function of the input sequence.
+SOLVE_ORDER_SEED = 0
 
 T = TypeVar("T")
 
@@ -215,21 +223,21 @@ def circumcircle(a: Point, b: Point, c: Point) -> Optional[Disk]:
     return None if got is None else Disk(Point(got[0], got[1]), got[2])
 
 
-def min_enclosing_disk(points: Sequence[Point] | Iterable[Point], seed: int = 0) -> Disk:
-    """Smallest disk containing every input point.
+def min_enclosing_disk(points: Sequence[Point] | Iterable[Point]) -> Disk:
+    """Smallest disk containing every input point; raises ValueError on
+    empty input.
 
-    Raises ValueError on empty input; use min_enclosing_disk_or when the
-    point set may be empty.  `seed` orders the randomized processing.  The
-    disk is built from canonically ordered support points, but on
+    The points are processed in the fixed permutation `SOLVE_ORDER_SEED`
+    draws, so the disk is a function of the input sequence.  On
     near-degenerate input (near-collinear or near-coincident points, ties
-    within the tolerances) the order can pick a different support set and
-    so change the disk's bits; see the module docstring.
+    within the tolerances) its bits can depend on that sequence's order;
+    see the module docstring.
     """
     pts = list(points)
     if not pts:
-        raise ValueError("min_enclosing_disk requires at least one point (see min_enclosing_disk_or)")
+        raise ValueError("min_enclosing_disk requires at least one point")
     if len(pts) > 1:
-        random.Random(seed).shuffle(pts)
+        random.Random(SOLVE_ORDER_SEED).shuffle(pts)
     xy = [(p.x, p.y) for p in pts]
     cx, cy = xy[0]
     r = 0.0
@@ -237,14 +245,6 @@ def min_enclosing_disk(points: Sequence[Point] | Iterable[Point], seed: int = 0)
         if math.hypot(cx - px, cy - py) > r + CONTAINMENT_TOL:
             cx, cy, r = _mec_one_point(xy[: i + 1], px, py)
     return Disk(Point(cx, cy), r)
-
-
-def min_enclosing_disk_or(points: Sequence[Point] | Iterable[Point], anchor: Point, seed: int = 0) -> Disk:
-    """Like min_enclosing_disk, but empty input collapses to (anchor, 0)."""
-    pts = list(points)
-    if not pts:
-        return Disk(anchor, 0.0)
-    return min_enclosing_disk(pts, seed)
 
 
 def enclose_with_anchor(points: Sequence[Point], anchor: Point) -> Disk:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .geometry import CONTAINMENT_TOL, CellGrid, Point
+from .geometry import CONTAINMENT_TOL, CellGrid
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import WorldSnapshot
@@ -34,21 +34,6 @@ class RoundMetrics:
     total_cost: float
     max_displacement: float
     undiscovered_count: int
-
-
-def coverage_count(snapshot: "WorldSnapshot", p: Point) -> int:
-    """Number of alive robots whose disk contains p (closed, with the
-    standard containment slack)."""
-    n = 0
-    for r in snapshot.robots:
-        if not r.alive:
-            continue
-        thr = r.radius + CONTAINMENT_TOL
-        dx = r.pos.x - p.x
-        dy = r.pos.y - p.y
-        if dx * dx + dy * dy <= thr * thr:
-            n += 1
-    return n
 
 
 def total_cost(snapshot: "WorldSnapshot") -> float:

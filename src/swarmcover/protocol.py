@@ -8,12 +8,10 @@ direct assignment when the auctions stall.  Phase 3 (refine) shaves cost with
 sweeps of pairwise boundary-asset transfers, alternated with guarded removals
 of overcovered assets that must strictly shrink the remover's disk.
 
-Every decision is a pure function of the published snapshot, the config and
-the run seed, so runs are deterministic end to end.  The seed only orders the
-shuffle inside each enclosing-disk solve.  On near-degenerate input that
-order can change a disk's bits (see `geometry`), so the seed can in principle
-change a decision; the benchmark missions and `tests/test_golden.py` show no
-such dependence.
+Every decision is a pure function of the published snapshot and the config,
+so runs are deterministic end to end.  Nothing in the protocol is random:
+each enclosing disk is a function of the sequence of points it is solved
+over (see `geometry`), and that sequence comes from the snapshot alone.
 
 The robots' local knowledge lives in one `_View`, which `run` builds once
 and carries from round to round (see `_View.update`).  Each phase function
@@ -51,7 +49,6 @@ from .geometry import (
     dist2,
     enclose_with_anchor,
     min_enclosing_disk,
-    min_enclosing_disk_or,
 )
 from .instances import DEFAULT_GRID_LAMBDA, Asset, Instance, grid_partition, initial_positions
 from .metrics import RoundMetrics, summarize
@@ -170,12 +167,12 @@ class _View:
 
     * `deficits`: the assets a robot may claim;
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
-      (asset, seed);
+      asset;
     * `grown_disk`: a receiver's disk grown by one asset, per asset;
     * `bound_xy`: the points the auction's bid bound measures from (see
       `_bid_bound`);
     * `clean`: the neighbor pairs whose last swap sweep, under the config
-      and seed in `clean_for`, rejected every candidate (see `swap_round`);
+      in `clean_for`, rejected every candidate (see `swap_round`);
     * `candidates`: a donor's swap candidates under the config in
       `clean_for`, as (asset, distance to the donor's center) pairs (see
       `_swap_candidates`).
@@ -217,11 +214,11 @@ class _View:
         # The counted assets are exactly those held by the robot or a neighbor.
         self.knowledge = {rid: self.sensed[rid].union(self.cover[rid]) for rid in self.alive_ids}
         self._deficits: dict[int, list[int]] = {}
-        self._donor_disks: dict[int, dict[tuple[int, int], Disk]] = {}
+        self._donor_disks: dict[int, dict[int, Disk]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
         self._bound_xy: dict[int, list[tuple[float, float]]] = {}
         self.clean: set[tuple[int, int]] = set()
-        self.clean_for: Optional[tuple[Config, int]] = None
+        self.clean_for: Optional[Config] = None
         self.candidates: dict[int, list[tuple[int, float]]] = {}
 
     def _sense(self, robot: RobotState) -> set[int]:
@@ -350,13 +347,13 @@ class _View:
         robot = self.robot[rid]
         return sorted(robot.assigned, key=lambda a: (-dist2(robot.pos, self.assets[a].pos), a))
 
-    def donor_disk(self, donor: int, asset_id: int, seed: int) -> Disk:
+    def donor_disk(self, donor: int, asset_id: int) -> Disk:
         """Enclosing disk of the donor's assets other than asset_id."""
         memo = self._donor_disks.setdefault(donor, {})
-        got = memo.get((asset_id, seed))
+        got = memo.get(asset_id)
         if got is None:
             robot = self.robot[donor]
-            got = memo[asset_id, seed] = consolidate(robot.pos, robot.assigned - {asset_id}, self.assets, seed)
+            got = memo[asset_id] = consolidate(robot.pos, robot.assigned - {asset_id}, self.assets)
         return got
 
     def grown_disk(self, receiver: int, asset_id: int) -> Disk:
@@ -480,14 +477,15 @@ def phase1_converged(prev: WorldSnapshot, nxt: WorldSnapshot, tol: float) -> boo
     return worst < tol
 
 
-def consolidate(pos: Point, held: Iterable[int], assets: Sequence[Asset], seed: int = 0) -> Disk:
+def consolidate(pos: Point, held: Iterable[int], assets: Sequence[Asset]) -> Disk:
     """Minimum enclosing disk of the held assets, taken in ascending id; an
     empty set keeps `pos` with radius zero.  Callers are responsible for
     keeping the result within r_max."""
-    return min_enclosing_disk_or([assets[a].pos for a in sorted(held)], pos, seed)
+    pts = [assets[a].pos for a in sorted(held)]
+    return min_enclosing_disk(pts) if pts else Disk(pos, 0.0)
 
 
-def _transition_plan(snapshot: WorldSnapshot, seed: int) -> dict[int, Proposal]:
+def _transition_plan(snapshot: WorldSnapshot) -> dict[int, Proposal]:
     # Explore -> Optimize: drop assigned assets the capped Lloyd radius never
     # actually covered, then consolidate onto the minimum enclosing disk.
     r_max = snapshot.params.r_max
@@ -498,7 +496,7 @@ def _transition_plan(snapshot: WorldSnapshot, seed: int) -> dict[int, Proposal]:
         kept = frozenset(
             a for a in r.assigned if dist(r.pos, snapshot.assets[a].pos) <= r.radius + CONTAINMENT_TOL
         )
-        d = consolidate(r.pos, kept, snapshot.assets, seed)
+        d = consolidate(r.pos, kept, snapshot.assets)
         proposals[r.id] = Proposal(d.center, _finalize_radius(d.radius, r_max), kept)
     return proposals
 
@@ -517,16 +515,6 @@ def _grow_disk(view: _View, robot: RobotState, asset_id: int) -> Disk:
         return Disk(robot.pos, robot.radius)
     pts = view.positions(sorted(robot.assigned))
     return enclose_with_anchor(pts, ppos)
-
-
-def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> float:
-    """Extra disk area robot rid would pay to absorb the asset; INFEASIBLE
-    (infinite) when the grown disk would exceed r_max."""
-    view = _View(snapshot)
-    robot = snapshot.robot(rid)
-    if asset_id in robot.assigned:
-        raise ValueError(f"asset {asset_id} is already assigned to robot {rid}")
-    return _bid(view, robot, asset_id)
 
 
 def _bid(view: _View, robot: RobotState, asset_id: int) -> float:
@@ -750,7 +738,7 @@ def holders_certified(snapshot: WorldSnapshot, view: Optional[_View] = None) -> 
 
 
 def fallback_assign(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, view: Optional[_View] = None
+    snapshot: WorldSnapshot, cfg: Config, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool]:
     """Direct assignment when the auctions stall.
 
@@ -788,7 +776,7 @@ def fallback_assign(
         releasable = [q for q in view.farthest_first(actor) if counts.get(q, 0) - 1 >= view.assets[q].kappa]
         rel_idx = 0
         while True:
-            d = min_enclosing_disk(view.positions(keep) + [tpos], seed)
+            d = min_enclosing_disk(view.positions(keep) + [tpos])
             if d.radius <= r_max:
                 assigned = frozenset(keep) | {target}
                 proposals[actor] = Proposal(d.center, _finalize_radius(d.radius, r_max), assigned)
@@ -800,32 +788,16 @@ def fallback_assign(
     return proposals, bool(proposals)
 
 
-def evaluate_swap(
-    snapshot: WorldSnapshot, donor: int, receiver: int, asset_id: int, cfg: Config, seed: int = 0
-) -> SwapDecision:
+def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: Config) -> Optional[SwapDecision]:
     """Would handing the asset from donor to receiver pay off?
 
     Accepts when the receiver is closer, the asset sits near the donor's rim,
     the donor's local view keeps the asset covered after the transfer, the
     receiver's grown disk stays within r_max, and the pairwise area drops by
-    more than the tau fraction.
+    more than the tau fraction.  Returns the accepted decision, or None for a
+    rejection.  The donor must hold the asset and the receiver must be its
+    neighbor.
     """
-    view = _View(snapshot)
-    di = view.robot[donor]
-    dj = view.robot[receiver]
-    if asset_id not in di.assigned:
-        raise ValueError(f"asset {asset_id} is not assigned to robot {donor}")
-    if receiver not in view.nbrs.get(donor, ()):
-        raise ValueError(f"robots {donor} and {receiver} are not neighbors")
-    dec = _evaluate_swap(view, donor, receiver, asset_id, cfg, seed)
-    return dec if dec is not None else SwapDecision(False, 0.0, di.pos, di.radius, dj.pos, dj.radius)
-
-
-def _evaluate_swap(
-    view: _View, donor: int, receiver: int, asset_id: int, cfg: Config, seed: int
-) -> Optional[SwapDecision]:
-    # The accepted decision, or None for a rejection; the donor must hold the
-    # asset and the receiver must be its neighbor.
     di = view.robot[donor]
     dj = view.robot[receiver]
     ppos = view.assets[asset_id].pos
@@ -837,7 +809,7 @@ def _evaluate_swap(
     held_by_receiver = asset_id in dj.assigned
     if view.local_coverage(donor, asset_id) - (1 if held_by_receiver else 0) < view.assets[asset_id].kappa:
         return None
-    donor_after = view.donor_disk(donor, asset_id, seed)
+    donor_after = view.donor_disk(donor, asset_id)
     if held_by_receiver:
         recv_after = Disk(dj.pos, dj.radius)
     else:
@@ -903,7 +875,7 @@ def _swap_candidates(view: _View, rid: int, cfg: Config) -> list[tuple[int, floa
 
 
 def swap_round(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, view: Optional[_View] = None
+    snapshot: WorldSnapshot, cfg: Config, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool, tuple[SwapRecord, ...]]:
     """One sweep over neighbor pairs in (min id, max id) order.
 
@@ -930,8 +902,8 @@ def swap_round(
     becoming clean.
     """
     view = _view_at(snapshot, view)
-    if view.clean_for != (cfg, seed):
-        view.clean_for = (cfg, seed)
+    if view.clean_for != cfg:
+        view.clean_for = cfg
         view.clean.clear()
         view.candidates.clear()
     # Ascending ids and sorted neighbor tuples give the pairs in order.
@@ -954,7 +926,7 @@ def swap_round(
                 if asset_id in used_assets:
                     skipped = True
                     continue
-                dec = _evaluate_swap(view, donor, receiver, asset_id, cfg, seed)
+                dec = _evaluate_swap(view, donor, receiver, asset_id, cfg)
                 if dec is not None:
                     if best is None or dec.reduction > best[0]:
                         best = (dec.reduction, donor, receiver, asset_id, dec)
@@ -982,7 +954,7 @@ def swap_round(
 
 
 def phase3_round(
-    snapshot: WorldSnapshot, cfg: Config, seed: int = 0, view: Optional[_View] = None
+    snapshot: WorldSnapshot, cfg: Config, view: Optional[_View] = None
 ) -> tuple[dict[int, Proposal], bool]:
     """One guarded removal round.
 
@@ -1008,7 +980,7 @@ def phase3_round(
         for asset_id in view.farthest_first(rid):
             if counts.get(asset_id, 0) - 1 < view.assets[asset_id].kappa:
                 continue
-            trial = consolidate(robot.pos, keep - {asset_id}, view.assets, seed)
+            trial = consolidate(robot.pos, keep - {asset_id}, view.assets)
             if trial.radius < r_cur:
                 intent.append(asset_id)
                 keep.remove(asset_id)
@@ -1033,7 +1005,7 @@ def phase3_round(
         if not removed:
             continue
         assigned = robot.assigned - frozenset(removed)
-        d = consolidate(robot.pos, assigned, view.assets, seed)
+        d = consolidate(robot.pos, assigned, view.assets)
         proposals[rid] = Proposal(d.center, _finalize_radius(d.radius, r_max), assigned)
     return proposals, bool(proposals)
 
@@ -1056,11 +1028,10 @@ def run(
     adapt.  Returns the final snapshot, the per-round trace, executed swap
     records, and wall-clock milestones.
 
-    `seed` orders the point shuffle of every enclosing-disk solve.  On
-    near-degenerate input that order can change a disk's bits (see
-    `geometry.min_enclosing_disk`), so the seed can change the output; on
-    the benchmark missions and the golden tests it moves only the running
-    time.
+    `seed` is a no-op, kept so that callers which pass it by position keep
+    working: the protocol has no randomness, and every enclosing disk is a
+    function of the sequence of points it is solved over (see
+    `geometry.min_enclosing_disk`).
     """
     cfg = config if config is not None else Config()
     t0 = time.perf_counter()
@@ -1095,7 +1066,7 @@ def run(
         advance(lloyd_round(snapshot), Phase.EXPLORE)
         if phase1_converged(prev, snapshot, cfg.tol):
             break
-    advance(_transition_plan(snapshot, seed), Phase.OPTIMIZE)
+    advance(_transition_plan(snapshot), Phase.OPTIMIZE)
     # The one view of the run: each phase function carries it to the
     # snapshot it decides on.  It is passed by position, because wrappers
     # of the phase functions (spans, test probes) may take no keywords.
@@ -1127,7 +1098,7 @@ def run(
                 break
             plan, progress = phase2_round(snapshot, cfg, view)
             if not progress:
-                plan, progress = fallback_assign(snapshot, cfg, seed, view)
+                plan, progress = fallback_assign(snapshot, cfg, view)
             if progress:
                 if bid_budget <= 0:
                     status = RunStatus.ITERATION_CAP
@@ -1156,7 +1127,7 @@ def run(
         while coverage_satisfied(snapshot):
             acted = False
             while sweep_budget > 0:
-                plan, progress, records = swap_round(snapshot, cfg, seed, view)
+                plan, progress, records = swap_round(snapshot, cfg, view)
                 if not progress:
                     break
                 swaps.extend(records)
@@ -1166,7 +1137,7 @@ def run(
             if not coverage_satisfied(snapshot):
                 break
             while removal_budget > 0:
-                plan, progress = phase3_round(snapshot, cfg, seed, view)
+                plan, progress = phase3_round(snapshot, cfg, view)
                 if not progress:
                     break
                 advance(plan, Phase.REFINE)

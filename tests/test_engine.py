@@ -1,4 +1,8 @@
-"""Synchronous world engine: sensing, neighborhoods, events, round stepping."""
+"""Synchronous world engine: sensing, neighborhoods, events, round stepping.
+
+Sensing is checked through the round's view, and both it and the neighbor
+map against the brute-force references in `reference.py`.
+"""
 
 from __future__ import annotations
 
@@ -15,8 +19,6 @@ from swarmcover.engine import (
     Proposal,
     apply_events,
     neighbor_map,
-    neighbors,
-    sense,
     step,
 )
 from swarmcover.geometry import Point, dist
@@ -24,12 +26,14 @@ from swarmcover.instances import Asset
 from swarmcover.protocol import _View
 
 from conftest import P, mkassets, mkrobot, mksnapshot
+from reference import neighbors, sense
 
 
 def test_sense_closed_ball():
     assets = mkassets([(10, 0, 1), (10.0001, 0, 1), (0, -10, 1), (3, 4, 1)])
     r = mkrobot(0, 0, 0)
     assert sense(r, assets, 10.0) == {0, 2, 3}
+    assert _View(mksnapshot([r], assets, r_max=10.0)).sensed[0] == {0, 2, 3}
 
 
 def test_neighbors_closed_ball_excludes_self_and_dead():
@@ -45,6 +49,7 @@ def test_neighbors_closed_ball_excludes_self_and_dead():
     )
     assert neighbors(snap, 0) == {1}
     assert neighbors(snap, 1) == {0, 2}
+    assert neighbor_map(snap) == {0: (1,), 1: (0, 2), 2: (1,)}
     with pytest.raises(ValueError):
         neighbors(snap, 3)
 

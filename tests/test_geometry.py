@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swarmcover import geometry
 from swarmcover.geometry import (
     CONTAINMENT_TOL,
     DEGENERACY_TOL,
+    SOLVE_ORDER_SEED,
     Disk,
     Point,
     circumcircle,
@@ -27,7 +29,6 @@ from swarmcover.geometry import (
     dist2,
     enclose_with_anchor,
     min_enclosing_disk,
-    min_enclosing_disk_or,
 )
 
 coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
@@ -132,13 +133,6 @@ def test_med_acute_triple_is_circumcircle():
     assert d.radius == pytest.approx(cc.radius, rel=1e-12)
 
 
-def test_med_or_empty_collapses_to_anchor():
-    d = min_enclosing_disk_or([], Point(4, 4))
-    assert d == Disk(Point(4, 4), 0.0)
-    d2 = min_enclosing_disk_or([Point(1, 0)], Point(4, 4))
-    assert d2 == Disk(Point(1, 0), 0.0)
-
-
 def test_enclose_with_anchor_grows_by_outside_point():
     base = [Point(0, 0), Point(2, 0)]
     d = enclose_with_anchor(base, Point(6, 0))
@@ -167,12 +161,12 @@ def test_med_matches_candidate_brute_force(pts):
 
 @given(st.lists(points, min_size=2, max_size=9), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=120, deadline=None)
-def test_med_is_order_and_seed_invariant(pts, seed):
-    """The optimum disk is unique, so shuffles and seeds must agree on it."""
+def test_med_is_order_invariant(pts, seed):
+    """The optimum disk is unique, so every input order must agree on it."""
     base = min_enclosing_disk(pts)
     perm = pts[:]
     random.Random(seed).shuffle(perm)
-    other = min_enclosing_disk(perm, seed=seed)
+    other = min_enclosing_disk(perm)
     assert other.radius == pytest.approx(base.radius, rel=1e-9, abs=1e-9)
     assert dist(other.center, base.center) <= 1e-7 * max(1.0, base.radius)
 
@@ -269,10 +263,10 @@ def _ref_mec_two_points(points: list[Point], p: Point, q: Point) -> Disk:
     return left if left.radius <= right.radius else right
 
 
-def _ref_min_enclosing_disk(points: list[Point], seed: int) -> Disk:
+def _ref_min_enclosing_disk(points: list[Point]) -> Disk:
     pts = list(points)
     if len(pts) > 1:
-        random.Random(seed).shuffle(pts)
+        random.Random(SOLVE_ORDER_SEED).shuffle(pts)
     d = Disk(pts[0], 0.0)
     for i, p in enumerate(pts):
         if not _ref_contains(d, p):
@@ -284,6 +278,52 @@ def _same_bits(got: Disk | None, want: Disk | None) -> bool:
     if got is None or want is None:
         return got is want
     return (got.center.x, got.center.y, got.radius) == (want.center.x, want.center.y, want.radius)
+
+
+# -- the solve order ----------------------------------------------------------
+#
+# The solver takes its points in one fixed pseudo-random permutation of the
+# input.  On an outward spiral every point lies outside the disk of the
+# points before it, so taken in input order each one restarts the
+# construction (199 restarts); the fixed shuffle makes 9.
+
+SPIRAL = [Point(k * math.cos(2.4 * k), k * math.sin(2.4 * k)) for k in range(1, 201)]
+
+
+def _restarts(monkeypatch) -> list[tuple[float, float]]:
+    # The boundary point of every restart, in processing order.
+    got: list[tuple[float, float]] = []
+    solve = geometry._mec_one_point
+
+    def counted(pts, px, py):
+        got.append((px, py))
+        return solve(pts, px, py)
+
+    monkeypatch.setattr(geometry, "_mec_one_point", counted)
+    return got
+
+
+def test_med_shuffles_sorted_input(monkeypatch):
+    restarts = _restarts(monkeypatch)
+    d = min_enclosing_disk(SPIRAL)
+    assert all(disk_contains(d, p) for p in SPIRAL)
+    assert len(restarts) < 40
+
+
+def test_med_solve_order_is_fixed_per_call(monkeypatch):
+    # No random state outlives a call: unrelated solves, and draws from the
+    # global generator, leave the next solve of the same sequence unchanged.
+    restarts = _restarts(monkeypatch)
+    first = min_enclosing_disk(SPIRAL)
+    order = list(restarts)
+    rng = random.Random(5)
+    for _ in range(20):
+        min_enclosing_disk([Point(rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0)) for _ in range(rng.randint(1, 30))])
+    random.seed(11)
+    random.random()
+    restarts.clear()
+    assert _same_bits(min_enclosing_disk(SPIRAL), first)
+    assert restarts == order
 
 
 @st.composite
@@ -312,11 +352,11 @@ def test_support_disks_match_point_reference(pair, triple):
     assert _same_bits(circumcircle(*triple), _ref_circumcircle(*triple))
 
 
-@given(hard_point_sets(), st.sampled_from([0, 1, 7, 2**32 - 1]))
-@example([Point(1e6, 1e6), Point(1e6 + 1.0, 1e6), Point(1e6 + 2.0, 1e6 + 1e-9), Point(1e6, 1e6)], 0)
+@given(hard_point_sets())
+@example([Point(1e6, 1e6), Point(1e6 + 1.0, 1e6), Point(1e6 + 2.0, 1e6 + 1e-9), Point(1e6, 1e6)])
 @settings(max_examples=300, deadline=None)
-def test_min_enclosing_disk_matches_point_reference(pts, seed):
-    assert _same_bits(min_enclosing_disk(pts, seed), _ref_min_enclosing_disk(pts, seed))
+def test_min_enclosing_disk_matches_point_reference(pts):
+    assert _same_bits(min_enclosing_disk(pts), _ref_min_enclosing_disk(pts))
 
 
 @given(hard_point_sets(), st.data())

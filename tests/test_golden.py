@@ -52,9 +52,9 @@ def test_ladder_250_fingerprint(tmp_path):
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_run_seed_changes_no_output(seed, tmp_path):
-    # The run seed only orders the shuffle inside the enclosing-disk solver.
-    # On near-degenerate input that order can change a disk's bits (see
-    # geometry.min_enclosing_disk); on this mission it changes none.
+    # The run seed is a no-op, kept because the benchmark passes it by
+    # position: every enclosing disk is a function of its input sequence
+    # (see geometry.min_enclosing_disk).
     res = run(ladder_250(), Config(), (), seed)
     assert fingerprint(res, tmp_path) == LADDER_250_FINGERPRINT
 

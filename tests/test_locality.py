@@ -33,13 +33,11 @@ from swarmcover.engine import (
     RobotState,
     WorldSnapshot,
     neighbor_map,
-    neighbors,
-    sense,
     step,
 )
-from swarmcover.geometry import CellGrid, Point, dist, dist2, min_enclosing_disk_or
+from swarmcover.geometry import CellGrid, Point, dist, dist2
 from swarmcover.instances import Asset, Workspace
-from swarmcover.metrics import coverage_count, summarize
+from swarmcover.metrics import summarize
 from swarmcover.protocol import (
     _LLOYD_CELL,
     Config,
@@ -50,7 +48,6 @@ from swarmcover.protocol import (
     _swap_candidates,
     _View,
     consolidate,
-    evaluate_swap,
     has_undercovered_views,
     holders_certified,
     lloyd_round,
@@ -59,6 +56,7 @@ from swarmcover.protocol import (
     select_winner,
     swap_round,
 )
+from reference import coverage_count, evaluate_swap, neighbors, sense
 from test_golden import event_mission, ladder_250
 
 WS = Workspace(-120.0, 120.0, -120.0, 120.0)
@@ -301,7 +299,7 @@ def test_lloyd_round_matches_brute_force_reference(snap):
 # -- swap sweep ---------------------------------------------------------------
 
 
-def sweep_reference(snapshot: WorldSnapshot, cfg: Config, seed: int):
+def sweep_reference(snapshot: WorldSnapshot, cfg: Config):
     """The swap sweep with every candidate judged by the public
     evaluate_swap, which builds a fresh view on each call: no memo, no
     candidate pre-filter."""
@@ -320,7 +318,7 @@ def sweep_reference(snapshot: WorldSnapshot, cfg: Config, seed: int):
             for asset_id in sorted(dr.assigned, key=lambda a: (-dist2(dr.pos, snapshot.assets[a].pos), a)):
                 if asset_id in used_assets:
                     continue
-                dec = evaluate_swap(snapshot, donor, receiver, asset_id, cfg, seed)
+                dec = evaluate_swap(snapshot, donor, receiver, asset_id, cfg)
                 if dec.accepted:
                     if best is None or dec.reduction > best[0]:
                         best = (dec.reduction, donor, receiver, asset_id, dec)
@@ -347,7 +345,7 @@ def holding_snapshot(asset_rows, holdings, r_comm, r_max, dead=()):
         if rid in dead:
             robots.append(RobotState(rid, anchor, 0.0, frozenset(), False))
             continue
-        d = min_enclosing_disk_or([assets[a].pos for a in sorted(held)], anchor)
+        d = consolidate(anchor, held, assets)
         robots.append(RobotState(rid, d.center, min(d.radius, r_max), frozenset(held), True))
     return WorldSnapshot(5, Phase.REFINE, tuple(robots), assets, Params(WS, len(robots), r_comm, r_max))
 
@@ -389,16 +387,16 @@ def test_shared_donor_fixture_transfers():
     assert [r.donor for r in records] == [0]
 
 
-@given(holding_worlds(), st.sampled_from([0.005, 0.05]), st.integers(0, 3))
-@example(SHARED_DONOR, 0.005, 0)
+@given(holding_worlds(), st.sampled_from([0.005, 0.05]))
+@example(SHARED_DONOR, 0.005)
 @settings(max_examples=120, deadline=None)
-def test_swap_round_matches_fresh_view_evaluations(snap, tau, seed):
+def test_swap_round_matches_fresh_view_evaluations(snap, tau):
     cfg = Config(tau=tau)
-    got = swap_round(snap, cfg, seed)
-    assert got == sweep_reference(snap, cfg, seed)
+    got = swap_round(snap, cfg)
+    assert got == sweep_reference(snap, cfg)
     plan, _, records = got
     for rec in records:
-        dec = evaluate_swap(snap, rec.donor, rec.receiver, rec.asset_id, cfg, seed)
+        dec = evaluate_swap(snap, rec.donor, rec.receiver, rec.asset_id, cfg)
         assert dec.accepted
         assert (plan[rec.donor].pos, plan[rec.donor].radius) == (dec.donor_pos, dec.donor_radius)
         assert (plan[rec.receiver].pos, plan[rec.receiver].radius) == (dec.receiver_pos, dec.receiver_radius)
@@ -408,22 +406,22 @@ def test_clean_pairs_hold_for_one_config_and_seed():
     # No transfer pays off by 1000%, so the first sweep leaves every pair
     # clean; a sweep with another config must not skip them.
     view = _View(SHARED_DONOR)
-    assert swap_round(SHARED_DONOR, Config(tau=10.0), 0, view) == ({}, False, ())
+    assert swap_round(SHARED_DONOR, Config(tau=10.0), view) == ({}, False, ())
     assert view.clean
-    assert swap_round(SHARED_DONOR, Config(), 0, view) == swap_round(SHARED_DONOR, Config(), 0)
+    assert swap_round(SHARED_DONOR, Config(), view) == swap_round(SHARED_DONOR, Config())
     # The candidate lists hang on the rim test's boundary factor: a rim
     # beyond every asset leaves robot 0 with none.
     rimless = Config(boundary_factor=1.5)
-    assert swap_round(SHARED_DONOR, rimless, 0, view) == ({}, False, ())
+    assert swap_round(SHARED_DONOR, rimless, view) == ({}, False, ())
     assert view.candidates[0] == []
     assert_view_is_fresh(view)
 
 
 def test_view_memoizes_swap_disks():
     view = _View(SHARED_DONOR)
-    first = view.donor_disk(0, 1, 0)
-    assert view.donor_disk(0, 1, 0) is first
-    assert first == min_enclosing_disk_or(view.positions([0, 2, 3]), SHARED_DONOR.robots[0].pos, 0)
+    first = view.donor_disk(0, 1)
+    assert view.donor_disk(0, 1) is first
+    assert first == consolidate(SHARED_DONOR.robots[0].pos, {0, 2, 3}, SHARED_DONOR.assets)
     grown = view.grown_disk(1, 1)
     assert view.grown_disk(1, 1) is grown
 
@@ -582,15 +580,15 @@ def assert_view_is_fresh(view: _View) -> None:
     assert view.knowledge == fresh.knowledge
     for donor, memo in view._donor_disks.items():
         robot = snap.robots[donor]
-        for (asset_id, seed), disk in memo.items():
-            assert disk == consolidate(robot.pos, robot.assigned - {asset_id}, snap.assets, seed)
+        for asset_id, disk in memo.items():
+            assert disk == consolidate(robot.pos, robot.assigned - {asset_id}, snap.assets)
     for receiver, memo in view._grown_disks.items():
         for asset_id, disk in memo.items():
             assert disk == _grow_disk(fresh, snap.robots[receiver], asset_id)
     for rid, xy in view._bound_xy.items():
         assert xy == fresh.bound_xy(rid)
     for rid, cands in view.candidates.items():
-        assert cands == _swap_candidates(fresh, rid, view.clean_for[0])
+        assert cands == _swap_candidates(fresh, rid, view.clean_for)
     for rid in fresh.alive_ids:
         assert view.deficits(rid) == fresh.deficits(rid)
 
@@ -658,14 +656,14 @@ def test_carried_view_matches_fresh_view(snap, data):
     for _ in range(data.draw(st.integers(1, 6))):
         # Decide on the carried view as run does, which fills its memos and
         # its clean pairs, and compare with decisions on a fresh view.
-        swaps = outcome(lambda: swap_round(snap, cfg, 0, view))
-        assert swaps == outcome(lambda: swap_round(snap, cfg, 0))
+        swaps = outcome(lambda: swap_round(snap, cfg, view))
+        assert swaps == outcome(lambda: swap_round(snap, cfg))
         assert outcome(lambda: phase2_round(snap, cfg, view)) == outcome(lambda: phase2_round(snap, cfg))
         assert holders_certified(snap, view) == holders_certified(snap)
         for rid in view.alive_ids:
             view.bound_xy(rid)
             for asset_id in view.robot[rid].assigned:
-                view.donor_disk(rid, asset_id, 0)
+                view.donor_disk(rid, asset_id)
             for asset_id in view.deficits(rid):
                 view.grown_disk(rid, asset_id)
         for pair in view.clean:

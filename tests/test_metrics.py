@@ -13,7 +13,6 @@ from swarmcover.geometry import dist
 from swarmcover.metrics import (
     GAP_UNDEFINED,
     RoundMetrics,
-    coverage_count,
     optimality_gap,
     summarize,
     total_cost,
@@ -21,6 +20,7 @@ from swarmcover.metrics import (
 )
 
 from conftest import P, mkassets, mkrobot, mksnapshot
+from reference import coverage_count
 
 coord = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 

@@ -22,12 +22,10 @@ from swarmcover.protocol import (
     Config,
     coverage_satisfied,
     consolidate,
-    evaluate_swap,
     fallback_assign,
     h64,
     holders_certified,
     lloyd_round,
-    marginal_cost,
     phase1_converged,
     phase2_round,
     phase3_round,
@@ -40,6 +38,7 @@ from swarmcover.protocol import (
 )
 
 from conftest import P, mkassets, mkrobot, mksnapshot
+from reference import evaluate_swap, marginal_cost
 
 WIDE = Workspace(-200.0, 200.0, -200.0, 200.0)
 
@@ -193,6 +192,7 @@ def test_consolidate():
     assert d.center == P(2, 0)
     assert d.radius == pytest.approx(2.0)
     assert consolidate(P(9, 9), (), assets) == Disk(P(9, 9), 0.0)
+    assert consolidate(P(9, 9), {1}, assets) == Disk(P(4, 0), 0.0)
 
 
 # -- local views -------------------------------------------------------------

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmcover.engine import AddAssets, AssetSpec, Event, KillRobot, Phase, sense
+from swarmcover.engine import AddAssets, AssetSpec, Event, KillRobot, Phase
 from swarmcover.geometry import CONTAINMENT_TOL, Point, dist
 from swarmcover.instances import Asset, Instance, Workspace, generate_uniform, preset
 from swarmcover.metrics import write_trace
 from swarmcover.oracle import solve_exact
 from swarmcover.protocol import Config, RunStatus, run
+
+from reference import sense
 
 WS60 = Workspace(0.0, 60.0, 0.0, 60.0)
 WS100 = Workspace(0.0, 100.0, 0.0, 100.0)
