@@ -20,7 +20,13 @@ SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "dynamic_ants_
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--scenario", default=str(SCENARIO))
-    ap.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    ap.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="override the scenario seed; only an instance generator without its own seed reads it, "
+        "so it changes nothing for a scenario whose assets come from a file, as the glyph mission's do",
+    )
     ap.add_argument("--out", default="glyph_out")
     args = ap.parse_args()
 

@@ -12,7 +12,9 @@ Subcommands:
 Exit codes: 0 feasible, 2 infeasible (or iteration cap), 1 I/O or
 validation error.  The seed drives only the instance generators (the
 protocol itself has no randomness): ``--seed`` wins, else the scenario
-config seed, else 0.
+config seed, else 0.  Of a scenario, only a generator without its own
+``seed`` reads it, so for assets from an ``assets_file`` or a seeded
+generator the seed is accepted and changes nothing.
 """
 
 from __future__ import annotations

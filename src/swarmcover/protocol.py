@@ -27,7 +27,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .engine import (
     Event,
@@ -113,7 +116,6 @@ class Config:
 
 @dataclass(frozen=True)
 class SwapDecision:
-    accepted: bool
     reduction: float
     donor_pos: Point
     donor_radius: float
@@ -163,14 +165,16 @@ class _View:
     neighbor map, each robot's sensed assets (through a cell grid of side
     r_max), its membership cover counts (see `_cover_counts`) and its
     knowledge set (sensed, held, and held by a neighbor), all for
-    `snapshot`.  Filled on demand, and kept per robot:
+    `snapshot`, and the asset coordinates as two float64 arrays indexed by
+    asset id (`asset_x`, `asset_y`) for the auction's bid bounds.  Filled on
+    demand, and kept per robot:
 
     * `deficits`: the assets a robot may claim;
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
       asset;
     * `grown_disk`: a receiver's disk grown by one asset, per asset;
-    * `bound_xy`: the points the auction's bid bound measures from (see
-      `_bid_bound`);
+    * `bound_xy`: the points the auction's bid bounds measure from, as x
+      and y arrays (see `_bid_bounds`);
     * `clean`: the neighbor pairs whose last swap sweep, under the config
       in `clean_for`, rejected every candidate (see `swap_round`);
     * `candidates`: a donor's swap candidates under the config in
@@ -205,6 +209,8 @@ class _View:
         self.snapshot = snapshot
         self.params = snapshot.params
         self.assets = snapshot.assets
+        self.asset_x = np.array([a.pos.x for a in self.assets], dtype=np.float64)
+        self.asset_y = np.array([a.pos.y for a in self.assets], dtype=np.float64)
         self.robot = snapshot.robots  # robot ids are dense
         self.alive_ids = [r.id for r in snapshot.robots if r.alive]
         self.nbrs = neighbor_map(snapshot)
@@ -216,7 +222,7 @@ class _View:
         self._deficits: dict[int, list[int]] = {}
         self._donor_disks: dict[int, dict[int, Disk]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
-        self._bound_xy: dict[int, list[tuple[float, float]]] = {}
+        self._bound_xy: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.clean: set[tuple[int, int]] = set()
         self.clean_for: Optional[Config] = None
         self.candidates: dict[int, list[tuple[int, float]]] = {}
@@ -364,17 +370,19 @@ class _View:
             got = memo[asset_id] = _grow_disk(self, self.robot[receiver], asset_id)
         return got
 
-    def bound_xy(self, rid: int) -> list[tuple[float, float]]:
-        """Robot rid's held assets as (x, y) pairs in ascending id, or none
-        when its disk does not hold them all (see `_bid_bound`)."""
+    def bound_xy(self, rid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Robot rid's held assets as x and y arrays in ascending id, or
+        empty arrays when its disk does not hold them all (see
+        `_bid_bounds`)."""
         got = self._bound_xy.get(rid)
         if got is None:
             robot = self.robot[rid]
             cx, cy, reach = robot.pos.x, robot.pos.y, robot.radius + CONTAINMENT_TOL
-            got = [(p.x, p.y) for p in self.positions(sorted(robot.assigned))]
-            if any(math.hypot(cx - x, cy - y) > reach for x, y in got):
-                got = []
-            self._bound_xy[rid] = got
+            held = sorted(robot.assigned)
+            if any(math.hypot(cx - p.x, cy - p.y) > reach for p in self.positions(held)):
+                held = []
+            ids = np.array(held, dtype=np.intp)
+            got = self._bound_xy[rid] = (self.asset_x[ids], self.asset_y[ids])
         return got
 
 
@@ -524,36 +532,67 @@ def _bid(view: _View, robot: RobotState, asset_id: int) -> float:
     return max(0.0, math.pi * (d.radius * d.radius - robot.radius * robot.radius))
 
 
-def _bid_bound(view: _View, robot: RobotState, asset_id: int) -> float:
-    # A lower bound on _bid(view, robot, asset_id) that solves no disk; robot
-    # must be view.robot[robot.id].  A disk holding the asset and the held
-    # asset `far` from it has radius at least far/2.  The solver accepts
-    # points up to CONTAINMENT_TOL outside its disk, so its radius can fall
-    # up to about that much below far/2 (tests/test_protocol.py has a
-    # case): the absolute slack covers it, and the relative shrink covers
-    # the rounding of the area formula.  The far/2 argument needs the grown
-    # disk to hold the robot's assets, and `enclose_with_anchor` can return
-    # one that misses them when the robot's disk does not hold them (see
-    # its precondition).  Every run keeps each disk around its assets; for
-    # a robot whose disk does not, `bound_xy` is empty and the bound is 0.
-    ppos = view.assets[asset_id].pos
-    if not robot.assigned or dist(robot.pos, ppos) <= robot.radius + CONTAINMENT_TOL:
-        return 0.0  # the exact bid is 0 here too
-    ax, ay = ppos.x, ppos.y
-    far2 = 0.0
-    for x, y in view.bound_xy(robot.id):
-        dx = ax - x
-        dy = ay - y
+def _bid_bounds(view: _View, candidates: Mapping[int, Sequence[int]]) -> np.ndarray:
+    """A lower bound on the bid (`_bid`) of every candidate robot of every
+    asset in `candidates` that solves no disk, asset after asset in the
+    order of `candidates` and each asset's robots in the order listed.
+
+    The bound is 0 for a robot that holds nothing or whose disk already
+    holds the asset: the exact bid is 0 there too.  Otherwise a disk holding
+    the asset and the held asset `far` from it has radius at least far/2.
+    The solver accepts points up to CONTAINMENT_TOL outside its disk, so its
+    radius can fall up to about that much below far/2: an absolute slack of
+    2 CONTAINMENT_TOL covers that, and a relative shrink covers the rounding
+    of the area formula.  The far/2 argument needs the grown disk to hold
+    the robot's assets, and `enclose_with_anchor` can return one that misses
+    them when the robot's disk does not hold them (see its precondition).
+    Every run keeps each disk around its assets; for a robot whose disk does
+    not, `bound_xy` is empty and the bound is 0.
+
+    The pass groups the (asset, candidate) pairs by robot and takes each
+    robot's k pairs in one block.  It first finds the assets its disk does
+    not hold, where `dist(robot.pos, asset.pos)` exceeds radius +
+    CONTAINMENT_TOL.  The squared distance `dx*dx + dy*dy` is within a few
+    ulps of the square of that `math.hypot`, which is off by under an ulp,
+    so outside a relative band of 1e-12 around the squared reach the two
+    tests agree; the few pairs inside the band take the hypot test.  It
+    then measures the k assets against the robot's h `bound_xy` points in
+    one k x h array (h = 0 for a robot that holds nothing, so far = 0),
+    takes the row max and applies the formula elementwise.  These are the
+    IEEE operations of the scalar loop in tests/reference.py, in the same
+    order (`dx*dx + dy*dy`, an exact max, a correctly rounded sqrt), so
+    every bound has its bits.
+    """
+    counts = [len(c) for c in candidates.values()]
+    n = sum(counts)
+    pair_robot = np.fromiter(chain.from_iterable(candidates.values()), dtype=np.int32, count=n)
+    order = np.argsort(pair_robot, kind="stable")  # the pairs grouped by robot
+    robot_ids = pair_robot[order]
+    asset_ids = np.repeat(np.fromiter(candidates, dtype=np.int32, count=len(counts)), counts)[order]
+    cap = view.params.r_max + 2.0 * CONTAINMENT_TOL
+    got = np.zeros(n)
+    starts = np.flatnonzero(np.diff(robot_ids, prepend=-1)).tolist()
+    for s, e in zip(starts, [*starts[1:], n]):
+        robot = view.robot[int(robot_ids[s])]
+        ids = asset_ids[s:e]
+        ax, ay = view.asset_x[ids], view.asset_y[ids]
+        dx = robot.pos.x - ax
+        dy = robot.pos.y - ay
         d2 = dx * dx + dy * dy
-        if d2 > far2:
-            far2 = d2
-    half = math.sqrt(far2) / 2.0 - 2.0 * CONTAINMENT_TOL
-    if half > view.params.r_max + 2.0 * CONTAINMENT_TOL:
-        return INFEASIBLE
-    r = robot.radius
-    if half <= r:
-        return 0.0
-    return math.pi * (half * half - r * r) * (1.0 - 1e-9)
+        reach = robot.radius + CONTAINMENT_TOL
+        reach2 = reach * reach
+        far = d2 > reach2
+        for i in np.flatnonzero(np.abs(d2 - reach2) <= 1e-12 * reach2).tolist():
+            far[i] = dist(robot.pos, view.assets[ids[i]].pos) > reach
+        bx, by = view.bound_xy(robot.id)
+        dx = ax[:, None] - bx
+        dy = ay[:, None] - by
+        half = np.sqrt((dx * dx + dy * dy).max(axis=1, initial=0.0)) / 2.0 - 2.0 * CONTAINMENT_TOL
+        r = robot.radius
+        area = math.pi * (half * half - r * r) * (1.0 - 1e-9)
+        area = np.where(half > cap, INFEASIBLE, np.where(half <= r, 0.0, area))
+        got[order[s:e]] = np.where(far, area, 0.0)
+    return got
 
 
 def _tie_cut(best: float, eps: float) -> float:
@@ -586,20 +625,26 @@ def phase2_round(
 
     The auctions are decided asset by asset, in ascending id, and a bid is
     priced exactly (`_bid`, memoized per asset) only when it could still be
-    its group's best or fall in the tie window.  Every candidate (a bidder
-    in some auctioneer's group) gets a lower bound that solves no disk
-    (`_bid_bound`), and the candidates are sorted once by (bound, id).  Each
-    auctioneer walks that list over its group:
+    its group's best or fall in the tie window.  The round runs in three
+    stages:
 
-    * it prices bids in bound order until the next bound exceeds the best
-      exact bid, which is then the group's best, since no later bid can
-      undercut it; an infeasible best means no winner;
-    * it loses at once if its own bound, or its own exact bid, is above the
-      tie cut of the best (`_tie_cut`);
-    * otherwise the group's exact bids up to the cut, priced among the
-      entries whose bound is up to the cut, are exactly the bids
-      `select_winner` would keep from the group's full bid dict, and only
-      those reach it.
+    1. each auctioned asset's candidates are listed: the bidders in some
+       auctioneer's group;
+    2. every candidate of every asset gets a lower bound on its bid that
+       solves no disk, all in one pass over the round grouped by robot
+       (`_bid_bounds`);
+    3. each asset's candidates are sorted once by (bound, id), and each of
+       its auctioneers walks that list over its group:
+
+       * it prices bids in bound order until the next bound exceeds the
+         best exact bid, which is then the group's best, since no later
+         bid can undercut it; an infeasible best means no winner;
+       * it loses at once if its own bound, or its own exact bid, is above
+         the tie cut of the best (`_tie_cut`);
+       * otherwise the group's exact bids up to the cut, priced among the
+         entries whose bound is up to the cut, are exactly the bids
+         `select_winner` would keep from the group's full bid dict, and
+         only those reach it.
 
     So `select_winner` stays the one winner rule, sees the same best bid,
     cut and tie set as with every bid priced, and names the same winner.
@@ -616,18 +661,22 @@ def phase2_round(
     for rid in view.alive_ids:
         for asset_id in view.deficits(rid):
             auctioneers.setdefault(asset_id, []).append(rid)
+    # The candidates: every bidder in some auctioneer's group, the
+    # auctioneers among them.
+    candidates: dict[int, list[int]] = {}
+    for asset_id in sorted(auctioneers):
+        near = set(auctioneers[asset_id]).union(*(view.nbrs[rid] for rid in auctioneers[asset_id]))
+        candidates[asset_id] = [
+            j for j in near if asset_id in view.knowledge[j] and asset_id not in view.robot[j].assigned
+        ]
     groups: dict[int, set[int]] = {}
 
     wins: dict[int, list[int]] = {}
-    for asset_id in sorted(auctioneers):
-        # The candidates: every bidder in some auctioneer's group, the
-        # auctioneers among them.
-        near = set(auctioneers[asset_id]).union(*(view.nbrs[rid] for rid in auctioneers[asset_id]))
-        bound = {
-            j: _bid_bound(view, view.robot[j], asset_id)
-            for j in near
-            if asset_id in view.knowledge[j] and asset_id not in view.robot[j].assigned
-        }
+    bounds = _bid_bounds(view, candidates)
+    end = 0
+    for asset_id, cands in candidates.items():
+        start, end = end, end + len(cands)
+        bound = dict(zip(cands, bounds[start:end].tolist()))
         # An infeasible bound means an infeasible bid, which never wins.
         ranked = sorted((b, j) for j, b in bound.items() if b != INFEASIBLE)
         price: dict[int, float] = {}
@@ -821,7 +870,6 @@ def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: C
     if before - after <= cfg.tau * before:
         return None
     return SwapDecision(
-        True,
         before - after,
         donor_after.center,
         _finalize_radius(donor_after.radius, view.params.r_max),

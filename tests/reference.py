@@ -1,18 +1,20 @@
 """Brute-force references the tests compare the program against.
 
-Each one answers a question the program answers through a cell grid or the
-round's carried view, but from its definition: an all-pairs scan, or a
-fresh `_View` built for a single query.  No program code calls them.
+Each one answers a question the program answers through a cell grid, the
+round's carried view or a vectorized pass, but from its definition: an
+all-pairs scan, a fresh `_View` built for a single query, or a scalar loop
+over one pair.  No program code calls them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Optional, Sequence
 
 from swarmcover.engine import RobotState, WorldSnapshot
-from swarmcover.geometry import CONTAINMENT_TOL, Point
+from swarmcover.geometry import CONTAINMENT_TOL, Point, dist
 from swarmcover.instances import Asset
-from swarmcover.protocol import Config, SwapDecision, _bid, _evaluate_swap, _View
+from swarmcover.protocol import INFEASIBLE, Config, SwapDecision, _bid, _evaluate_swap, _View
 
 
 def sense(robot: RobotState, assets: Sequence[Asset], r_max: float) -> set[int]:
@@ -70,16 +72,50 @@ def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> float:
     return _bid(view, robot, asset_id)
 
 
-def evaluate_swap(snapshot: WorldSnapshot, donor: int, receiver: int, asset_id: int, cfg: Config) -> SwapDecision:
+def bid_bound(view: _View, robot: RobotState, asset_id: int) -> float:
+    """The auction's lower bound on one bid, one pair at a time: the scalar
+    loop that `protocol._bid_bounds` computes for a whole round at once."""
+    # A lower bound on _bid(view, robot, asset_id) that solves no disk; robot
+    # must be view.robot[robot.id].  A disk holding the asset and the held
+    # asset `far` from it has radius at least far/2.  The solver accepts
+    # points up to CONTAINMENT_TOL outside its disk, so its radius can fall
+    # up to about that much below far/2 (tests/test_protocol.py has a
+    # case): the absolute slack covers it, and the relative shrink covers
+    # the rounding of the area formula.  The far/2 argument needs the grown
+    # disk to hold the robot's assets, and `enclose_with_anchor` can return
+    # one that misses them when the robot's disk does not hold them (see
+    # its precondition).  Every run keeps each disk around its assets; for
+    # a robot whose disk does not, `bound_xy` is empty and the bound is 0.
+    ppos = view.assets[asset_id].pos
+    if not robot.assigned or dist(robot.pos, ppos) <= robot.radius + CONTAINMENT_TOL:
+        return 0.0  # the exact bid is 0 here too
+    ax, ay = ppos.x, ppos.y
+    far2 = 0.0
+    xs, ys = view.bound_xy(robot.id)
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        dx = ax - x
+        dy = ay - y
+        d2 = dx * dx + dy * dy
+        if d2 > far2:
+            far2 = d2
+    half = math.sqrt(far2) / 2.0 - 2.0 * CONTAINMENT_TOL
+    if half > view.params.r_max + 2.0 * CONTAINMENT_TOL:
+        return INFEASIBLE
+    r = robot.radius
+    if half <= r:
+        return 0.0
+    return math.pi * (half * half - r * r) * (1.0 - 1e-9)
+
+
+def evaluate_swap(
+    snapshot: WorldSnapshot, donor: int, receiver: int, asset_id: int, cfg: Config
+) -> Optional[SwapDecision]:
     """The swap sweep's verdict on handing the asset from donor to receiver
-    (see `protocol._evaluate_swap`), judged on a fresh view; a rejection
-    leaves both robots as they are."""
+    (see `protocol._evaluate_swap`), judged on a fresh view: the accepted
+    decision, or None for a rejection."""
     view = _View(snapshot)
-    di = view.robot[donor]
-    dj = view.robot[receiver]
-    if asset_id not in di.assigned:
+    if asset_id not in view.robot[donor].assigned:
         raise ValueError(f"asset {asset_id} is not assigned to robot {donor}")
     if receiver not in view.nbrs.get(donor, ()):
         raise ValueError(f"robots {donor} and {receiver} are not neighbors")
-    dec = _evaluate_swap(view, donor, receiver, asset_id, cfg)
-    return dec if dec is not None else SwapDecision(False, 0.0, di.pos, di.radius, dj.pos, dj.radius)
+    return _evaluate_swap(view, donor, receiver, asset_id, cfg)

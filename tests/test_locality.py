@@ -6,8 +6,10 @@ the cover counts of `summarize` go through `geometry.CellGrid`; each robot's
 knowledge, cover counts and deficits come from the round's view alone, and
 the completion certificate reuses its cover counts; the swap sweep reads
 memoized disks and candidate lists from that view, and the auctions decide
-every auctioneer's deficit from one sorted list of bids per asset.  Each must give exactly what the all-pairs
-definition gives, including on cell boundaries, at negative coordinates,
+every auctioneer's deficit from one sorted list of bids per asset, ranked
+by bounds that one vectorized pass computes for the whole round.  Each must
+give exactly what the all-pairs or scalar definition gives, including on
+cell boundaries, at negative coordinates,
 with zero radii and dead robots, with ties, and when r_comm equals r_max.
 The view `run` carries from round to round must equal a fresh view of each
 round, memos and neighbor map included.
@@ -17,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,6 +48,7 @@ from swarmcover.protocol import (
     RunStatus,
     SwapRecord,
     _bid,
+    _bid_bounds,
     _grow_disk,
     _swap_candidates,
     _View,
@@ -56,8 +61,9 @@ from swarmcover.protocol import (
     select_winner,
     swap_round,
 )
-from reference import coverage_count, evaluate_swap, neighbors, sense
+from reference import bid_bound, coverage_count, evaluate_swap, neighbors, sense
 from test_golden import event_mission, ladder_250
+from test_protocol import _SLACK_CASE, bound_case_snapshot, bound_cases
 
 WS = Workspace(-120.0, 120.0, -120.0, 120.0)
 
@@ -319,7 +325,7 @@ def sweep_reference(snapshot: WorldSnapshot, cfg: Config):
                 if asset_id in used_assets:
                     continue
                 dec = evaluate_swap(snapshot, donor, receiver, asset_id, cfg)
-                if dec.accepted:
+                if dec is not None:
                     if best is None or dec.reduction > best[0]:
                         best = (dec.reduction, donor, receiver, asset_id, dec)
                     break
@@ -397,7 +403,7 @@ def test_swap_round_matches_fresh_view_evaluations(snap, tau):
     plan, _, records = got
     for rec in records:
         dec = evaluate_swap(snap, rec.donor, rec.receiver, rec.asset_id, cfg)
-        assert dec.accepted
+        assert dec is not None
         assert (plan[rec.donor].pos, plan[rec.donor].radius) == (dec.donor_pos, dec.donor_radius)
         assert (plan[rec.receiver].pos, plan[rec.receiver].radius) == (dec.receiver_pos, dec.receiver_radius)
 
@@ -565,6 +571,60 @@ def test_phase2_round_matches_per_auction_reference(snap, eps, rnd):
     assert phase2_round(snap, cfg) == auction_reference(snap, cfg)
 
 
+def assert_bounds_are_the_scalar_loop(view: _View, candidates: dict[int, list[int]]) -> None:
+    """The round pass gives every (asset, robot) pair the bits of the
+    scalar reference."""
+    got = _bid_bounds(view, candidates)
+    want = np.array([bid_bound(view, view.robot[j], a) for a, cands in candidates.items() for j in cands])
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.astype(np.float64).view(np.uint64))
+
+
+# Robot 0's disk, of radius ~1.7e7, holds asset 0 on its rim, and asset 1
+# sits on the opposite rim: inside the disk by the hypot test of
+# `geometry.dist`, outside it by the squared distance.  Only the hypot test
+# gives the bound 0 of the scalar loop; the far/2 formula gives ~0.196.
+_CENTER = Point(2.821882811161622, -4.1672640852553124)
+RIM_BAND = WorldSnapshot(
+    0,
+    Phase.OPTIMIZE,
+    (
+        RobotState(0, _CENTER, 16754803.245397445, frozenset({0}), True),
+        RobotState(1, _CENTER, 0.0, frozenset(), True),
+    ),
+    (
+        Asset(0, Point(16157124.7457103, 4435178.233782556), 1),
+        Asset(1, Point(-16157119.101944681, -4435186.568310726), 1),
+    ),
+    Params(WS, 2, 55.0, 1e9),
+)
+
+
+@given(st.one_of(worlds(), holding_worlds(), bound_cases().map(bound_case_snapshot)), st.booleans())
+@example(LOOSE_DISK, False)
+@example(RIM_BAND, False)
+@example(bound_case_snapshot((*_SLACK_CASE, 40.0)), False)
+@example(bound_case_snapshot((*_SLACK_CASE, 0.5000000012)), False)
+@settings(max_examples=300, deadline=None)
+def test_round_bounds_are_the_scalar_loop(snap, hold_nothing):
+    if hold_nothing:
+        snap = replace(snap, robots=tuple(replace(r, assigned=frozenset()) for r in snap.robots))
+    view = _View(snap)
+    rounds = []
+
+    def recording(v, candidates):
+        rounds.append(candidates)
+        return _bid_bounds(v, candidates)
+
+    # Every candidate of every auctioned asset, as the auction round lists
+    # them, then every alive robot on every asset, held ones included.
+    with mock.patch("swarmcover.protocol._bid_bounds", recording):
+        outcome(lambda: phase2_round(snap, Config(), view))
+    assert len(rounds) == 1
+    assert_bounds_are_the_scalar_loop(view, rounds[0])
+    assert_bounds_are_the_scalar_loop(view, {a.id: list(view.alive_ids) for a in snap.assets})
+
+
 # -- the carried view ---------------------------------------------------------
 
 
@@ -585,8 +645,9 @@ def assert_view_is_fresh(view: _View) -> None:
     for receiver, memo in view._grown_disks.items():
         for asset_id, disk in memo.items():
             assert disk == _grow_disk(fresh, snap.robots[receiver], asset_id)
-    for rid, xy in view._bound_xy.items():
-        assert xy == fresh.bound_xy(rid)
+    for rid, (xs, ys) in view._bound_xy.items():
+        fresh_xs, fresh_ys = fresh.bound_xy(rid)
+        assert np.array_equal(xs, fresh_xs) and np.array_equal(ys, fresh_ys)
     for rid, cands in view.candidates.items():
         assert cands == _swap_candidates(fresh, rid, view.clean_for)
     for rid in fresh.alive_ids:

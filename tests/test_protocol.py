@@ -32,7 +32,7 @@ from swarmcover.protocol import (
     select_winner,
     swap_round,
     _bid,
-    _bid_bound,
+    _bid_bounds,
     _gap_prunes,
     _View,
 )
@@ -329,21 +329,29 @@ def bound_cases(draw) -> BoundCase:
 _SLACK_CASE = ([(0.0, 0.0), (1.0, 0.0), (1.0 + 9e-10, 0.0)], (-2e-9, 0.0), (0.50000000045, 0.0), 0.50000000045)
 
 
+def bound_case_snapshot(case: BoundCase) -> WorldSnapshot:
+    """Robot 0 holds the case's points on the case's disk; robot 1 sits on
+    the same disk and holds nothing."""
+    held, asset, center, radius, r_max = case
+    assets = mkassets([(x, y, 1) for x, y in held] + [(*asset, 1)])
+    robots = [
+        mkrobot(0, *center, range(len(held)), radius=radius),
+        mkrobot(1, *center, radius=radius),
+    ]
+    return wide_snap(robots, assets, r_max=r_max)
+
+
 @given(bound_cases())
 @example((*_SLACK_CASE, 40.0))
 @example((*_SLACK_CASE, 0.5000000012))
 @settings(max_examples=400, deadline=None)
 def test_bid_bound_never_exceeds_exact_bid(case):
-    held, asset, center, radius, r_max = case
-    assets = mkassets([(x, y, 1) for x, y in held] + [(*asset, 1)])
-    robots = [
-        mkrobot(0, *center, range(len(held)), radius=radius),
-        mkrobot(1, *center, radius=radius),  # holds nothing
-    ]
-    view = _View(wide_snap(robots, assets, r_max=r_max))
-    for robot in view.robot:
-        for a in view.assets:
-            lo, bid = _bid_bound(view, robot, a.id), _bid(view, robot, a.id)
+    view = _View(bound_case_snapshot(case))
+    pairs = {a.id: [r.id for r in view.robot] for a in view.assets}
+    bounds = iter(_bid_bounds(view, pairs).tolist())
+    for a in view.assets:
+        for robot in view.robot:
+            lo, bid = next(bounds), _bid(view, robot, a.id)
             assert lo <= bid, (robot.id, a.id, lo, bid)
             if lo == INFEASIBLE:
                 assert bid == INFEASIBLE
@@ -466,7 +474,7 @@ def swap_fixture(rnd: int = 0):
 
 def test_evaluate_swap_accepts_boundary_transfer():
     dec = evaluate_swap(swap_fixture(), 0, 1, 1, Config())
-    assert dec.accepted
+    assert dec is not None
     assert dec.reduction == pytest.approx(24 * math.pi)
     assert (dec.donor_pos, dec.donor_radius) == (P(0, 0), 0.0)
     assert dec.receiver_pos == P(11, 0)
@@ -477,7 +485,7 @@ def test_evaluate_swap_rejects_farther_receiver():
     snap = swap_fixture()
     # receiver sits farther from the asset than the donor: no transfer
     dec = evaluate_swap(snap, 1, 0, 2, Config())
-    assert not dec.accepted
+    assert dec is None
 
 
 def test_evaluate_swap_rejects_interior_asset():
@@ -487,7 +495,7 @@ def test_evaluate_swap_rejects_interior_asset():
     snap = wide_snap([donor, recv], assets)
     # asset 2 is 4.0 from the donor center, under 0.9 * 5.0
     dec = evaluate_swap(snap, 0, 1, 2, Config())
-    assert not dec.accepted
+    assert dec is None
 
 
 def test_evaluate_swap_rejects_when_coverage_would_break():
@@ -497,7 +505,7 @@ def test_evaluate_swap_rejects_when_coverage_would_break():
     snap = wide_snap([donor, recv], assets)
     # kappa=2 with a single visible holder: moving it can orphan the asset
     dec = evaluate_swap(snap, 0, 1, 1, Config())
-    assert not dec.accepted
+    assert dec is None
 
 
 def test_evaluate_swap_rejects_below_tau():
@@ -508,8 +516,7 @@ def test_evaluate_swap_rejects_below_tau():
     recv = mkrobot(1, 9.8, 1.5, (), radius=0.0)
     snap = wide_snap([donor, recv], assets)
     dec = evaluate_swap(snap, 0, 1, 2, Config())
-    assert not dec.accepted
-    assert dec.reduction == 0.0
+    assert dec is None
 
 
 def test_evaluate_swap_rejects_infeasible_receiver_growth():
@@ -518,7 +525,7 @@ def test_evaluate_swap_rejects_infeasible_receiver_growth():
     assets = mkassets([(30, 0, 1), (20, 0, 1)])
     snap = wide_snap([mkrobot(0, 0, 0, {0}), mkrobot(1, 20, 0, {1})], assets, r_max=4.0)
     dec = evaluate_swap(snap, 0, 1, 0, Config())
-    assert not dec.accepted
+    assert dec is None
 
 
 def test_evaluate_swap_validates_arguments():
