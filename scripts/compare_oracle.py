@@ -11,7 +11,7 @@ import argparse
 import statistics
 
 from swarmcover.instances import Instance, Workspace, generate_uniform
-from swarmcover.metrics import optimality_gap, summarize
+from swarmcover.metrics import optimality_gap
 from swarmcover.oracle import solve_exact
 from swarmcover.protocol import RunStatus, run
 
@@ -40,7 +40,7 @@ def main() -> int:
         if result.status is not RunStatus.FEASIBLE or not exact.feasible:
             print(f"case {case:2d}: skipped ({result.status.value})")
             continue
-        dist_cost = summarize(result.snapshot).total_cost
+        dist_cost = result.trace[-1].total_cost
         gap = optimality_gap(dist_cost, exact.total_cost)
         gaps.append(gap)
         print(

@@ -41,7 +41,7 @@ def main() -> int:
     base = len(sc.instance.assets)
     for at_round, pre in result.pre_event_snapshots:
         changed = changed_robots(pre, result.snapshot)
-        pre_sm, post_sm = summarize(pre), summarize(result.snapshot)
+        pre_sm, post_sm = summarize(pre), result.trace[-1]
         print(f"  event at round {at_round}: {len(changed)}/{len(pre.robots)} robots changed")
         print(f"    cost {pre_sm.total_cost:.1f} -> {post_sm.total_cost:.1f}, "
               f"recovery took {result.snapshot.round - at_round} rounds")
@@ -57,7 +57,7 @@ def main() -> int:
                 fh,
                 indent=2,
             )
-    sm = summarize(result.snapshot)
+    sm = result.trace[-1]
     print(f"  final: under={sm.undercovered_count} over={sm.overcovered_count} "
           f"undiscovered={sm.undiscovered_count}")
     return 0 if result.status.value == "feasible" else 2

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .engine import AddAssets, AssetSpec, Event, KillRobot, WorldSnapshot
+from .engine import AddAssets, AssetSpec, Event, KillRobot, WorldSnapshot, check_events
 from .geometry import Point
 from .instances import (
     DEFAULT_R_COMM,
@@ -48,7 +48,7 @@ from .instances import (
     preset,
     save_instance,
 )
-from .metrics import optimality_gap, summarize, write_trace
+from .metrics import RoundMetrics, optimality_gap, summarize, write_trace
 from .oracle import SOLVE_MAX_ASSETS, SOLVE_MAX_ROBOTS, solve_exact
 from .protocol import Config, RunResult, RunStatus, run
 
@@ -81,8 +81,8 @@ def _parse_config(data: dict[str, Any]) -> tuple[Config, Optional[int]]:
 
 
 def _parse_events(items: Any, instance: Instance) -> tuple[Event, ...]:
-    """Events of a scenario, checked against its instance: new assets must
-    lie in the workspace and killed robots must exist."""
+    """Events of a scenario; `load_scenario` checks them against its
+    instance (see `engine.check_events`)."""
     if not isinstance(items, list):
         raise ScenarioError(f"scenario events must be a list, got {items!r}")
     events = []
@@ -98,14 +98,12 @@ def _parse_events(items: Any, instance: Instance) -> tuple[Event, ...]:
             for k, a in enumerate(payload):
                 what = f"{where} asset {k}"
                 pos = Point(_number(_field(a, "x", what), f"{what} x"), _number(_field(a, "y", what), f"{what} y"))
-                if not instance.workspace.contains(pos):
-                    raise ScenarioError(f"{what} at ({pos.x}, {pos.y}) lies outside the workspace")
                 specs.append(AssetSpec(pos, _integer(a.get("kappa", 1), f"{what} kappa")))
             events.append(Event(at_round, AddAssets(tuple(specs))))
         elif kind == "kill_robot":
             rid = _field(payload, "robot_id", where) if isinstance(payload, dict) else payload
             rid = _integer(rid, f"{where} robot_id")
-            if not 0 <= rid < instance.m:
+            if rid < 0:  # KillRobot rejects it too, but without the instance's range
                 raise ScenarioError(f"{where}: robot_id {rid} is not in 0..{instance.m - 1}")
             events.append(Event(at_round, KillRobot(rid)))
         else:
@@ -145,11 +143,11 @@ def load_scenario(
         raise ScenarioError(f"{path}: scenario needs an instance, instance_file, or inline instance")
 
     events = _parse_events(data.get("events", []), inst)
+    check_events(events, inst)
     return Scenario(inst, events, config, seed)
 
 
-def _snapshot_dict(snapshot: WorldSnapshot) -> dict[str, Any]:
-    sm = summarize(snapshot)
+def _snapshot_dict(snapshot: WorldSnapshot, sm: RoundMetrics) -> dict[str, Any]:
     return {
         "round": snapshot.round,
         "phase": snapshot.phase.value,
@@ -184,9 +182,9 @@ def _write_run_outputs(result: RunResult, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_trace(out / "trace.csv", result.trace)
     with open(out / "final_snapshot.json", "w") as fh:
-        json.dump(_snapshot_dict(result.snapshot), fh, indent=2)
+        json.dump(_snapshot_dict(result.snapshot, result.trace[-1]), fh, indent=2)
         fh.write("\n")
-    sm = summarize(result.snapshot)
+    sm = result.trace[-1]
     payload = {
         "status": result.status.value,
         "rounds": result.snapshot.round,
@@ -226,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
     result = run(scenario.instance, scenario.config, scenario.events)
     _write_run_outputs(result, Path(args.out or "."))
-    sm = summarize(result.snapshot)
+    sm = result.trace[-1]
     print(
         f"status={result.status.value} rounds={result.snapshot.round} "
         f"cost={sm.total_cost:.2f} undercovered={sm.undercovered_count}"
@@ -285,7 +283,7 @@ def sweep(spec: dict[str, Any], seed: int, out: Path) -> None:
     rows = []
     for value, trial, trial_seed, inst in cases:
         result = run(inst, config)
-        sm = summarize(result.snapshot)
+        sm = result.trace[-1]
         ok = result.status is RunStatus.FEASIBLE and sm.undercovered_count == 0
         rows.append(
             {
@@ -364,7 +362,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         return 1
     result = run(inst, scenario.config, scenario.events)
-    sm = summarize(result.snapshot)
+    sm = result.trace[-1]
     placement = solve_exact(inst.assets, inst.m, inst.r_max)
     dist_ok = result.status is RunStatus.FEASIBLE and sm.undercovered_count == 0
     print(f"distributed: status={result.status.value} cost={sm.total_cost:.6f}")
@@ -411,7 +409,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
         fh.write("\n")
     if pre is not None:
         with open(out / "pre_event_snapshot.json", "w") as fh:
-            json.dump(_snapshot_dict(pre), fh, indent=2)
+            json.dump(_snapshot_dict(pre, summarize(pre)), fh, indent=2)
             fh.write("\n")
     print(f"status={result.status.value} robots changed after event: {len(changed)}")
     return _EXIT_BY_STATUS[result.status]

@@ -68,6 +68,10 @@ class AddAssets:
 class KillRobot:
     robot_id: int
 
+    def __post_init__(self) -> None:
+        if isinstance(self.robot_id, bool) or not isinstance(self.robot_id, int) or self.robot_id < 0:
+            raise ValueError(f"robot id must be an integer >= 0, got {self.robot_id!r}")
+
 
 @dataclass(frozen=True)
 class Event:
@@ -75,6 +79,10 @@ class Event:
     action: AddAssets | KillRobot
 
     def __post_init__(self) -> None:
+        # A round that is no integer never comes up, and the run would wait
+        # for it forever.
+        if isinstance(self.at_round, bool) or not isinstance(self.at_round, int):
+            raise ValueError(f"event round must be an integer, got {self.at_round!r}")
         if self.at_round < 0:
             raise ValueError(f"event round must be >= 0, got {self.at_round}")
 
@@ -107,9 +115,6 @@ class WorldSnapshot:
             raise KeyError(f"no robot with id {rid}")
         return r
 
-    def asset(self, aid: int) -> Asset:
-        return self.assets[aid]
-
 
 def neighbor_map(snapshot: WorldSnapshot) -> dict[int, tuple[int, ...]]:
     """Neighbor ids (sorted) for every alive robot, computed in one sweep
@@ -129,6 +134,21 @@ def neighbor_map(snapshot: WorldSnapshot) -> dict[int, tuple[int, ...]]:
                 nbrs[a.id].append(b.id)
                 nbrs[b.id].append(a.id)
     return {rid: tuple(sorted(ids)) for rid, ids in nbrs.items()}
+
+
+def check_events(events: Iterable[Event], instance: Instance) -> None:
+    """Raise ValueError for an event that cannot apply to `instance`: a
+    killed robot id outside 0..m-1 or a new asset outside the workspace.
+    Events are named by their position in `events`."""
+    for i, ev in enumerate(events):
+        if isinstance(ev.action, KillRobot):
+            rid = ev.action.robot_id
+            if rid >= instance.m:
+                raise ValueError(f"event {i}: robot_id {rid} is not in 0..{instance.m - 1}")
+            continue
+        for k, spec in enumerate(ev.action.assets):
+            if not instance.workspace.contains(spec.pos):
+                raise ValueError(f"event {i} asset {k} at ({spec.pos.x}, {spec.pos.y}) lies outside the workspace")
 
 
 def apply_events(snapshot: WorldSnapshot, events: Iterable[Event]) -> WorldSnapshot:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Generic, Iterable, Optional, Sequence, TypeVar
 
 # Absolute containment slack in meters.  Keeps boundary points from flapping
@@ -244,6 +245,13 @@ def min_enclosing_disk(points: Sequence[Point] | Iterable[Point]) -> Disk:
     for i, (px, py) in enumerate(xy):
         if math.hypot(cx - px, cy - py) > r + CONTAINMENT_TOL:
             cx, cy, r = _mec_one_point(xy[: i + 1], px, py)
+    # Each point was tested against the disk of its time, and on
+    # near-coincident input rounding can leave an early one a few times
+    # CONTAINMENT_TOL outside the last disk: widen it to the farthest point
+    # then.  math.dist has the bits of the hypot above.
+    far = max(map(math.dist, repeat((cx, cy), len(xy)), xy))
+    if far > r + CONTAINMENT_TOL:
+        r = far
     return Disk(Point(cx, cy), r)
 
 

@@ -40,6 +40,7 @@ from .engine import (
     RobotState,
     WorldSnapshot,
     apply_events,
+    check_events,
     neighbor_map,
     step,
 )
@@ -169,12 +170,9 @@ class _View:
     asset id (`asset_x`, `asset_y`) for the auction's bid bounds.  Filled on
     demand, and kept per robot:
 
-    * `deficits`: the assets a robot may claim;
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
       asset;
     * `grown_disk`: a receiver's disk grown by one asset, per asset;
-    * `bound_xy`: the points the auction's bid bounds measure from, as x
-      and y arrays (see `_bid_bounds`);
     * `clean`: the neighbor pairs whose last swap sweep, under the config
       in `clean_for`, rejected every candidate (see `swap_round`);
     * `candidates`: a donor's swap candidates under the config in
@@ -187,15 +185,15 @@ class _View:
     plan entry, so the work is confined to the robots whose object changed
     and their neighbors:
 
-    * the robots that moved are re-sensed, and the neighbor map is patched
-      where a pair has a moved robot (see `_nbrs_after`);
+    * the robots that moved are re-sensed, and the neighbor map is rebuilt
+      (`engine.neighbor_map`) when one moved;
     * cover counts are patched by deltas: +1 or -1, per asset gained or
       lost, at the robot and at each neighbor it kept, and a whole assigned
       list added or removed where a pair came into or went out of range;
     * knowledge is recomputed where sensing or cover counts changed;
     * a changed robot loses its memo entries, and a changed robot or one
-      whose cover counts changed loses its deficits, its swap candidates
-      and its clean pairs.
+      whose cover counts changed loses its swap candidates and its clean
+      pairs.
 
     An event (new assets, a robot killed) rebuilds the whole view.  So the
     view always equals a fresh `_View(snapshot)`, and per-robot decisions
@@ -219,10 +217,8 @@ class _View:
         self.cover = _cover_counts(snapshot, self.nbrs)
         # The counted assets are exactly those held by the robot or a neighbor.
         self.knowledge = {rid: self.sensed[rid].union(self.cover[rid]) for rid in self.alive_ids}
-        self._deficits: dict[int, list[int]] = {}
         self._donor_disks: dict[int, dict[int, Disk]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
-        self._bound_xy: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.clean: set[tuple[int, int]] = set()
         self.clean_for: Optional[Config] = None
         self.candidates: dict[int, list[tuple[int, float]]] = {}
@@ -260,7 +256,7 @@ class _View:
         if moved:
             for rid in moved:
                 self.sensed[rid] = self._sense(self.robot[rid])
-            self.nbrs = self._nbrs_after(moved)
+            self.nbrs = neighbor_map(snapshot)
             for k in self.alive_ids:
                 if self.nbrs[k] == old_nbrs[k]:
                     continue
@@ -287,47 +283,9 @@ class _View:
             dirty.add(r.id)
             self._donor_disks.pop(r.id, None)
             self._grown_disks.pop(r.id, None)
-            self._bound_xy.pop(r.id, None)
         for k in dirty:
-            self._deficits.pop(k, None)
             self.candidates.pop(k, None)
         self.clean = {p for p in self.clean if p[0] not in dirty and p[1] not in dirty}
-
-    def _nbrs_after(self, moved: set[int]) -> dict[int, tuple[int, ...]]:
-        # The neighbor map once the robots in `moved` have moved.  Only pairs
-        # with a moved robot can change: each is tested once, from its moved
-        # end with the lower id, on a cell grid of side r_comm, and each
-        # robot that stayed keeps its old neighbors that stayed.  The
-        # squared-distance test is neighbor_map's, bit for bit, so the map
-        # equals a fresh one.
-        robots = self.robot
-        r_comm = self.params.r_comm
-        thr2 = r_comm ** 2
-        grid = CellGrid(r_comm, ((robots[k].pos, k) for k in self.alive_ids))
-        old = self.nbrs
-        fresh: dict[int, list[int]] = {m: [] for m in moved}
-        found: dict[int, list[int]] = {}  # stayed robot -> moved neighbors
-        for m in moved:
-            p = robots[m].pos
-            mine = fresh[m]
-            for k in grid.near(p):
-                if k in fresh and k <= m:
-                    continue
-                q = robots[k].pos
-                dx = q.x - p.x
-                dy = q.y - p.y
-                if dx * dx + dy * dy <= thr2:
-                    mine.append(k)
-                    (fresh[k] if k in fresh else found.setdefault(k, [])).append(m)
-            for k in old[m]:
-                if k not in fresh:
-                    found.setdefault(k, [])
-        nbrs = dict(old)
-        for m, ids in fresh.items():
-            nbrs[m] = tuple(sorted(ids))
-        for k, movers in found.items():
-            nbrs[k] = tuple(sorted([j for j in old[k] if j not in fresh] + movers))
-        return nbrs
 
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
@@ -335,15 +293,9 @@ class _View:
     def deficits(self, rid: int) -> list[int]:
         """Assets robot rid may claim, in ascending id: known, not held by
         rid, and counted below kappa in its neighborhood."""
-        got = self._deficits.get(rid)
-        if got is None:
-            held = self.robot[rid].assigned
-            counts = self.cover[rid]
-            got = sorted(
-                a for a in self.knowledge[rid] if a not in held and counts.get(a, 0) < self.assets[a].kappa
-            )
-            self._deficits[rid] = got
-        return got
+        held = self.robot[rid].assigned
+        counts = self.cover[rid]
+        return sorted(a for a in self.knowledge[rid] if a not in held and counts.get(a, 0) < self.assets[a].kappa)
 
     def positions(self, assigned: Sequence[int]) -> list[Point]:
         return [self.assets[a].pos for a in assigned]
@@ -374,16 +326,13 @@ class _View:
         """Robot rid's held assets as x and y arrays in ascending id, or
         empty arrays when its disk does not hold them all (see
         `_bid_bounds`)."""
-        got = self._bound_xy.get(rid)
-        if got is None:
-            robot = self.robot[rid]
-            cx, cy, reach = robot.pos.x, robot.pos.y, robot.radius + CONTAINMENT_TOL
-            held = sorted(robot.assigned)
-            if any(math.hypot(cx - p.x, cy - p.y) > reach for p in self.positions(held)):
-                held = []
-            ids = np.array(held, dtype=np.intp)
-            got = self._bound_xy[rid] = (self.asset_x[ids], self.asset_y[ids])
-        return got
+        robot = self.robot[rid]
+        cx, cy, reach = robot.pos.x, robot.pos.y, robot.radius + CONTAINMENT_TOL
+        held = sorted(robot.assigned)
+        if any(math.hypot(cx - p.x, cy - p.y) > reach for p in self.positions(held)):
+            held = []
+        ids = np.array(held, dtype=np.intp)
+        return self.asset_x[ids], self.asset_y[ids]
 
 
 def _cover_counts(
@@ -1074,7 +1023,8 @@ def run(
     round number; events that land after refinement has settled pull the
     swarm back into the optimization phase, which is how dynamic scenarios
     adapt.  Returns the final snapshot, the per-round trace, executed swap
-    records, and wall-clock milestones.
+    records, and wall-clock milestones.  An event that cannot apply to the
+    instance raises ValueError (see `engine.check_events`).
 
     `seed` is a no-op, kept so that callers which pass it by position keep
     working: the protocol has no randomness, and every enclosing disk is a
@@ -1082,6 +1032,7 @@ def run(
     `geometry.min_enclosing_disk`).
     """
     cfg = config if config is not None else Config()
+    check_events(events, instance)
     t0 = time.perf_counter()
     params = Params.from_instance(instance)
     shape = grid_partition(params.m, cfg.lam)

@@ -98,6 +98,17 @@ def test_knowledge_set_matches_naive_union():
     assert 7 in view.knowledge[2]
 
 
+def test_event_rounds_and_robot_ids_must_be_integers():
+    # A round that is no integer never comes up, so a run would wait for it
+    # forever: only the constructors are tried here, never a run.
+    for at_round in (40.5, 7.0, True, "3", -1):
+        with pytest.raises(ValueError):
+            Event(at_round, KillRobot(0))
+    for rid in (True, 1.0, "0", -1):
+        with pytest.raises(ValueError):
+            KillRobot(rid)
+
+
 def test_apply_events_add_assets_dense_ids():
     snap = mksnapshot([mkrobot(0, 0, 0)], mkassets([(1, 1, 1), (2, 2, 2)]))
     ev = Event(0, AddAssets((AssetSpec(P(9, 9), 3), AssetSpec(P(8, 8), 1))))

@@ -151,6 +151,24 @@ def test_med_contains_all_points(pts):
         assert disk_contains(d, p)
 
 
+def test_med_contains_near_coincident_points():
+    # Six points within ~7e-9 m of each other.  The construction's last disk
+    # leaves three of them outside, the worst by 4.0e-9 m, so the solver
+    # widens it to the farthest point.
+    pts = [
+        Point(-1.882103735671114, -1.4526964677585243),
+        Point(-1.8821037328929835, -1.452696465851377),
+        Point(-1.8821037361903317, -1.452696470389516),
+        Point(-1.882103731206211, -1.4526964659370263),
+        Point(-1.8821037348504899, -1.4526964679072145),
+        Point(-1.8821037353471468, -1.4526964633577972),
+    ]
+    d = min_enclosing_disk(pts)
+    assert all(disk_contains(d, p) for p in pts)
+    assert max(dist(d.center, p) for p in pts) == d.radius
+    assert d.radius < 1e-8
+
+
 @given(st.lists(points, min_size=1, max_size=7))
 @settings(max_examples=120, deadline=None)
 def test_med_matches_candidate_brute_force(pts):
@@ -271,7 +289,8 @@ def _ref_min_enclosing_disk(points: list[Point]) -> Disk:
     for i, p in enumerate(pts):
         if not _ref_contains(d, p):
             d = _ref_mec_one_point(pts[: i + 1], p)
-    return d
+    far = max(dist(d.center, p) for p in pts)
+    return Disk(d.center, far) if far > d.radius + CONTAINMENT_TOL else d
 
 
 def _same_bits(got: Disk | None, want: Disk | None) -> bool:

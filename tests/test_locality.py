@@ -220,7 +220,6 @@ def test_view_deficits_match_brute_force(snap):
     want = {rid: deficits_reference(snap, rid) for rid in alive}
     for rid in alive:
         assert view.deficits(rid) == want[rid]
-        assert view.deficits(rid) is view.deficits(rid)
     assert has_undercovered_views(snap) == any(want.values())
 
 
@@ -645,9 +644,6 @@ def assert_view_is_fresh(view: _View) -> None:
     for receiver, memo in view._grown_disks.items():
         for asset_id, disk in memo.items():
             assert disk == _grow_disk(fresh, snap.robots[receiver], asset_id)
-    for rid, (xs, ys) in view._bound_xy.items():
-        fresh_xs, fresh_ys = fresh.bound_xy(rid)
-        assert np.array_equal(xs, fresh_xs) and np.array_equal(ys, fresh_ys)
     for rid, cands in view.candidates.items():
         assert cands == _swap_candidates(fresh, rid, view.clean_for)
     for rid in fresh.alive_ids:
@@ -722,7 +718,6 @@ def test_carried_view_matches_fresh_view(snap, data):
         assert outcome(lambda: phase2_round(snap, cfg, view)) == outcome(lambda: phase2_round(snap, cfg))
         assert holders_certified(snap, view) == holders_certified(snap)
         for rid in view.alive_ids:
-            view.bound_xy(rid)
             for asset_id in view.robot[rid].assigned:
                 view.donor_disk(rid, asset_id)
             for asset_id in view.deficits(rid):

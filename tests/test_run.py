@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from swarmcover.engine import AddAssets, AssetSpec, Event, KillRobot, Phase
 from swarmcover.geometry import CONTAINMENT_TOL, Point, dist
 from swarmcover.instances import Asset, Instance, Workspace, generate_uniform, preset
-from swarmcover.metrics import write_trace
+from swarmcover.metrics import summarize, write_trace
 from swarmcover.oracle import solve_exact
 from swarmcover.protocol import Config, RunStatus, run
 
@@ -187,6 +188,34 @@ def test_dynamic_event_after_quiescence_reopens():
     assert holders.get(len(inst.assets), 0) >= 1  # the newcomer is covered
 
 
+def test_run_rejects_a_kill_of_an_unknown_robot():
+    inst = uniform_instance(12, 6, seed=5)
+    with pytest.raises(ValueError, match=r"event 1: robot_id 99 is not in 0\.\.5"):
+        run(inst, events=(Event(3, KillRobot(0)), Event(9, KillRobot(99))))
+
+
+def test_run_rejects_an_asset_outside_the_workspace():
+    inst = uniform_instance(12, 6, seed=5)
+    newcomers = AddAssets((AssetSpec(Point(5.0, 5.0), 1), AssetSpec(Point(500.0, 5.0), 1)))
+    with pytest.raises(ValueError, match=r"event 0 asset 1 at \(500.0, 5.0\) lies outside the workspace"):
+        run(inst, events=(Event(40, newcomers),))
+
+
+@pytest.mark.parametrize("mission", ["plain", "events"])
+def test_trace_ends_with_the_final_metrics(mission):
+    inst = uniform_instance(12, 6, seed=5, kappa=(1, 2))
+    events = ()
+    if mission == "events":
+        events = (
+            Event(0, KillRobot(5)),
+            Event(40, AddAssets((AssetSpec(Point(5.0, 5.0), 1), AssetSpec(Point(6.0, 4.0), 2)))),
+            Event(60, KillRobot(0)),
+        )
+    res = run(inst, events=events)
+    assert res.trace[-1].round == res.snapshot.round
+    assert replace(res.trace[-1], max_displacement=0.0) == summarize(res.snapshot)
+
+
 def test_kill_all_robots_ends_vacuously():
     """With nobody left to sense anything, every asset is undiscovered, and
     undiscovered assets never block completion: the run ends feasible but the
@@ -237,12 +266,23 @@ def test_liveness_in_generous_regime():
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=3), st.integers(min_value=0, max_value=10**6))
+@example(2, 3, 1469)  # asset 1 sits beyond every robot's sensing reach
 @settings(max_examples=10, deadline=None)
 def test_distributed_cost_dominates_exact_optimum(n, m, seed):
+    """The run's cost is at least the exact optimum over the assets it had
+    to cover: those some alive robot senses or holds (the premise of
+    test_full_connectivity_missions_feasible).  An asset nobody ever senses
+    stays undiscovered and does not block completion, so the run pays
+    nothing for it; the rest must show up as undiscovered."""
     inst = uniform_instance(n, m, seed, kappa=(1, 2), r_comm=85.0, r_max=45.0)
     res = run(inst)
     assert res.status is RunStatus.FEASIBLE
-    opt = solve_exact(inst.assets, m, inst.r_max)
+    snap = res.snapshot
+    holders = membership_holders(snap)
+    sensed = set().union(*(sense(r, snap.assets, inst.r_max) for r in snap.robots if r.alive))
+    found = [a for a in inst.assets if a.id in sensed or a.id in holders]
+    assert res.trace[-1].undiscovered_count == inst.n - len(found)
+    opt = solve_exact(found, m, inst.r_max)
     assert opt.feasible
     assert res.trace[-1].total_cost >= opt.total_cost - 1e-6
 
