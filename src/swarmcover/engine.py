@@ -55,6 +55,8 @@ class AssetSpec:
     kappa: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.kappa, bool) or not isinstance(self.kappa, int):
+            raise ValueError(f"kappa must be an integer, got {self.kappa!r}")
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
 

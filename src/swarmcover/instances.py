@@ -36,6 +36,10 @@ class Asset:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"asset id must be nonnegative, got {self.id}")
+        # A float or bool kappa would compare against integer holder counts
+        # without complaint: kappa 1.5 is met by 2 holders.
+        if isinstance(self.kappa, bool) or not isinstance(self.kappa, int):
+            raise ValueError(f"kappa must be an integer, got {self.kappa!r}")
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
 

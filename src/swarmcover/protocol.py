@@ -171,7 +171,7 @@ class _View:
     demand, and kept per robot:
 
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
-      asset;
+      asset, and `donor_bound`, a lower bound on that disk's radius;
     * `grown_disk`: a receiver's disk grown by one asset, per asset;
     * `clean`: the neighbor pairs whose last swap sweep, under the config
       in `clean_for`, rejected every candidate (see `swap_round`);
@@ -191,9 +191,13 @@ class _View:
       lost, at the robot and at each neighbor it kept, and a whole assigned
       list added or removed where a pair came into or went out of range;
     * knowledge is recomputed where sensing or cover counts changed;
-    * a changed robot loses its memo entries, and a changed robot or one
-      whose cover counts changed loses its swap candidates and its clean
-      pairs.
+    * a changed robot loses its memo entries;
+    * a robot loses its swap candidates and its clean pairs when its cover
+      count of an asset it holds may have changed: when its `RobotState`
+      changed, when a neighbor that came into or went out of range holds
+      one of its assets, or when a neighbor it kept gained or lost one of
+      its assets.  A count of an asset it does not hold is read by neither
+      (see `swap_round`).
 
     An event (new assets, a robot killed) rebuilds the whole view.  So the
     view always equals a fresh `_View(snapshot)`, and per-robot decisions
@@ -218,6 +222,7 @@ class _View:
         # The counted assets are exactly those held by the robot or a neighbor.
         self.knowledge = {rid: self.sensed[rid].union(self.cover[rid]) for rid in self.alive_ids}
         self._donor_disks: dict[int, dict[int, Disk]] = {}
+        self._donor_bounds: dict[int, dict[int, float]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
         self.clean: set[tuple[int, int]] = set()
         self.clean_for: Optional[Config] = None
@@ -252,7 +257,8 @@ class _View:
         cover = self.cover
         old_nbrs = self.nbrs
         moved = {r.id for r in changed if r.pos != prev[r.id].pos}
-        dirty = set(moved)
+        dirty = set(moved)  # knowledge to recompute
+        swap_dirty = {r.id for r in changed}  # candidates and clean pairs to drop
         if moved:
             for rid in moved:
                 self.sensed[rid] = self._sense(self.robot[rid])
@@ -261,10 +267,15 @@ class _View:
                 if self.nbrs[k] == old_nbrs[k]:
                     continue
                 was, now = set(old_nbrs[k]), set(self.nbrs[k])
+                held = self.robot[k].assigned
                 for j in now - was:
                     _count_in(cover[k], self.robot[j].assigned, 1)
+                    if not held.isdisjoint(self.robot[j].assigned):
+                        swap_dirty.add(k)
                 for j in was - now:
                     _count_in(cover[k], prev[j].assigned, -1)
+                    if not held.isdisjoint(prev[j].assigned):
+                        swap_dirty.add(k)
                 dirty.add(k)
         for r in changed:
             old = prev[r.id].assigned
@@ -276,16 +287,19 @@ class _View:
             for k in kept:
                 _count_in(cover[k], gained, 1)
                 _count_in(cover[k], lost, -1)
+                held = self.robot[k].assigned
+                if not (held.isdisjoint(gained) and held.isdisjoint(lost)):
+                    swap_dirty.add(k)
             dirty.update(kept)
         for k in dirty:
             self.knowledge[k] = self.sensed[k].union(cover[k])
         for r in changed:
-            dirty.add(r.id)
             self._donor_disks.pop(r.id, None)
+            self._donor_bounds.pop(r.id, None)
             self._grown_disks.pop(r.id, None)
-        for k in dirty:
+        for k in swap_dirty:
             self.candidates.pop(k, None)
-        self.clean = {p for p in self.clean if p[0] not in dirty and p[1] not in dirty}
+        self.clean = {p for p in self.clean if p[0] not in swap_dirty and p[1] not in swap_dirty}
 
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
@@ -312,6 +326,15 @@ class _View:
         if got is None:
             robot = self.robot[donor]
             got = memo[asset_id] = consolidate(robot.pos, robot.assigned - {asset_id}, self.assets)
+        return got
+
+    def donor_bound(self, donor: int, asset_id: int) -> float:
+        """A lower bound on `donor_disk(donor, asset_id).radius` that solves
+        no disk (see `_donor_bound`)."""
+        memo = self._donor_bounds.setdefault(donor, {})
+        got = memo.get(asset_id)
+        if got is None:
+            got = memo[asset_id] = _donor_bound(self, donor, asset_id)
         return got
 
     def grown_disk(self, receiver: int, asset_id: int) -> Disk:
@@ -786,6 +809,39 @@ def fallback_assign(
     return proposals, bool(proposals)
 
 
+def _donor_bound(view: _View, donor: int, asset_id: int) -> float:
+    """A lower bound on the radius of the donor's disk without asset_id
+    (`_View.donor_disk`) that solves no disk.
+
+    Any disk holding two points has radius at least half their distance
+    (Welzl 1991).  The bound takes x, the remaining asset farthest from the
+    donor's center (any one would do; a far one tends to give a tight
+    bound), and q, the remaining asset farthest from x, and returns
+    hypot(x - q)/2 - 2 CONTAINMENT_TOL, shrunk by a relative 1e-9, or 0 when
+    that is negative or nothing remains (`consolidate` then keeps a zero
+    radius).  `min_enclosing_disk` leaves every point within its radius
+    plus CONTAINMENT_TOL, in a hypot test off by a few ulps, so its radius
+    is at least the true distance over 2 less CONTAINMENT_TOL, less those
+    ulps: one CONTAINMENT_TOL of the slack covers that, and the relative
+    shrink covers the rounding of the hypot and of the bound's own
+    arithmetic.  So the bound stays below the radius by CONTAINMENT_TOL
+    and by a relative ~4e-10: every two remaining points lie within
+    2 hypot(x - q) of each other, so by Jung's theorem the radius is at most
+    2/sqrt(3) hypot(x - q).  That gap is far above the rounding of `**`, so
+    the bound's square is at most the radius's square.  Sums, the product
+    with pi and the subtraction are monotone, so when `_evaluate_swap`'s
+    tau test rejects with the bound in place of the radius, it rejects with
+    the radius too.
+    """
+    robot = view.robot[donor]
+    rest = [view.assets[a].pos for a in robot.assigned if a != asset_id]
+    if not rest:
+        return 0.0
+    x = max(rest, key=lambda p: dist2(robot.pos, p))
+    far = max(dist(x, q) for q in rest)
+    return max(0.0, (far / 2.0 - 2.0 * CONTAINMENT_TOL) * (1.0 - 1e-9))
+
+
 def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: Config) -> Optional[SwapDecision]:
     """Would handing the asset from donor to receiver pay off?
 
@@ -795,6 +851,10 @@ def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: C
     more than the tau fraction.  Returns the accepted decision, or None for a
     rejection.  The donor must hold the asset and the receiver must be its
     neighbor.
+
+    The donor's disk is solved only when the tau test passes with its
+    lower bound (`_donor_bound`) in place of its radius: a rejection under
+    the bound is a rejection under the radius.
     """
     di = view.robot[donor]
     dj = view.robot[receiver]
@@ -807,7 +867,6 @@ def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: C
     held_by_receiver = asset_id in dj.assigned
     if view.local_coverage(donor, asset_id) - (1 if held_by_receiver else 0) < view.assets[asset_id].kappa:
         return None
-    donor_after = view.donor_disk(donor, asset_id)
     if held_by_receiver:
         recv_after = Disk(dj.pos, dj.radius)
     else:
@@ -815,6 +874,10 @@ def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: C
         if recv_after.radius > view.params.r_max:
             return None
     before = math.pi * (di.radius ** 2 + dj.radius ** 2)
+    low = view.donor_bound(donor, asset_id)
+    if before - math.pi * (low ** 2 + recv_after.radius ** 2) <= cfg.tau * before:
+        return None
+    donor_after = view.donor_disk(donor, asset_id)
     after = math.pi * (donor_after.radius ** 2 + recv_after.radius ** 2)
     if before - after <= cfg.tau * before:
         return None
@@ -890,13 +953,17 @@ def swap_round(
 
     A pair is skipped while it is clean (`_View.clean`): its last sweep
     rejected every candidate in both orientations and skipped none as
-    already moved, and neither robot nor either robot's cover counts have
-    changed since.  Every input of `_evaluate_swap` and of the candidate
-    lists is then unchanged, so the pair would be rejected again.  The
-    prune reads only the two centers and the candidates' distances, so it
-    repeats too; a candidate skipped as moved inside the pruned tail would
-    fail the closer test when not moved, so it does not keep a pair from
-    becoming clean.
+    already moved, and since then neither robot has changed and neither
+    robot's cover count of an asset it holds has changed.  A robot's cover
+    count is read only for a candidate it donates (the candidate list's
+    kappa test and `_evaluate_swap`'s coverage test), and it holds every
+    such candidate; the other inputs of `_evaluate_swap` and of the
+    candidate lists are the two robots, the assets (an event rebuilds the
+    view) and the config.  So the pair would be rejected again.  The prune
+    reads only the two centers and the candidates' distances, so it repeats
+    too; a candidate skipped as moved inside the pruned tail would fail the
+    closer test when not moved, so it does not keep a pair from becoming
+    clean.
     """
     view = _view_at(snapshot, view)
     if view.clean_for != cfg:

@@ -12,9 +12,18 @@ import math
 from typing import Optional, Sequence
 
 from swarmcover.engine import RobotState, WorldSnapshot
-from swarmcover.geometry import CONTAINMENT_TOL, Point, dist
+from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, dist
 from swarmcover.instances import Asset
-from swarmcover.protocol import INFEASIBLE, Config, SwapDecision, _bid, _evaluate_swap, _View
+from swarmcover.protocol import (
+    INFEASIBLE,
+    Config,
+    SwapDecision,
+    _bid,
+    _finalize_radius,
+    _grow_disk,
+    _View,
+    consolidate,
+)
 
 
 def sense(robot: RobotState, assets: Sequence[Asset], r_max: float) -> set[int]:
@@ -110,12 +119,42 @@ def bid_bound(view: _View, robot: RobotState, asset_id: int) -> float:
 def evaluate_swap(
     snapshot: WorldSnapshot, donor: int, receiver: int, asset_id: int, cfg: Config
 ) -> Optional[SwapDecision]:
-    """The swap sweep's verdict on handing the asset from donor to receiver
-    (see `protocol._evaluate_swap`), judged on a fresh view: the accepted
-    decision, or None for a rejection."""
+    """The swap sweep's verdict on handing the asset from donor to receiver,
+    judged on a fresh view and with the donor's disk always solved: the
+    rule `protocol._evaluate_swap` decides without solving when its donor
+    bound already rejects.  The accepted decision, or None for a
+    rejection."""
     view = _View(snapshot)
     if asset_id not in view.robot[donor].assigned:
         raise ValueError(f"asset {asset_id} is not assigned to robot {donor}")
     if receiver not in view.nbrs.get(donor, ()):
         raise ValueError(f"robots {donor} and {receiver} are not neighbors")
-    return _evaluate_swap(view, donor, receiver, asset_id, cfg)
+    di = view.robot[donor]
+    dj = view.robot[receiver]
+    ppos = view.assets[asset_id].pos
+    to_donor = dist(ppos, di.pos)
+    if not dist(ppos, dj.pos) < to_donor:
+        return None
+    if not to_donor > cfg.boundary_factor * di.radius:
+        return None
+    held_by_receiver = asset_id in dj.assigned
+    if view.local_coverage(donor, asset_id) - (1 if held_by_receiver else 0) < view.assets[asset_id].kappa:
+        return None
+    donor_after = consolidate(di.pos, di.assigned - {asset_id}, view.assets)
+    if held_by_receiver:
+        recv_after = Disk(dj.pos, dj.radius)
+    else:
+        recv_after = _grow_disk(view, dj, asset_id)
+        if recv_after.radius > view.params.r_max:
+            return None
+    before = math.pi * (di.radius ** 2 + dj.radius ** 2)
+    after = math.pi * (donor_after.radius ** 2 + recv_after.radius ** 2)
+    if before - after <= cfg.tau * before:
+        return None
+    return SwapDecision(
+        before - after,
+        donor_after.center,
+        _finalize_radius(donor_after.radius, view.params.r_max),
+        recv_after.center,
+        _finalize_radius(recv_after.radius, view.params.r_max),
+    )

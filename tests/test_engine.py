@@ -109,6 +109,13 @@ def test_event_rounds_and_robot_ids_must_be_integers():
             KillRobot(rid)
 
 
+def test_asset_spec_kappa_must_be_an_integer():
+    for kappa in (1.5, 2.0, True, "2", 0):
+        with pytest.raises(ValueError, match="kappa must be"):
+            AssetSpec(P(1, 1), kappa)
+    assert AssetSpec(P(1, 1), 2).kappa == 2
+
+
 def test_apply_events_add_assets_dense_ids():
     snap = mksnapshot([mkrobot(0, 0, 0)], mkassets([(1, 1, 1), (2, 2, 2)]))
     ev = Event(0, AddAssets((AssetSpec(P(9, 9), 3), AssetSpec(P(8, 8), 1))))

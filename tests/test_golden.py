@@ -116,9 +116,13 @@ def test_ladder_250_carries_one_view(monkeypatch):
     # Building a fresh view for every phase call took 12 full cover recounts
     # and 28,336 swap evaluations here.  The carried view is counted once
     # and patched by deltas after that, and the sweeps skip clean pairs
-    # (22,137 evaluations) and stop each scan at the gap bound (4,044).
+    # (22,137 evaluations), stop each scan at the gap bound (4,044) and
+    # keep a pair clean while the cover counts of the assets its robots
+    # hold are unchanged (1,971).  Rejecting by the donor bound before the
+    # donor's disk is solved cut the sweeps' solves from 54 to 42.
     recount, evaluate = protocol._cover_counts, protocol._evaluate_swap
-    recounts, evaluations = 0, 0
+    solve, sweep = protocol.min_enclosing_disk, protocol.swap_round
+    recounts, evaluations, solves, inside = 0, 0, 0, False
 
     def counting_recount(*args):
         nonlocal recounts
@@ -130,9 +134,25 @@ def test_ladder_250_carries_one_view(monkeypatch):
         evaluations += 1
         return evaluate(*args)
 
+    def counting_solve(*args):
+        nonlocal solves
+        solves += inside
+        return solve(*args)
+
+    def flagged_sweep(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return sweep(*args)
+        finally:
+            inside = False
+
     monkeypatch.setattr(protocol, "_cover_counts", counting_recount)
     monkeypatch.setattr(protocol, "_evaluate_swap", counting_evaluate)
+    monkeypatch.setattr(protocol, "min_enclosing_disk", counting_solve)
+    monkeypatch.setattr(protocol, "swap_round", flagged_sweep)
     res = run(ladder_250(), Config(), (), 0)
     assert res.status is RunStatus.FEASIBLE
     assert 0 < recounts <= 2, recounts
-    assert 0 < evaluations < 8_000, evaluations
+    assert 0 < evaluations < 3_000, evaluations
+    assert 0 < solves < 48, solves

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,26 @@ def test_asset_validation():
         Asset(0, Point(1, 1), 0)
     with pytest.raises(ValueError):
         Asset(-1, Point(1, 1), 1)
+
+
+def test_asset_kappa_must_be_an_integer():
+    # A float kappa is met by a whole number of holders above it, and True
+    # reads as 1: neither may pass as a coverage requirement.
+    for kappa in (1.5, 2.0, True, "2", np.int64(2)):
+        with pytest.raises(ValueError, match="kappa must be an integer"):
+            Asset(0, Point(1, 1), kappa)
+
+
+def test_asset_builders_pass_plain_integer_kappas(tmp_path):
+    # The generator draws from NumPy integers here, and the CSV reader parses
+    # text: both must hand Asset a plain int.
+    assets = generate_uniform(20, WS, tuple(np.arange(1, 4)), 4)
+    assert {type(a.kappa) for a in assets} == {int}
+    save_assets(tmp_path / "a.csv", assets)
+    assert load_assets(tmp_path / "a.csv") == assets
+    (tmp_path / "bad.csv").write_text("id,x,y,kappa\n0,1.0,1.0,1.5\n")
+    with pytest.raises(AssetCsvError, match=":2:"):
+        load_assets(tmp_path / "bad.csv")
 
 
 def test_instance_rejects_sparse_ids_and_outside_assets():

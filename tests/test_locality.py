@@ -49,6 +49,8 @@ from swarmcover.protocol import (
     SwapRecord,
     _bid,
     _bid_bounds,
+    _donor_bound,
+    _evaluate_swap,
     _grow_disk,
     _swap_candidates,
     _View,
@@ -422,6 +424,96 @@ def test_clean_pairs_hold_for_one_config_and_seed():
     assert_view_is_fresh(view)
 
 
+@given(holding_worlds(), st.sampled_from([0.005, 0.05, 0.3, 2.0]), st.sampled_from([0.1, 0.5, 0.9]))
+@example(SHARED_DONOR, 0.005, 0.9)
+@settings(max_examples=150, deadline=None)
+def test_evaluate_swap_matches_the_solve_always_rule(snap, tau, boundary_factor):
+    # Every transfer of every neighbor pair, on one view whose memos fill
+    # as the verdicts are taken, against the reference that solves the
+    # donor's disk each time.
+    cfg = Config(tau=tau, boundary_factor=boundary_factor)
+    view = _View(snap)
+    for donor in view.alive_ids:
+        for receiver in view.nbrs[donor]:
+            for asset_id in sorted(view.robot[donor].assigned):
+                got = outcome(lambda: _evaluate_swap(view, donor, receiver, asset_id, cfg))
+                assert got == outcome(lambda: evaluate_swap(snap, donor, receiver, asset_id, cfg))
+
+
+@st.composite
+def tight_held_sets(draw):
+    """A robot's held points where the donor bound sits closest to the
+    solved radius: on a circle (a regular polygon, with antipodal pairs
+    when its order is even, or random angles), or near-coincident, each
+    point jittered by ~1e-10 m, near the origin or offset by 1e6 m."""
+    ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.sampled_from([0.0, 1e6]))
+    n = draw(st.integers(1, 9))
+    jitter = st.sampled_from([0.0, 1e-10, -1e-10]) | st.floats(-1e-10, 1e-10)
+    if draw(st.booleans()):
+        radius = draw(st.sampled_from([1e-9, 2e-9, 1e-6, 1.0, 39.99, 40.0]) | st.floats(1e-9, 40.0))
+        if draw(st.booleans()):
+            turn = draw(st.floats(0.0, 2.0 * math.pi))
+            angles = [turn + 2.0 * math.pi * k / n for k in range(n)]
+        else:
+            angles = [draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(n)]
+    else:
+        radius, angles = 0.0, [0.0] * n
+    pts = [
+        Point(ox + radius * math.cos(a) + draw(jitter), oy + radius * math.sin(a) + draw(jitter)) for a in angles
+    ]
+    center = draw(st.sampled_from([None, Point(ox, oy)]))
+    return pts, center
+
+
+@given(tight_held_sets())
+@settings(max_examples=400, deadline=None)
+def test_donor_bound_is_below_the_solved_radius(case):
+    # The tau test squares the radius, so the bound must stay below it
+    # after squaring too.
+    pts, center = case
+    assets = tuple(Asset(i, p, 1) for i, p in enumerate(pts))
+    held = frozenset(range(len(pts)))
+    disk = consolidate(pts[0], held, assets)
+    pos = disk.center if center is None else center
+    robot = RobotState(0, pos, disk.radius, held, True)
+    snap = WorldSnapshot(5, Phase.REFINE, (robot,), assets, Params(WS, 1, 55.0, 60.0))
+    view = _View(snap)
+    for asset_id in held:
+        bound = view.donor_bound(0, asset_id)
+        radius = view.donor_disk(0, asset_id).radius
+        assert 0.0 <= bound <= radius
+        assert bound ** 2 <= radius ** 2
+
+
+@pytest.mark.parametrize("enters", [True, False])
+@pytest.mark.parametrize("shares", [True, False])
+def test_clean_pair_is_voided_by_a_neighbor_only_over_held_assets(enters, shares):
+    # Robot 2 comes into or goes out of range of the clean pair (0, 1).  It
+    # changes robot 0's cover count of asset 0, which robot 0 holds, only
+    # when it holds asset 0 too; otherwise the pair's verdict reads nothing
+    # that changed, and the pair stays clean.
+    held = {0, 2} if shares else {2}
+    snap = holding_snapshot(
+        [(0.0, 0.0, 1), (10.0, 0.0, 1), (60.0, 0.0, 1)],
+        [(Point(0.0, 0.0), {0}), (Point(10.0, 0.0), {1}), (Point(60.0, 0.0), held)],
+        r_comm=15.0,
+        r_max=40.0,
+    )
+    near, far = Point(5.0, 5.0), Point(60.0, 30.0)
+    first, then = (far, near) if enters else (near, far)
+    snap = replace(snap, robots=(*snap.robots[:2], replace(snap.robots[2], pos=first)))
+    cfg = Config(tau=10.0)  # no transfer pays off by 1000%
+    view = _View(snap)
+    assert swap_round(snap, cfg, view) == ({}, False, ())
+    assert (0, 1) in view.clean
+    snap = replace(snap, robots=(*snap.robots[:2], replace(snap.robots[2], pos=then)))
+    view.update(snap)
+    assert ((0, 1) in view.clean) is not shares
+    assert (0 in view.candidates) is not shares
+    assert_view_is_fresh(view)
+    assert swap_round(snap, cfg, view) == swap_round(snap, cfg)
+
+
 def test_view_memoizes_swap_disks():
     view = _View(SHARED_DONOR)
     first = view.donor_disk(0, 1)
@@ -641,6 +733,9 @@ def assert_view_is_fresh(view: _View) -> None:
         robot = snap.robots[donor]
         for asset_id, disk in memo.items():
             assert disk == consolidate(robot.pos, robot.assigned - {asset_id}, snap.assets)
+    for donor, memo in view._donor_bounds.items():
+        for asset_id, bound in memo.items():
+            assert bound == _donor_bound(fresh, donor, asset_id)
     for receiver, memo in view._grown_disks.items():
         for asset_id, disk in memo.items():
             assert disk == _grow_disk(fresh, snap.robots[receiver], asset_id)
@@ -699,9 +794,15 @@ def next_round(draw, snap: WorldSnapshot):
 
 
 def pair_inputs(view: _View, pair: tuple[int, int]):
-    """What a swap sweep reads about a pair: both robots and their cover
-    counts, by value."""
-    return [(view.robot[rid], dict(view.cover[rid])) for rid in pair]
+    """What a swap sweep's verdict on a pair reads, by value: both robots,
+    and each robot's cover counts of the assets it holds.  A robot's cover
+    count is read only for a candidate it donates (`_swap_candidates`'s
+    kappa test, `_evaluate_swap`'s coverage test), which it holds; counts
+    of assets it does not hold may change while the pair stays clean."""
+    return [
+        (view.robot[rid], {a: view.local_coverage(rid, a) for a in view.robot[rid].assigned})
+        for rid in pair
+    ]
 
 
 @given(st.one_of(worlds(), holding_worlds()), st.data())
@@ -720,6 +821,7 @@ def test_carried_view_matches_fresh_view(snap, data):
         for rid in view.alive_ids:
             for asset_id in view.robot[rid].assigned:
                 view.donor_disk(rid, asset_id)
+                view.donor_bound(rid, asset_id)
             for asset_id in view.deficits(rid):
                 view.grown_disk(rid, asset_id)
         for pair in view.clean:

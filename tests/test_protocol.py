@@ -9,6 +9,7 @@ always satisfy the run loop's invariants; the rules must still behave.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from swarmcover.protocol import (
     swap_round,
     _bid,
     _bid_bounds,
+    _evaluate_swap,
     _gap_prunes,
     _View,
 )
@@ -472,8 +474,16 @@ def swap_fixture(rnd: int = 0):
     return wide_snap([donor, recv], assets, rnd=rnd)
 
 
+def verdict(snap, donor, receiver, asset_id, cfg):
+    """The solve-always verdict of tests/reference.py, checked against the
+    program's, which rejects by a donor bound before solving."""
+    dec = evaluate_swap(snap, donor, receiver, asset_id, cfg)
+    assert _evaluate_swap(_View(snap), donor, receiver, asset_id, cfg) == dec
+    return dec
+
+
 def test_evaluate_swap_accepts_boundary_transfer():
-    dec = evaluate_swap(swap_fixture(), 0, 1, 1, Config())
+    dec = verdict(swap_fixture(), 0, 1, 1, Config())
     assert dec is not None
     assert dec.reduction == pytest.approx(24 * math.pi)
     assert (dec.donor_pos, dec.donor_radius) == (P(0, 0), 0.0)
@@ -484,7 +494,7 @@ def test_evaluate_swap_accepts_boundary_transfer():
 def test_evaluate_swap_rejects_farther_receiver():
     snap = swap_fixture()
     # receiver sits farther from the asset than the donor: no transfer
-    dec = evaluate_swap(snap, 1, 0, 2, Config())
+    dec = verdict(snap, 1, 0, 2, Config())
     assert dec is None
 
 
@@ -494,7 +504,7 @@ def test_evaluate_swap_rejects_interior_asset():
     recv = mkrobot(1, 10.5, 0, {3}, radius=0.0)
     snap = wide_snap([donor, recv], assets)
     # asset 2 is 4.0 from the donor center, under 0.9 * 5.0
-    dec = evaluate_swap(snap, 0, 1, 2, Config())
+    dec = verdict(snap, 0, 1, 2, Config())
     assert dec is None
 
 
@@ -504,7 +514,7 @@ def test_evaluate_swap_rejects_when_coverage_would_break():
     recv = mkrobot(1, 12, 0, {2}, radius=0.0)
     snap = wide_snap([donor, recv], assets)
     # kappa=2 with a single visible holder: moving it can orphan the asset
-    dec = evaluate_swap(snap, 0, 1, 1, Config())
+    dec = verdict(snap, 0, 1, 1, Config())
     assert dec is None
 
 
@@ -515,8 +525,22 @@ def test_evaluate_swap_rejects_below_tau():
     donor = mkrobot(0, 5, 0, {0, 1, 2}, radius=5.0)
     recv = mkrobot(1, 9.8, 1.5, (), radius=0.0)
     snap = wide_snap([donor, recv], assets)
-    dec = evaluate_swap(snap, 0, 1, 2, Config())
+    dec = verdict(snap, 0, 1, 2, Config())
     assert dec is None
+
+
+def test_donor_bound_rejects_without_solving():
+    # Without asset 2 the donor still holds (0, 0) and (10, 0), so its disk
+    # keeps a radius of at least 5 and the empty receiver saves nothing:
+    # the bound rejects before the donor's disk is solved.
+    assets = mkassets([(0, 0, 1), (10, 0, 1), (9.8, 1, 1)])
+    donor = mkrobot(0, 5, 0, {0, 1, 2}, radius=5.0)
+    recv = mkrobot(1, 9.8, 1.5, (), radius=0.0)
+    view = _View(wide_snap([donor, recv], assets))
+    assert 5.0 - 1e-8 < view.donor_bound(0, 2) < 5.0
+    with mock.patch("swarmcover.protocol.min_enclosing_disk", side_effect=AssertionError("solved")):
+        assert _evaluate_swap(view, 0, 1, 2, Config()) is None
+    assert 2 not in view._donor_disks.get(0, {})
 
 
 def test_evaluate_swap_rejects_infeasible_receiver_growth():
@@ -524,7 +548,7 @@ def test_evaluate_swap_rejects_infeasible_receiver_growth():
     # receiver-side r_max guard
     assets = mkassets([(30, 0, 1), (20, 0, 1)])
     snap = wide_snap([mkrobot(0, 0, 0, {0}), mkrobot(1, 20, 0, {1})], assets, r_max=4.0)
-    dec = evaluate_swap(snap, 0, 1, 0, Config())
+    dec = verdict(snap, 0, 1, 0, Config())
     assert dec is None
 
 
