@@ -3,7 +3,9 @@
 
 Runs scenarios/dynamic_ants_2026.json through the library and reports how the
 swarm absorbed the mid-mission arrivals: who moved, how long recovery took,
-and what it cost.  Snapshots and the trace land in --out.
+and what it cost.  The trace and adaptation.json, a list with one record per
+event in event order, each measured from the event to the mission's end,
+land in --out.
 """
 
 import argparse
@@ -38,26 +40,25 @@ def main() -> int:
     write_trace(out / "trace.csv", result.trace)
 
     print(f"{Path(args.scenario).name}: {result.status.value}, {result.snapshot.round} rounds")
-    base = len(sc.instance.assets)
+    sm = result.trace[-1]
+    records = []
     for at_round, pre in result.pre_event_snapshots:
         changed = changed_robots(pre, result.snapshot)
-        pre_sm, post_sm = summarize(pre), result.trace[-1]
+        pre_cost = summarize(pre).total_cost
         print(f"  event at round {at_round}: {len(changed)}/{len(pre.robots)} robots changed")
-        print(f"    cost {pre_sm.total_cost:.1f} -> {post_sm.total_cost:.1f}, "
+        print(f"    cost {pre_cost:.1f} -> {sm.total_cost:.1f}, "
               f"recovery took {result.snapshot.round - at_round} rounds")
-        with open(out / "adaptation.json", "w") as fh:
-            json.dump(
-                {
-                    "event_round": at_round,
-                    "changed_robots": changed,
-                    "new_assets": len(result.snapshot.assets) - base,
-                    "pre_cost": pre_sm.total_cost,
-                    "post_cost": post_sm.total_cost,
-                },
-                fh,
-                indent=2,
-            )
-    sm = result.trace[-1]
+        records.append(
+            {
+                "event_round": at_round,
+                "changed_robots": changed,
+                "new_assets": len(result.snapshot.assets) - len(pre.assets),
+                "pre_cost": pre_cost,
+                "post_cost": sm.total_cost,
+            }
+        )
+    with open(out / "adaptation.json", "w") as fh:
+        json.dump(records, fh, indent=2)
     print(f"  final: under={sm.undercovered_count} over={sm.overcovered_count} "
           f"undiscovered={sm.undiscovered_count}")
     return 0 if result.status.value == "feasible" else 2

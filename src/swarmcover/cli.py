@@ -45,6 +45,7 @@ from .instances import (
     _object,
     generate_uniform,
     instance_from_dict,
+    load_instance,
     preset,
     save_instance,
 )
@@ -134,9 +135,10 @@ def load_scenario(
     if "instance" in data:
         inst = instance_from_dict(data["instance"], base_dir, default_seed=seed)
     elif "instance_file" in data:
-        with open(base_dir / data["instance_file"]) as fh:
-            inst_data = json.load(fh)
-        inst = instance_from_dict(inst_data, (base_dir / data["instance_file"]).parent, default_seed=seed)
+        name = data["instance_file"]
+        if not isinstance(name, str):
+            raise ScenarioError(f"{path}: scenario instance_file must be a path string, got {name!r}")
+        inst = load_instance(base_dir / name, default_seed=seed)
     elif "workspace" in data:
         inst = instance_from_dict(data, base_dir, default_seed=seed)
     else:

@@ -261,11 +261,15 @@ def enclose_with_anchor(points: Sequence[Point], anchor: Point) -> Disk:
 
     This is the single-boundary-point subproblem of the incremental
     construction; it lets callers grow a known disk by one outside point
-    without a full restart.
+    without a full restart.  Outside that precondition the solve can miss a
+    point by meters; the result is then `min_enclosing_disk` of every point
+    and the anchor, so it always holds them all.
     """
     xy = [(p.x, p.y) for p in points]
     xy.append((anchor.x, anchor.y))
     cx, cy, r = _mec_one_point(xy, anchor.x, anchor.y)
+    if max(map(math.dist, repeat((cx, cy), len(xy)), xy)) > r + CONTAINMENT_TOL:
+        return min_enclosing_disk([*points, anchor])
     return Disk(Point(cx, cy), r)
 
 

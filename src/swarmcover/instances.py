@@ -116,11 +116,14 @@ def generate_uniform(n: int, workspace: Workspace, kappa_choices: Sequence[int],
     uniformly from kappa_choices.  Same seed, same output."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if not kappa_choices:
+    if len(kappa_choices) == 0:
         raise ValueError("kappa_choices must be nonempty")
     for k in kappa_choices:
+        # A float or bool would pass through int() silently as another kappa.
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"kappa_choices must hold integers, got {k!r}")
         if k < 1:
-            raise ValueError(f"kappa choices must be >= 1, got {k}")
+            raise ValueError(f"kappa_choices must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(workspace.x_min, workspace.x_max, size=n)
     ys = rng.uniform(workspace.y_min, workspace.y_max, size=n)

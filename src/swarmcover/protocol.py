@@ -15,9 +15,9 @@ over (see `geometry`), and that sequence comes from the snapshot alone.
 
 The robots' local knowledge lives in one `_View`, which `run` builds once
 and carries from round to round (see `_View.update`).  Each phase function
-takes it after its other arguments, carries it to the snapshot it decides
-on, and builds a fresh view when none is passed; the carried view always
-equals a fresh one, so the decisions are the same either way.
+takes it as its last argument and carries it to the snapshot it decides
+on; the carried view always equals a fresh `_View(snapshot)`, so the
+decisions are those of a view built for that snapshot alone.
 """
 
 from __future__ import annotations
@@ -164,11 +164,11 @@ class _View:
 
     This is the one place local knowledge is computed: the alive robots, the
     neighbor map, each robot's sensed assets (through a cell grid of side
-    r_max), its membership cover counts (see `_cover_counts`) and its
-    knowledge set (sensed, held, and held by a neighbor), all for
+    r_max) and its membership cover counts (see `_cover_counts`), all for
     `snapshot`, and the asset coordinates as two float64 arrays indexed by
-    asset id (`asset_x`, `asset_y`) for the auction's bid bounds.  Filled on
-    demand, and kept per robot:
+    asset id (`asset_x`, `asset_y`) for the auction's bid bounds.  A robot
+    knows an asset when it senses it or counts a holder of it (`knows`).
+    Filled on demand, and kept per robot:
 
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
       asset, and `donor_bound`, a lower bound on that disk's radius;
@@ -190,7 +190,6 @@ class _View:
     * cover counts are patched by deltas: +1 or -1, per asset gained or
       lost, at the robot and at each neighbor it kept, and a whole assigned
       list added or removed where a pair came into or went out of range;
-    * knowledge is recomputed where sensing or cover counts changed;
     * a changed robot loses its memo entries;
     * a robot loses its swap candidates and its clean pairs when its cover
       count of an asset it holds may have changed: when its `RobotState`
@@ -219,8 +218,6 @@ class _View:
         self._grid = CellGrid(self.params.r_max, ((a.pos, a) for a in self.assets))
         self.sensed = {rid: self._sense(self.robot[rid]) for rid in self.alive_ids}
         self.cover = _cover_counts(snapshot, self.nbrs)
-        # The counted assets are exactly those held by the robot or a neighbor.
-        self.knowledge = {rid: self.sensed[rid].union(self.cover[rid]) for rid in self.alive_ids}
         self._donor_disks: dict[int, dict[int, Disk]] = {}
         self._donor_bounds: dict[int, dict[int, float]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
@@ -257,7 +254,6 @@ class _View:
         cover = self.cover
         old_nbrs = self.nbrs
         moved = {r.id for r in changed if r.pos != prev[r.id].pos}
-        dirty = set(moved)  # knowledge to recompute
         swap_dirty = {r.id for r in changed}  # candidates and clean pairs to drop
         if moved:
             for rid in moved:
@@ -276,7 +272,6 @@ class _View:
                     _count_in(cover[k], prev[j].assigned, -1)
                     if not held.isdisjoint(prev[j].assigned):
                         swap_dirty.add(k)
-                dirty.add(k)
         for r in changed:
             old = prev[r.id].assigned
             if r.assigned == old:
@@ -290,9 +285,6 @@ class _View:
                 held = self.robot[k].assigned
                 if not (held.isdisjoint(gained) and held.isdisjoint(lost)):
                     swap_dirty.add(k)
-            dirty.update(kept)
-        for k in dirty:
-            self.knowledge[k] = self.sensed[k].union(cover[k])
         for r in changed:
             self._donor_disks.pop(r.id, None)
             self._donor_bounds.pop(r.id, None)
@@ -304,12 +296,18 @@ class _View:
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
 
+    def knows(self, rid: int, asset_id: int) -> bool:
+        """Does robot rid sense the asset, or does it or a neighbor hold it?
+        Its cover counts list exactly the assets it or a neighbor holds."""
+        return asset_id in self.sensed[rid] or asset_id in self.cover[rid]
+
     def deficits(self, rid: int) -> list[int]:
         """Assets robot rid may claim, in ascending id: known, not held by
         rid, and counted below kappa in its neighborhood."""
         held = self.robot[rid].assigned
         counts = self.cover[rid]
-        return sorted(a for a in self.knowledge[rid] if a not in held and counts.get(a, 0) < self.assets[a].kappa)
+        known = self.sensed[rid].union(counts)
+        return sorted(a for a in known if a not in held and counts.get(a, 0) < self.assets[a].kappa)
 
     def positions(self, assigned: Sequence[int]) -> list[Point]:
         return [self.assets[a].pos for a in assigned]
@@ -346,15 +344,9 @@ class _View:
         return got
 
     def bound_xy(self, rid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Robot rid's held assets as x and y arrays in ascending id, or
-        empty arrays when its disk does not hold them all (see
+        """Robot rid's held assets as x and y arrays in ascending id (see
         `_bid_bounds`)."""
-        robot = self.robot[rid]
-        cx, cy, reach = robot.pos.x, robot.pos.y, robot.radius + CONTAINMENT_TOL
-        held = sorted(robot.assigned)
-        if any(math.hypot(cx - p.x, cy - p.y) > reach for p in self.positions(held)):
-            held = []
-        ids = np.array(held, dtype=np.intp)
+        ids = np.array(sorted(self.robot[rid].assigned), dtype=np.intp)
         return self.asset_x[ids], self.asset_y[ids]
 
 
@@ -382,14 +374,6 @@ def _count_in(counts: dict[int, int], held: Iterable[int], delta: int) -> None:
             counts[p] = c
         else:
             del counts[p]
-
-
-def _view_at(snapshot: WorldSnapshot, view: Optional[_View]) -> _View:
-    # The view of snapshot: `view` carried to it, or a fresh one if None.
-    if view is None:
-        return _View(snapshot)
-    view.update(snapshot)
-    return view
 
 
 def _finalize_radius(radius: float, r_max: float) -> float:
@@ -516,10 +500,7 @@ def _bid_bounds(view: _View, candidates: Mapping[int, Sequence[int]]) -> np.ndar
     radius can fall up to about that much below far/2: an absolute slack of
     2 CONTAINMENT_TOL covers that, and a relative shrink covers the rounding
     of the area formula.  The far/2 argument needs the grown disk to hold
-    the robot's assets, and `enclose_with_anchor` can return one that misses
-    them when the robot's disk does not hold them (see its precondition).
-    Every run keeps each disk around its assets; for a robot whose disk does
-    not, `bound_xy` is empty and the bound is 0.
+    the robot's assets, which `enclose_with_anchor` guarantees.
 
     The pass groups the (asset, candidate) pairs by robot and takes each
     robot's k pairs in one block.  It first finds the assets its disk does
@@ -585,9 +566,7 @@ def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps:
     return min(tie, key=lambda j: (h64(iteration, asset_id, j), j))
 
 
-def phase2_round(
-    snapshot: WorldSnapshot, cfg: Config, view: Optional[_View] = None
-) -> tuple[dict[int, Proposal], bool]:
+def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dict[int, Proposal], bool]:
     """One auction round.
 
     Every robot auctions each of its deficits (see `_View.deficits`) among
@@ -626,7 +605,7 @@ def phase2_round(
     wins would push the disk past r_max (it stays undercovered and is
     re-auctioned next round).
     """
-    view = _view_at(snapshot, view)
+    view.update(snapshot)
     r_max = snapshot.params.r_max
     iteration = snapshot.round
     auctioneers: dict[int, list[int]] = {}
@@ -639,7 +618,7 @@ def phase2_round(
     for asset_id in sorted(auctioneers):
         near = set(auctioneers[asset_id]).union(*(view.nbrs[rid] for rid in auctioneers[asset_id]))
         candidates[asset_id] = [
-            j for j in near if asset_id in view.knowledge[j] and asset_id not in view.robot[j].assigned
+            j for j in near if view.knows(j, asset_id) and asset_id not in view.robot[j].assigned
         ]
     groups: dict[int, set[int]] = {}
 
@@ -737,7 +716,7 @@ def coverage_satisfied(snapshot: WorldSnapshot) -> bool:
     return True
 
 
-def holders_certified(snapshot: WorldSnapshot, view: Optional[_View] = None) -> bool:
+def holders_certified(snapshot: WorldSnapshot, view: _View) -> bool:
     """Distributed completion certificate: no robot holds an asset whose
     coverage requirement it cannot verify within its own neighborhood.
 
@@ -751,16 +730,14 @@ def holders_certified(snapshot: WorldSnapshot, view: Optional[_View] = None) -> 
     saturates every custodian's neighborhood before it goes quiet, so the
     certificate holds exactly when coordination sufficed.
     """
-    view = _view_at(snapshot, view)
+    view.update(snapshot)
     assets = snapshot.assets
     return all(
         counts[a] >= assets[a].kappa for rid, counts in view.cover.items() for a in snapshot.robots[rid].assigned
     )
 
 
-def fallback_assign(
-    snapshot: WorldSnapshot, cfg: Config, view: Optional[_View] = None
-) -> tuple[dict[int, Proposal], bool]:
+def fallback_assign(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dict[int, Proposal], bool]:
     """Direct assignment when the auctions stall.
 
     In every connected component of the communication graph, the robot with
@@ -769,7 +746,7 @@ def fallback_assign(
     disk would exceed r_max it first releases its own locally overcovered
     assets farthest-first, one at a time, retrying after each.
     """
-    view = _view_at(snapshot, view)
+    view.update(snapshot)
     r_max = snapshot.params.r_max
     proposals: dict[int, Proposal] = {}
     seen: set[int] = set()
@@ -935,7 +912,7 @@ def _swap_candidates(view: _View, rid: int, cfg: Config) -> list[tuple[int, floa
 
 
 def swap_round(
-    snapshot: WorldSnapshot, cfg: Config, view: Optional[_View] = None
+    snapshot: WorldSnapshot, cfg: Config, view: _View
 ) -> tuple[dict[int, Proposal], bool, tuple[SwapRecord, ...]]:
     """One sweep over neighbor pairs in (min id, max id) order.
 
@@ -965,7 +942,7 @@ def swap_round(
     closer test when not moved, so it does not keep a pair from becoming
     clean.
     """
-    view = _view_at(snapshot, view)
+    view.update(snapshot)
     if view.clean_for != cfg:
         view.clean_for = cfg
         view.clean.clear()
@@ -1017,9 +994,7 @@ def swap_round(
 # Phase 3: refinement
 
 
-def phase3_round(
-    snapshot: WorldSnapshot, cfg: Config, view: Optional[_View] = None
-) -> tuple[dict[int, Proposal], bool]:
+def phase3_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dict[int, Proposal], bool]:
     """One guarded removal round.
 
     Each robot builds a removal intent set greedily (farthest asset first,
@@ -1029,7 +1004,7 @@ def phase3_round(
     below kappa; the hash ordering lets exactly the right subset proceed when
     neighbors contend for the same slack.
     """
-    view = _view_at(snapshot, view)
+    view.update(snapshot)
     r_max = snapshot.params.r_max
     rnd = snapshot.round
     intents: dict[int, list[int]] = {}

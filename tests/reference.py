@@ -91,10 +91,8 @@ def bid_bound(view: _View, robot: RobotState, asset_id: int) -> float:
     # up to about that much below far/2 (tests/test_protocol.py has a
     # case): the absolute slack covers it, and the relative shrink covers
     # the rounding of the area formula.  The far/2 argument needs the grown
-    # disk to hold the robot's assets, and `enclose_with_anchor` can return
-    # one that misses them when the robot's disk does not hold them (see
-    # its precondition).  Every run keeps each disk around its assets; for
-    # a robot whose disk does not, `bound_xy` is empty and the bound is 0.
+    # disk to hold the robot's assets, which `enclose_with_anchor`
+    # guarantees.
     ppos = view.assets[asset_id].pos
     if not robot.assigned or dist(robot.pos, ppos) <= robot.radius + CONTAINMENT_TOL:
         return 0.0  # the exact bid is 0 here too

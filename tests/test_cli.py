@@ -481,6 +481,21 @@ def test_instance_field_types_are_errors(tmp_path, capsys, change, needle):
     assert not (tmp_path / "o").exists()
 
 
+def test_instance_file_is_loaded_or_rejected(tmp_path, capsys):
+    # The referenced instance loads as `load_instance` would load it.
+    unseeded = {k: v for k, v in GEN.items() if k != "seed"}
+    inst = {"workspace": WS, "m": 3, "r_comm": 85.0, "r_max": 45.0, "generator": unseeded}
+    write_json(tmp_path / "inst.json", inst)
+    scenario = write_json(tmp_path / "ok.json", {"instance_file": "inst.json", "config": {"seed": 4}})
+    assert load_scenario(scenario).instance == load_instance(tmp_path / "inst.json", default_seed=4)
+    # A path that is not a string is an error line, not a traceback.
+    bad = write_json(tmp_path / "bad.json", {"instance_file": 5})
+    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "instance_file must be a path string, got 5" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "event, needle",
     [

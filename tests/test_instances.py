@@ -143,6 +143,31 @@ def test_generate_uniform_in_workspace_and_deterministic(n, seed):
     assert all(x.kappa in KAPPA_DEFAULT_CHOICES for x in a)
 
 
+@pytest.mark.parametrize(
+    "choices, needle",
+    [
+        ((1, 2, 3), None),
+        ([np.int64(2), np.int32(3)], None),
+        (np.array([1, 2, 3]), None),
+        ((), "kappa_choices must be nonempty"),
+        (np.array([], dtype=np.int64), "kappa_choices must be nonempty"),
+        ((1.5,), "kappa_choices must hold integers, got 1.5"),
+        ((2.0,), "kappa_choices must hold integers, got 2.0"),
+        ((True,), "kappa_choices must hold integers, got True"),
+        (("2",), "kappa_choices must hold integers"),
+        ((1, 0), "kappa_choices must be >= 1, got 0"),
+    ],
+)
+def test_generate_uniform_checks_kappa_choices(choices, needle):
+    if needle is None:
+        got = generate_uniform(20, WS, choices, 4)
+        assert {type(a.kappa) for a in got} == {int}
+        assert {a.kappa for a in got} <= {int(k) for k in choices}
+    else:
+        with pytest.raises(ValueError, match=needle):
+            generate_uniform(20, WS, choices, 4)
+
+
 def test_generate_uniform_seed_sensitivity():
     assert generate_uniform(30, WS, (1, 2, 3), 1) != generate_uniform(30, WS, (1, 2, 3), 2)
 

@@ -198,9 +198,8 @@ def deficits_reference(snapshot: WorldSnapshot, rid: int) -> list[int]:
 @settings(max_examples=150, deadline=None)
 def test_view_knowledge_matches_brute_force(snap):
     view = _View(snap)
-    assert sorted(view.knowledge) == [r.id for r in snap.robots if r.alive]
-    for rid, got in view.knowledge.items():
-        assert got == knowledge_reference(snap, rid)
+    for rid in view.alive_ids:
+        assert {a.id for a in snap.assets if view.knows(rid, a.id)} == knowledge_reference(snap, rid)
 
 
 @given(worlds())
@@ -388,7 +387,7 @@ def holding_worlds(draw) -> WorldSnapshot:
 
 
 def test_shared_donor_fixture_transfers():
-    plan, progress, records = swap_round(SHARED_DONOR, Config())
+    plan, progress, records = swap_round(SHARED_DONOR, Config(), _View(SHARED_DONOR))
     assert progress
     assert len(neighbor_map(SHARED_DONOR)[0]) == 3
     assert [r.donor for r in records] == [0]
@@ -399,7 +398,7 @@ def test_shared_donor_fixture_transfers():
 @settings(max_examples=120, deadline=None)
 def test_swap_round_matches_fresh_view_evaluations(snap, tau):
     cfg = Config(tau=tau)
-    got = swap_round(snap, cfg)
+    got = swap_round(snap, cfg, _View(snap))
     assert got == sweep_reference(snap, cfg)
     plan, _, records = got
     for rec in records:
@@ -415,7 +414,7 @@ def test_clean_pairs_hold_for_one_config_and_seed():
     view = _View(SHARED_DONOR)
     assert swap_round(SHARED_DONOR, Config(tau=10.0), view) == ({}, False, ())
     assert view.clean
-    assert swap_round(SHARED_DONOR, Config(), view) == swap_round(SHARED_DONOR, Config())
+    assert swap_round(SHARED_DONOR, Config(), view) == swap_round(SHARED_DONOR, Config(), _View(SHARED_DONOR))
     # The candidate lists hang on the rim test's boundary factor: a rim
     # beyond every asset leaves robot 0 with none.
     rimless = Config(boundary_factor=1.5)
@@ -511,7 +510,7 @@ def test_clean_pair_is_voided_by_a_neighbor_only_over_held_assets(enters, shares
     assert ((0, 1) in view.clean) is not shares
     assert (0 in view.candidates) is not shares
     assert_view_is_fresh(view)
-    assert swap_round(snap, cfg, view) == swap_round(snap, cfg)
+    assert swap_round(snap, cfg, view) == swap_round(snap, cfg, _View(snap))
 
 
 def test_view_memoizes_swap_disks():
@@ -537,7 +536,7 @@ def certificate_reference(snapshot: WorldSnapshot) -> bool:
 @given(st.one_of(worlds(), holding_worlds()))
 @settings(max_examples=200, deadline=None)
 def test_holders_certified_matches_brute_force(snap):
-    assert holders_certified(snap) == certificate_reference(snap)
+    assert holders_certified(snap, _View(snap)) == certificate_reference(snap)
 
 
 # -- auctions -----------------------------------------------------------------
@@ -556,7 +555,7 @@ def auction_reference(snapshot: WorldSnapshot, cfg: Config):
             bids = {
                 j: _bid(view, view.robot[j], asset_id)
                 for j in group
-                if asset_id not in view.robot[j].assigned and asset_id in view.knowledge[j]
+                if asset_id not in view.robot[j].assigned and view.knows(j, asset_id)
             }
             if select_winner(asset_id, bids, snapshot.round, cfg.eps) == rid:
                 wins.setdefault(rid, []).append(asset_id)
@@ -617,9 +616,12 @@ STACKED_WINS = holding_snapshot(
 
 
 # Robot 0's disk, radius 0 at the origin, does not hold its asset 0 at
-# (0, 3).  Growing it by asset 2 returns a disk of radius 0.5 that misses
-# asset 0 (see geometry.enclose_with_anchor), a bid below the far/2 bound,
-# yet robot 0 must still win its own auction.
+# (0, 3).  Asset 2 then lies inside the enclosing disk of robot 0's assets,
+# outside `geometry.enclose_with_anchor`'s precondition, where its
+# one-boundary-point solve would return a disk of radius 0.5 that misses
+# asset 0.  The solver falls back to the full solve, so the grown disk holds
+# all three assets, the bid stays above the far/2 bound, and robot 0 must
+# still win its own auction.
 LOOSE_DISK = WorldSnapshot(
     0,
     Phase.OPTIMIZE,
@@ -632,18 +634,18 @@ LOOSE_DISK = WorldSnapshot(
 def test_auction_fixtures():
     cfg = Config()
     tied = replace(TIED_BIDDERS, round=0)
-    assert phase2_round(tied, cfg)[0].keys() == {1}
+    assert phase2_round(tied, cfg, _View(tied))[0].keys() == {1}
     assert neighbor_map(HIDDEN_BIDDER) == {0: (), 1: (2,), 2: (1,)}
-    plan, _ = phase2_round(HIDDEN_BIDDER, cfg)
+    plan, _ = phase2_round(HIDDEN_BIDDER, cfg, _View(HIDDEN_BIDDER))
     assert plan.keys() == {0}
     assert plan[0].assigned == {0, 1, 2}
     assert neighbor_map(NEIGHBOR_UNDERBIDS) == {0: (1,), 1: (0, 2), 2: (1,)}
-    assert phase2_round(NEIGHBOR_UNDERBIDS, cfg) == ({}, False)
+    assert phase2_round(NEIGHBOR_UNDERBIDS, cfg, _View(NEIGHBOR_UNDERBIDS)) == ({}, False)
     assert neighbor_map(RIVAL_GROUPS) == {0: (), 1: (2,), 2: (1,)}
-    plan, _ = phase2_round(RIVAL_GROUPS, cfg)
+    plan, _ = phase2_round(RIVAL_GROUPS, cfg, _View(RIVAL_GROUPS))
     assert plan.keys() == {0, 2}
     assert (plan[0].assigned, plan[2].assigned) == ({0, 1, 2}, {0})
-    plan, _ = phase2_round(STACKED_WINS, cfg)
+    plan, _ = phase2_round(STACKED_WINS, cfg, _View(STACKED_WINS))
     assert plan.keys() == {0}
     assert (plan[0].pos, plan[0].radius, plan[0].assigned) == (Point(-10.0, 0.0), 10.0, {0, 1})
 
@@ -659,7 +661,7 @@ def test_auction_fixtures():
 def test_phase2_round_matches_per_auction_reference(snap, eps, rnd):
     snap = replace(snap, round=rnd)
     cfg = Config(eps=eps)
-    assert phase2_round(snap, cfg) == auction_reference(snap, cfg)
+    assert phase2_round(snap, cfg, _View(snap)) == auction_reference(snap, cfg)
 
 
 def assert_bounds_are_the_scalar_loop(view: _View, candidates: dict[int, list[int]]) -> None:
@@ -728,7 +730,6 @@ def assert_view_is_fresh(view: _View) -> None:
     assert view.nbrs == fresh.nbrs
     assert view.sensed == fresh.sensed
     assert view.cover == fresh.cover
-    assert view.knowledge == fresh.knowledge
     for donor, memo in view._donor_disks.items():
         robot = snap.robots[donor]
         for asset_id, disk in memo.items():
@@ -815,9 +816,9 @@ def test_carried_view_matches_fresh_view(snap, data):
         # Decide on the carried view as run does, which fills its memos and
         # its clean pairs, and compare with decisions on a fresh view.
         swaps = outcome(lambda: swap_round(snap, cfg, view))
-        assert swaps == outcome(lambda: swap_round(snap, cfg))
-        assert outcome(lambda: phase2_round(snap, cfg, view)) == outcome(lambda: phase2_round(snap, cfg))
-        assert holders_certified(snap, view) == holders_certified(snap)
+        assert swaps == outcome(lambda: swap_round(snap, cfg, _View(snap)))
+        assert outcome(lambda: phase2_round(snap, cfg, view)) == outcome(lambda: phase2_round(snap, cfg, _View(snap)))
+        assert holders_certified(snap, view) == holders_certified(snap, _View(snap))
         for rid in view.alive_ids:
             for asset_id in view.robot[rid].assigned:
                 view.donor_disk(rid, asset_id)

@@ -52,10 +52,32 @@ def test_dynamic_glyphs(tmp_path):
     out = run_script(tmp_path, "dynamic_glyphs.py", "--out", str(out_dir))
     assert "event at round 80" in out
     assert (out_dir / "trace.csv").exists()
-    adaptation = json.loads((out_dir / "adaptation.json").read_text())
+    (adaptation,) = json.loads((out_dir / "adaptation.json").read_text())
     assert adaptation["event_round"] == 80
     assert adaptation["new_assets"] == 60
     assert adaptation["changed_robots"] == sorted(adaptation["changed_robots"])
+
+
+def test_dynamic_glyphs_keeps_every_event(tmp_path):
+    # Two events: each gets its record, in event order, measured from its
+    # own round to the end of the mission.
+    add = {"at_round": 1, "kind": "add_assets", "payload": [{"x": 30.0, "y": 30.0, "kappa": 1}]}
+    kill = {"at_round": 30, "kind": "kill_robot", "payload": {"robot_id": 2}}
+    scenario = tmp_path / "two_events.json"
+    instance = {
+        "workspace": {"x_min": 0.0, "x_max": 60.0, "y_min": 0.0, "y_max": 60.0},
+        "m": 3,
+        "r_comm": 85.0,
+        "r_max": 45.0,
+        "generator": {"name": "uniform", "n": 4, "kappa_choices": [1], "seed": 2},
+    }
+    scenario.write_text(json.dumps({"instance": instance, "events": [kill, add]}))
+    out_dir = tmp_path / "glyph"
+    out = run_script(tmp_path, "dynamic_glyphs.py", "--scenario", str(scenario), "--out", str(out_dir))
+    assert "event at round 1:" in out and "event at round 30:" in out
+    records = json.loads((out_dir / "adaptation.json").read_text())
+    assert [r["event_round"] for r in records] == [1, 30]
+    assert [r["new_assets"] for r in records] == [1, 0]
 
 
 def test_sensitivity_sweep(tmp_path):
