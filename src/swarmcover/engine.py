@@ -4,7 +4,7 @@ neighbor map, event injection, and the deterministic step cycle.
 A round takes one plan: the proposals of the alive robots that act, all
 decided against the same frozen snapshot.  The engine merges them in
 ascending robot id, applies the events due at the new round number, and
-publishes the next snapshot together with its recomputed metrics.
+publishes the next snapshot together with its metrics.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import CellGrid, Point, dist
 from .instances import Asset, Instance, Workspace
-from .metrics import RoundMetrics, summarize
+from .metrics import CoverTally, RoundMetrics, summarize
 
 
 class Phase(Enum):
@@ -181,14 +181,17 @@ def step(
     events: Sequence[Event] = (),
     *,
     next_phase: Optional[Phase] = None,
+    tally: Optional[CoverTally] = None,
 ) -> tuple[WorldSnapshot, RoundMetrics]:
     """Advance the world by one round.
 
     `plan` maps alive robot ids to their proposals, all decided against
     `snapshot`; robots without an entry stand pat.  Proposals are merged in
     ascending robot id, due events are applied, and the new snapshot is
-    published with fresh metrics.  An entry for a dead or unknown robot
-    raises ValueError.
+    published with its metrics (see `metrics.summarize`).  A carried
+    `tally` is advanced to the new snapshot; without one the metrics are
+    counted from scratch, with the same result.  An entry for a dead or
+    unknown robot raises ValueError.
     """
     robots = list(snapshot.robots)
     max_disp = 0.0
@@ -206,4 +209,4 @@ def step(
         robots=tuple(robots),
     )
     merged = apply_events(merged, events)
-    return merged, summarize(merged, max_displacement=max_disp)
+    return merged, summarize(merged, max_displacement=max_disp, tally=tally)

@@ -259,7 +259,7 @@ def _known_keys(obj: dict[str, Any], known: Iterable[str], what: str) -> None:
 
 
 def _field(obj: Any, key: str, what: str) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
+    if key not in _object(obj, what):
         raise ValueError(f"{what}: missing key {key!r}")
     return obj[key]
 

@@ -3,7 +3,10 @@ per-round trace CSV.
 
 Everything here is measured geometrically against robot disks, independent of
 the assignment bookkeeping the robots themselves maintain, so it doubles as
-the ground-truth check on the distributed state.
+the ground-truth check on the distributed state.  A run carries the counts
+from round to round in one `CoverTally`, which recounts only what changed
+since the last round; the counts are those a recount of the snapshot from
+scratch gives.
 """
 
 from __future__ import annotations
@@ -12,12 +15,15 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .geometry import CONTAINMENT_TOL, CellGrid
+import numpy as np
+
+from .geometry import CONTAINMENT_TOL
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import WorldSnapshot
+    from .engine import RobotState, WorldSnapshot
+    from .instances import Asset
 
 TRACE_HEADER = ("round", "phase", "undercovered", "overcovered", "total_cost", "max_displacement", "undiscovered")
 
@@ -41,44 +47,133 @@ def total_cost(snapshot: "WorldSnapshot") -> float:
     return math.pi * sum(r.radius * r.radius for r in snapshot.robots if r.alive)
 
 
-def summarize(snapshot: "WorldSnapshot", max_displacement: float = 0.0) -> RoundMetrics:
-    """Recompute all round metrics for a snapshot.
+class CoverTally:
+    """Per-asset cover and holder counts, carried from snapshot to snapshot.
 
-    undercovered/overcovered compare the geometric cover count against each
-    asset's kappa; undiscovered counts assets that appear in no robot's
-    assigned set.
+    The tally holds, for the snapshot it was last advanced to, each asset's
+    geometric cover count (alive robots whose closed disk contains it), each
+    asset's holder count (alive robots whose assigned set lists it), and
+    the ids of the assets each robot's disk covers (`covered`).  `advance`
+    diffs a snapshot's robots against the previous ones by identity: a
+    robot whose disk or liveness changed has its covered ids taken back and
+    its new disk counted, and a changed assigned set moves holder counts
+    only.  A new assets tuple or a different robot count rebuilds the
+    tally.  A fresh tally advanced to a snapshot gives the same counts, so
+    a carried one may be advanced to any snapshot.
+
+    The disks are matched against every asset in NumPy passes with the
+    test `dx*dx + dy*dy <= (r + CONTAINMENT_TOL)**2`.  Each operation is an
+    elementwise IEEE double operation, rounded once as in a scalar loop,
+    so the counts are exact for any radius.
     """
-    alive = [r for r in snapshot.robots if r.alive]
-    # Cells as wide as the widest closed disk; at round 0 every radius is 0
-    # and the cells shrink to the containment slack.
-    reach = max((r.radius for r in alive), default=0.0) + CONTAINMENT_TOL
-    grid = CellGrid(reach, ((r.pos, (r.pos.x, r.pos.y, (r.radius + CONTAINMENT_TOL) ** 2)) for r in alive))
-    under = 0
-    over = 0
-    for a in snapshot.assets:
-        ax, ay = a.pos.x, a.pos.y
-        c = 0
-        for rx, ry, thr2 in grid.near(a.pos):
-            dx = rx - ax
-            dy = ry - ay
-            if dx * dx + dy * dy <= thr2:
-                c += 1
-        if c < a.kappa:
-            under += 1
-        elif c > a.kappa:
-            over += 1
-    assigned: set[int] = set()
-    for r in alive:
-        assigned.update(r.assigned)
-    undiscovered = sum(1 for a in snapshot.assets if a.id not in assigned)
+
+    def __init__(self) -> None:
+        self.assets: tuple[Asset, ...] | None = None  # the first advance builds
+        self.robots: tuple[RobotState, ...] = ()
+
+    def advance(self, snapshot: "WorldSnapshot") -> None:
+        """Carry the counts to `snapshot`."""
+        if snapshot.assets is not self.assets or len(snapshot.robots) != len(self.robots):
+            self._build(snapshot)
+            return
+        prev = self.robots
+        self.robots = snapshot.robots
+        moved = []
+        for i, (r, old) in enumerate(zip(snapshot.robots, prev)):
+            if r is old:
+                continue
+            if r.pos != old.pos or r.radius != old.radius or r.alive != old.alive:
+                moved.append(i)
+            if r.assigned != old.assigned or r.alive != old.alive:
+                was, now = _held(old), _held(r)
+                self._count_held(was - now, -1)
+                self._count_held(now - was, 1)
+        if moved:
+            self._count_disks(moved)
+
+    def _build(self, snapshot: "WorldSnapshot") -> None:
+        assets, robots = snapshot.assets, snapshot.robots
+        self.assets = assets
+        self.robots = robots
+        self._xs = np.array([a.pos.x for a in assets], dtype=np.float64)
+        self._ys = np.array([a.pos.y for a in assets], dtype=np.float64)
+        self._rows = max(1, _BLOCK // max(1, len(assets)))
+        self.kappa = np.array([a.kappa for a in assets], dtype=np.int64)
+        self.cover = np.zeros(len(assets), dtype=np.int64)
+        self.holders = [0] * len(assets)
+        self.covered = [_NO_IDS] * len(robots)
+        self._count_disks(list(range(len(robots))))
+        for r in robots:
+            self._count_held(_held(r), 1)
+
+    def _count_disks(self, rows: list[int]) -> None:
+        """Take back what the disks of the robots at `rows` covered and
+        count what they cover now, a block of robots at a time."""
+        robots = self.robots
+        for start in range(0, len(rows), self._rows):
+            block = rows[start : start + self._rows]
+            rx = np.array([robots[i].pos.x for i in block], dtype=np.float64)
+            ry = np.array([robots[i].pos.y for i in block], dtype=np.float64)
+            # A dead robot covers nothing: no squared distance is negative.
+            thr2 = np.array(
+                [(robots[i].radius + CONTAINMENT_TOL) ** 2 if robots[i].alive else -1.0 for i in block],
+                dtype=np.float64,
+            )
+            dx = self._xs - rx[:, None]
+            dy = self._ys - ry[:, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            at, ids = np.nonzero(dx <= thr2[:, None])
+            n = len(self.cover)
+            self.cover -= np.bincount(np.concatenate([self.covered[i] for i in block]), minlength=n)
+            self.cover += np.bincount(ids, minlength=n)
+            for i, own in zip(block, np.split(ids, np.searchsorted(at, range(1, len(block))))):
+                self.covered[i] = own
+
+    def _count_held(self, ids: frozenset[int], sign: int) -> None:
+        holders = self.holders
+        n = len(holders)
+        for a in ids:
+            if 0 <= a < n:  # an id that names no asset counts for nothing
+                holders[a] += sign
+
+
+_NO_IDS = np.zeros(0, dtype=np.intp)
+
+# Distances a block of `CoverTally._count_disks` holds at once.  Its
+# temporaries stay near 128 KB each however many robots moved, so a full
+# recount adds nothing measurable to a run's peak memory.
+_BLOCK = 1 << 14
+
+
+def _held(robot: RobotState) -> frozenset[int]:
+    return robot.assigned if robot.alive else frozenset()
+
+
+def summarize(
+    snapshot: "WorldSnapshot", max_displacement: float = 0.0, tally: Optional[CoverTally] = None
+) -> RoundMetrics:
+    """All round metrics of a snapshot.
+
+    undercovered/overcovered compare each asset's geometric cover count, the
+    alive robots whose disk contains it whatever they hold, against its
+    kappa; undiscovered counts assets that appear in no alive robot's
+    assigned set.  A carried `tally` is advanced to the snapshot and its
+    counts are read; without one a fresh tally counts the snapshot from
+    scratch, with the same result.
+    """
+    if tally is None:
+        tally = CoverTally()
+    tally.advance(snapshot)
     return RoundMetrics(
         round=snapshot.round,
         phase=snapshot.phase.value,
-        undercovered_count=under,
-        overcovered_count=over,
+        undercovered_count=int(np.count_nonzero(tally.cover < tally.kappa)),
+        overcovered_count=int(np.count_nonzero(tally.cover > tally.kappa)),
         total_cost=total_cost(snapshot),
         max_displacement=max_displacement,
-        undiscovered_count=undiscovered,
+        undiscovered_count=tally.holders.count(0),
     )
 
 

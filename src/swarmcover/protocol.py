@@ -55,7 +55,7 @@ from .geometry import (
     min_enclosing_disk,
 )
 from .instances import DEFAULT_GRID_LAMBDA, Asset, Instance, grid_partition, initial_positions
-from .metrics import RoundMetrics, summarize
+from .metrics import CoverTally, RoundMetrics, summarize
 
 INFEASIBLE = math.inf
 
@@ -1088,7 +1088,9 @@ def run(
         pre_event.append((0, snapshot))
         snapshot = apply_events(snapshot, due0)
         pending = [e for e in pending if e.at_round > 0]
-    trace: list[RoundMetrics] = [summarize(snapshot)]
+    # The round metrics are carried like the view (see `metrics.CoverTally`).
+    tally = CoverTally()
+    trace: list[RoundMetrics] = [summarize(snapshot, tally=tally)]
     swaps: list[SwapRecord] = []
 
     def advance(plan: dict[int, Proposal], phase: Phase) -> None:
@@ -1097,7 +1099,7 @@ def run(
         if due:
             pre_event.append((snapshot.round + 1, snapshot))
             pending = [e for e in pending if e.at_round != snapshot.round + 1]
-        new_snapshot, rm = step(snapshot, plan, due, next_phase=phase)
+        new_snapshot, rm = step(snapshot, plan, due, next_phase=phase, tally=tally)
         snapshot = new_snapshot
         trace.append(rm)
 

@@ -1,9 +1,10 @@
 """Brute-force references the tests compare the program against.
 
 Each one answers a question the program answers through a cell grid, the
-round's carried view or a vectorized pass, but from its definition: an
-all-pairs scan, a fresh `_View` built for a single query, or a scalar loop
-over one pair.  No program code calls them.
+round's carried view, the carried cover tally or a vectorized pass, but
+from its definition: an all-pairs scan, a fresh `_View` built for a single
+query, a recount of a whole snapshot, or a scalar loop over one pair.  No
+program code calls them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import math
 from typing import Optional, Sequence
 
 from swarmcover.engine import RobotState, WorldSnapshot
-from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, dist
+from swarmcover.geometry import CONTAINMENT_TOL, CellGrid, Disk, Point, dist
 from swarmcover.instances import Asset
+from swarmcover.metrics import RoundMetrics, total_cost
 from swarmcover.protocol import (
     INFEASIBLE,
     Config,
@@ -69,6 +71,45 @@ def coverage_count(snapshot: WorldSnapshot, p: Point) -> int:
         if dx * dx + dy * dy <= thr * thr:
             n += 1
     return n
+
+
+def summarize(snapshot: WorldSnapshot, max_displacement: float = 0.0) -> RoundMetrics:
+    """The round metrics of a snapshot recounted from scratch: every
+    asset's cover count from a cell grid of the alive robots' disks, and
+    the union of the alive robots' assigned sets; what
+    `metrics.summarize` reads from its carried tally."""
+    alive = [r for r in snapshot.robots if r.alive]
+    # Cells as wide as the widest closed disk; at round 0 every radius is 0
+    # and the cells shrink to the containment slack.
+    reach = max((r.radius for r in alive), default=0.0) + CONTAINMENT_TOL
+    grid = CellGrid(reach, ((r.pos, (r.pos.x, r.pos.y, (r.radius + CONTAINMENT_TOL) ** 2)) for r in alive))
+    under = 0
+    over = 0
+    for a in snapshot.assets:
+        ax, ay = a.pos.x, a.pos.y
+        c = 0
+        for rx, ry, thr2 in grid.near(a.pos):
+            dx = rx - ax
+            dy = ry - ay
+            if dx * dx + dy * dy <= thr2:
+                c += 1
+        if c < a.kappa:
+            under += 1
+        elif c > a.kappa:
+            over += 1
+    assigned: set[int] = set()
+    for r in alive:
+        assigned.update(r.assigned)
+    undiscovered = sum(1 for a in snapshot.assets if a.id not in assigned)
+    return RoundMetrics(
+        round=snapshot.round,
+        phase=snapshot.phase.value,
+        undercovered_count=under,
+        overcovered_count=over,
+        total_cost=total_cost(snapshot),
+        max_displacement=max_displacement,
+        undiscovered_count=undiscovered,
+    )
 
 
 def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> float:

@@ -503,13 +503,35 @@ def test_instance_file_is_loaded_or_rejected(tmp_path, capsys):
         ({"at_round": 5, "payload": {"robot_id": 1}}, "event 1: missing key 'kind'"),
         ({"at_round": 5, "kind": "kill_robot", "payload": {}}, "event 1: missing key 'robot_id'"),
         ({"at_round": 5, "kind": "add_assets", "payload": [{"x": 1.0}]}, "event 1 asset 0: missing key 'y'"),
-        ("kill_robot", "event 1: missing key 'at_round'"),
     ],
 )
 def test_missing_event_keys_are_named(tmp_path, capsys, event, needle):
     assert main(["run", str(event_scenario(tmp_path, [kill_robot(0), event]))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "scenario, needle",
+    [
+        ({"instance": [1]}, "instance must be a JSON object, got [1]"),
+        ({"instance_file": "inst.json"}, "instance must be a JSON object, got [1, 2]"),
+        ([kill_robot(0), "kill_robot"], "event 1 must be a JSON object, got 'kill_robot'"),
+        ([kill_robot(0), {**add_assets(), "payload": [7]}], "event 1 asset 0 must be a JSON object, got 7"),
+    ],
+    ids=["instance", "instance_file", "event", "event_asset"],
+)
+def test_non_object_json_is_named(tmp_path, capsys, scenario, needle):
+    # A list stands for the events of the three-robot scenario.
+    write_json(tmp_path / "inst.json", [1, 2])
+    if isinstance(scenario, list):
+        path = event_scenario(tmp_path, scenario)
+    else:
+        path = write_json(tmp_path / "scenario.json", scenario)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Equivalence of the locality-bounded queries with their brute-force
 references.
 
-Sensing, the neighbor map, Lloyd's nearest-robot search (a ring search) and
-the cover counts of `summarize` go through `geometry.CellGrid`; each robot's
+Sensing, the neighbor map and Lloyd's nearest-robot search (a ring search)
+go through `geometry.CellGrid`; the cover counts of `summarize` are carried
+from round to round in a `metrics.CoverTally`; each robot's
 knowledge, cover counts and deficits come from the round's view alone, and
 the completion certificate reuses its cover counts; the swap sweep reads
 memoized disks and candidate lists from that view, and the auctions decide
@@ -12,7 +13,8 @@ give exactly what the all-pairs or scalar definition gives, including on
 cell boundaries, at negative coordinates,
 with zero radii and dead robots, with ties, and when r_comm equals r_max.
 The view `run` carries from round to round must equal a fresh view of each
-round, memos and neighbor map included.
+round, memos and neighbor map included, and the carried tally must give the
+counts of a recount of each round.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from swarmcover.engine import (
     neighbor_map,
     step,
 )
-from swarmcover.geometry import CellGrid, Point, dist, dist2
+from swarmcover.geometry import CONTAINMENT_TOL, CellGrid, Point, dist, dist2
 from swarmcover.instances import Asset, Workspace
-from swarmcover.metrics import summarize
+from swarmcover.metrics import CoverTally, summarize
 from swarmcover.protocol import (
     _LLOYD_CELL,
     Config,
@@ -63,6 +65,7 @@ from swarmcover.protocol import (
     select_winner,
     swap_round,
 )
+import reference
 from reference import bid_bound, coverage_count, evaluate_swap, neighbors, sense
 from test_golden import event_mission, ladder_250
 from test_protocol import _SLACK_CASE, bound_case_snapshot, bound_cases
@@ -869,3 +872,57 @@ def test_run_carries_a_fresh_view_through_every_round(monkeypatch, mission):
     assert len(carried) == 1
     assert [rnd for view, rnd in builds if view in carried][1:] == rebuilt_at
     assert len(checked) > 5
+
+
+@st.composite
+def tally_round(draw, snap: WorldSnapshot):
+    """A round of snap as `next_round` draws it, with some disks then set to
+    radius 0, grown past r_max, or put through an asset on their rim; a rim
+    asset may also arrive with the round, at any robot's new rim."""
+    plan, events = draw(next_round(snap))
+    alive = [r.id for r in snap.robots if r.alive]
+    r_max = snap.params.r_max
+    for rid in draw(st.lists(st.sampled_from(alive), max_size=3)) if alive else ():
+        r = snap.robots[rid]
+        prop = plan.get(rid, Proposal(r.pos, r.radius, r.assigned))
+        kind = draw(st.sampled_from(["zero", "past", "rim", "rim_asset"]))
+        if kind == "zero":
+            prop = replace(prop, radius=0.0)
+        elif kind == "past":
+            prop = replace(prop, radius=draw(st.sampled_from([4.0 * r_max, 1e4]) | st.floats(r_max, 3.0 * r_max)))
+        elif kind == "rim" and snap.assets:
+            a = snap.assets[draw(st.integers(0, len(snap.assets) - 1))]
+            radius = draw(radii)
+            prop = replace(prop, pos=Point(a.pos.x - radius, a.pos.y), radius=radius)
+        elif kind == "rim_asset":
+            # At x = 0 the asset's squared distance equals the threshold.
+            reach = prop.radius + CONTAINMENT_TOL
+            spec = AssetSpec(Point(prop.pos.x + reach, prop.pos.y), draw(st.integers(1, 3)))
+            events.append(Event(snap.round + 1, AddAssets((spec,))))
+        plan[rid] = prop
+    return plan, events
+
+
+def holder_counts(snap: WorldSnapshot) -> list[int]:
+    return [sum(1 for r in snap.robots if r.alive and a.id in r.assigned) for a in snap.assets]
+
+
+@given(st.one_of(worlds(), holding_worlds()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_carried_tally_matches_a_recount(snap, data):
+    # Positions in worlds() include exact multiples of the cell sizes, so
+    # rim assets land at every cell offset of the recount's grid.
+    tally = CoverTally()
+    with mock.patch.object(CoverTally, "_build", autospec=True, side_effect=CoverTally._build) as build:
+        assert summarize(snap, tally=tally) == reference.summarize(snap)
+        builds = 1
+        for _ in range(data.draw(st.integers(1, 6))):
+            plan, events = data.draw(tally_round(snap))
+            prev = snap
+            snap, rm = step(snap, plan, events, tally=tally)
+            assert rm == reference.summarize(snap, rm.max_displacement)
+            assert tally.cover.tolist() == [coverage_count(snap, a.pos) for a in snap.assets]
+            assert tally.holders == holder_counts(snap)
+            # Only new assets rebuild the tally; every other round patches it.
+            builds += snap.assets is not prev.assets
+            assert build.call_count == builds

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmcover.engine import Phase
-from swarmcover.geometry import dist
+from swarmcover.engine import Event, KillRobot, Phase, step
+from swarmcover.geometry import CONTAINMENT_TOL, dist
 from swarmcover.metrics import (
     GAP_UNDEFINED,
+    CoverTally,
     RoundMetrics,
     optimality_gap,
     summarize,
@@ -60,6 +62,33 @@ def test_summarize_counts():
     )
     rm = summarize(snap, max_displacement=0.25)
     assert rm == RoundMetrics(3, "refine", 2, 1, pytest.approx(2 * math.pi), 0.25, 1)
+
+
+def test_summarize_counts_an_asset_at_the_threshold():
+    # Asset 0 sits where the squared distance equals the squared reach,
+    # asset 1 one ulp beyond it.
+    reach = 3.0 + CONTAINMENT_TOL
+    snap = mksnapshot(
+        [mkrobot(0, 0, 0, radius=3.0)],
+        mkassets([(reach, 0, 1), (math.nextafter(reach, math.inf), 0, 1)]),
+    )
+    assert [coverage_count(snap, a.pos) for a in snap.assets] == [1, 0]
+    assert summarize(snap).undercovered_count == 1
+    tally = CoverTally()
+    summarize(replace(snap, robots=(mkrobot(0, 9, 9),)), tally=tally)
+    assert summarize(snap, tally=tally).undercovered_count == 1
+
+
+def test_carried_tally_drops_a_killed_robot_with_a_zero_disk():
+    # Robot 1's zero disk covers the asset it sits on; a kill changes
+    # neither its position nor its radius.
+    snap = mksnapshot([mkrobot(0, 0, 0, radius=1.0), mkrobot(1, 5, 5, assigned={1})], mkassets([(0, 0, 1), (5, 5, 1)]))
+    tally = CoverTally()
+    assert summarize(snap, tally=tally).undercovered_count == 0
+    killed, rm = step(snap, {}, [Event(1, KillRobot(1))], tally=tally)
+    assert not killed.robots[1].alive and killed.robots[1].radius == 0.0
+    assert (rm.undercovered_count, rm.undiscovered_count) == (1, 2)
+    assert tally.cover.tolist() == [1, 0] and tally.holders == [0, 0]
 
 
 def test_geometric_cover_dominates_membership():

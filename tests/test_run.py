@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swarmcover import protocol
 from swarmcover.engine import AddAssets, AssetSpec, Event, KillRobot, Phase
 from swarmcover.geometry import CONTAINMENT_TOL, Point, dist
 from swarmcover.instances import Asset, Instance, Workspace, generate_uniform, preset
@@ -16,6 +17,7 @@ from swarmcover.metrics import summarize, write_trace
 from swarmcover.oracle import solve_exact
 from swarmcover.protocol import Config, RunStatus, run
 
+import reference
 from reference import sense
 
 WS60 = Workspace(0.0, 60.0, 0.0, 60.0)
@@ -214,6 +216,35 @@ def test_trace_ends_with_the_final_metrics(mission):
     res = run(inst, events=events)
     assert res.trace[-1].round == res.snapshot.round
     assert replace(res.trace[-1], max_displacement=0.0) == summarize(res.snapshot)
+
+
+def test_every_round_metrics_match_a_recount(monkeypatch):
+    # The metrics of each round come from the tally the run carries; each
+    # must equal a recount of that round's snapshot, through an arrival and
+    # a kill.
+    inst = uniform_instance(12, 6, seed=5, kappa=(1, 2))
+    events = (
+        Event(40, AddAssets((AssetSpec(Point(5.0, 5.0), 1), AssetSpec(Point(6.0, 4.0), 2)))),
+        Event(60, KillRobot(0)),
+    )
+    rounds = []
+    step = protocol.step
+
+    def recorded_step(snapshot, plan, *args, **kwargs):
+        new_snapshot, rm = step(snapshot, plan, *args, **kwargs)
+        disp = max((dist(snapshot.robots[rid].pos, p.pos) for rid, p in plan.items()), default=0.0)
+        rounds.append((snapshot, new_snapshot, rm, disp))
+        return new_snapshot, rm
+
+    monkeypatch.setattr(protocol, "step", recorded_step)
+    res = run(inst, events=events)
+    assert res.trace[0] == reference.summarize(rounds[0][0])
+    assert list(res.trace[1:]) == [rm for _, _, rm, _ in rounds]
+    for _, snapshot, rm, disp in rounds:
+        assert rm == reference.summarize(snapshot, disp)
+    final = rounds[-1][1]
+    assert res.snapshot is final
+    assert len(final.assets) == 14 and not final.robots[0].alive
 
 
 def test_kill_all_robots_ends_vacuously():
