@@ -13,7 +13,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .geometry import CellGrid, Point, dist
+import numpy as np
+
+from .geometry import Point, dist, sq_dist_blocks
 from .instances import Asset, Instance, Workspace
 from .metrics import CoverTally, RoundMetrics, summarize
 
@@ -119,23 +121,18 @@ class WorldSnapshot:
 
 
 def neighbor_map(snapshot: WorldSnapshot) -> dict[int, tuple[int, ...]]:
-    """Neighbor ids (sorted) for every alive robot, computed in one sweep
-    over a cell grid of side r_comm."""
+    """Neighbor ids (sorted) for every alive robot: the other alive robots
+    within r_comm, by the squared-distance test of `sq_dist_blocks`."""
     alive = [r for r in snapshot.robots if r.alive]
-    r_comm = snapshot.params.r_comm
-    thr2 = r_comm ** 2
-    grid = CellGrid(r_comm, ((r.pos, r) for r in alive))
-    nbrs: dict[int, list[int]] = {r.id: [] for r in alive}
-    for a in alive:
-        for b in grid.near(a.pos):
-            if b.id <= a.id:
-                continue
-            dx = a.pos.x - b.pos.x
-            dy = a.pos.y - b.pos.y
-            if dx * dx + dy * dy <= thr2:
-                nbrs[a.id].append(b.id)
-                nbrs[b.id].append(a.id)
-    return {rid: tuple(sorted(ids)) for rid, ids in nbrs.items()}
+    ids = [r.id for r in alive]
+    xs = np.array([r.pos.x for r in alive], dtype=np.float64)
+    ys = np.array([r.pos.y for r in alive], dtype=np.float64)
+    thr2 = snapshot.params.r_comm ** 2
+    nbrs: dict[int, tuple[int, ...]] = {}
+    for start, d2 in sq_dist_blocks(xs, ys, xs, ys):
+        for i, row in enumerate(d2 <= thr2, start):
+            nbrs[ids[i]] = tuple([ids[j] for j in np.flatnonzero(row).tolist() if j != i])
+    return nbrs
 
 
 def check_events(events: Iterable[Event], instance: Instance) -> None:

@@ -1,5 +1,6 @@
 """Planar geometry: points, disks, circumcircles, smallest enclosing disks,
-and a cell-list index for fixed-radius and nearest-item queries.
+and the blocked squared-distance kernel behind every fixed-radius query
+(`sq_dist_blocks`).
 
 The enclosing-disk code is the randomized incremental construction of
 Welzl (1991) in its iterative form, with two choices that matter for
@@ -26,7 +27,9 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Generic, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 # Absolute containment slack in meters.  Keeps boundary points from flapping
 # in and out of a disk during the incremental construction.
@@ -35,11 +38,10 @@ CONTAINMENT_TOL = 1e-9
 # Collinearity threshold on twice the signed triangle area, in m^2.
 DEGENERACY_TOL = 1e-9
 
-# Relative widening of a CellGrid's reach.  A caller's squared-distance test
-# can pass a pair up to a few ulps beyond its radius; this margin is far
-# wider than that rounding, so the grid never drops such a pair.  The same
-# margin covers the rounding of `CellGrid.nearest`'s stopping bound.
-_REACH_SLACK = 1e-9
+# Distances a block of `sq_dist_blocks` holds at once: each temporary stays
+# near 128 KB, so a scan of every pair adds nothing measurable to a run's
+# peak memory.
+_BLOCK = 1 << 14
 
 # Seed of the fixed shuffle in `min_enclosing_disk`.  Taken in input order,
 # points that arrive in a spatial sweep (an outward spiral, a glyph's stroke
@@ -48,8 +50,6 @@ _REACH_SLACK = 1e-9
 # the expected work is linear on any input.  Fixed, the shuffle keeps the
 # disk a function of the input sequence.
 SOLVE_ORDER_SEED = 0
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -80,115 +80,28 @@ class Disk:
         return math.pi * self.radius * self.radius
 
 
-class CellGrid(Generic[T]):
-    """Cell-list index of points in the plane (Bentley, 1975).
+def sq_dist_blocks(
+    qx: np.ndarray, qy: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Squared distances from query points to item points, a block of query
+    rows at a time.
 
-    Items are bucketed by the square cell, of side `reach`, that their point
-    falls in.  Two queries:
-
-    * `near(p)` returns the items of the block of cells overlapping the box
-      of half-width `reach` around p (3x3 cells), which includes every item
-      within distance `reach` of p.  It only pre-filters: callers keep their
-      own exact distance test, so their results do not change.  Queries that
-      land on the same block share one list, which callers must not modify.
-    * `nearest(p, limit)` returns the item closest to p within `limit`,
-      searching rings of cells outward from p's cell; `limit` may exceed
-      `reach`.
+    Yields (start, d2) in row order, where d2[i, j] is
+    (xs[j] - qx[start + i])**2 + (ys[j] - qy[start + i])**2 for the next
+    rows of queries.  Every element is one IEEE subtraction, square and add
+    in that order, the bits of the scalar loop; and since (-x)**2 == x**2,
+    those of `dist2` with its arguments either way round.  A block holds
+    at most `_BLOCK` distances (at least one row), so a scan of every pair
+    keeps its temporaries small however many pairs there are.
     """
-
-    def __init__(self, reach: float, items: Iterable[tuple[Point, T]]):
-        if not reach > 0.0:
-            raise ValueError(f"cell grid reach must be positive, got {reach}")
-        self._reach = reach * (1.0 + _REACH_SLACK)
-        self._inv = 1.0 / self._reach
-        self._cells: dict[tuple[int, int], list[tuple[float, float, T]]] = {}
-        self._blocks: dict[tuple[int, int, int, int], list[T]] = {}
-        for p, item in items:
-            key = (math.floor(p.x * self._inv), math.floor(p.y * self._inv))
-            bucket = self._cells.get(key)
-            if bucket is None:
-                self._cells[key] = [(p.x, p.y, item)]
-            else:
-                bucket.append((p.x, p.y, item))
-
-    def near(self, p: Point) -> list[T]:
-        # The block's corners come from p -/+ reach through the same rounding
-        # as the bucket keys; rounding is monotone, so an item within reach
-        # of p cannot fall outside the block.
-        inv, reach = self._inv, self._reach
-        block = (
-            math.floor((p.x - reach) * inv),
-            math.floor((p.x + reach) * inv),
-            math.floor((p.y - reach) * inv),
-            math.floor((p.y + reach) * inv),
-        )
-        out = self._blocks.get(block)
-        if out is None:
-            x0, x1, y0, y1 = block
-            out = []
-            for cx in range(x0, x1 + 1):
-                for cy in range(y0, y1 + 1):
-                    bucket = self._cells.get((cx, cy))
-                    if bucket is not None:
-                        out.extend([item for _, _, item in bucket])
-            self._blocks[block] = out
-        return out
-
-    def nearest(self, p: Point, limit: float) -> Optional[T]:
-        """The item minimizing (squared distance to p, item) among those
-        whose squared distance is at most limit * limit, or None.
-
-        Squared distances are computed as dx * dx + dy * dy with dx = x - p.x
-        and dy = y - p.y, the bits of `dist2`, so a scan of every item with
-        the same test finds the same item.  Ties go to the smallest item, so
-        items must be orderable (robot ids, say).
-        """
-        inv, reach = self._inv, self._reach
-        px, py = p.x, p.y
-        qx, qy = math.floor(px * inv), math.floor(py * inv)
-        lim2 = limit * limit
-        # After rings 0..k, every item left lies more than k * reach from p,
-        # less the rounding of the bucket keys: each key floors a product
-        # within an ulp of |x * inv|, so the bound is off by a few ulps of
-        # k * reach and of |p.x| + |p.y| + limit (a farther item cannot win
-        # anyway).  The margins below are far wider than that, and keep
-        # `outside` squared a normal float before it decides, so an item
-        # left is strictly farther than `outside` in computed d2 too, and
-        # farther than limit once `outside` exceeds it.
-        slack = _REACH_SLACK * (abs(px) + abs(py) + limit)
-        best: Optional[T] = None
-        best_d2 = math.inf
-        k = 0
-        while True:
-            for key in _ring(qx, qy, k):
-                bucket = self._cells.get(key)
-                if bucket is None:
-                    continue
-                for x, y, item in bucket:
-                    dx = x - px
-                    dy = y - py
-                    d2 = dx * dx + dy * dy
-                    if d2 <= lim2 and (d2 < best_d2 or (d2 == best_d2 and item < best)):  # type: ignore[operator]
-                        best, best_d2 = item, d2
-            outside = k * reach * (1.0 - _REACH_SLACK) - slack
-            if outside > limit:
-                return best
-            if outside > 1e-150 and best_d2 < outside * outside * (1.0 - _REACH_SLACK):
-                return best
-            k += 1
-
-
-def _ring(qx: int, qy: int, k: int) -> Iterable[tuple[int, int]]:
-    # The cells at Chebyshev distance k from cell (qx, qy).
-    if k == 0:
-        yield qx, qy
-        return
-    for cx in range(qx - k, qx + k + 1):
-        yield cx, qy - k
-        yield cx, qy + k
-    for cy in range(qy - k + 1, qy + k):
-        yield qx - k, cy
-        yield qx + k, cy
+    rows = max(1, _BLOCK // max(1, len(xs)))
+    for start in range(0, len(qx), rows):
+        dx = xs - qx[start : start + rows, None]
+        dy = ys - qy[start : start + rows, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        yield start, dx
 
 
 def dist(a: Point, b: Point) -> float:

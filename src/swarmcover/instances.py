@@ -96,8 +96,14 @@ class Instance:
     r_max: float
 
     def __post_init__(self) -> None:
+        # True would pass as one robot, and a float m fails deep in the run.
+        if isinstance(self.m, bool) or not isinstance(self.m, int):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"need at least one robot, got m={self.m}")
+        for v in (self.r_comm, self.r_max):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"r_comm and r_max must be numbers, got {self.r_comm!r} and {self.r_max!r}")
         if not (0 < self.r_comm < math.inf and 0 < self.r_max < math.inf):
             raise ValueError(f"r_comm and r_max must be positive and finite, got {self.r_comm} and {self.r_max}")
         for i, a in enumerate(self.assets):

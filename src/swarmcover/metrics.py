@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
-from .geometry import CONTAINMENT_TOL
+from .geometry import CONTAINMENT_TOL, sq_dist_blocks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import RobotState, WorldSnapshot
@@ -61,10 +61,10 @@ class CoverTally:
     tally.  A fresh tally advanced to a snapshot gives the same counts, so
     a carried one may be advanced to any snapshot.
 
-    The disks are matched against every asset in NumPy passes with the
-    test `dx*dx + dy*dy <= (r + CONTAINMENT_TOL)**2`.  Each operation is an
-    elementwise IEEE double operation, rounded once as in a scalar loop,
-    so the counts are exact for any radius.
+    The disks are matched against every asset with the squared distances
+    of `geometry.sq_dist_blocks` and the test `d2 <= (r + CONTAINMENT_TOL)**2`.
+    Each operation is an elementwise IEEE double operation, rounded once as
+    in a scalar loop, so the counts are exact for any radius.
     """
 
     def __init__(self) -> None:
@@ -97,7 +97,6 @@ class CoverTally:
         self.robots = robots
         self._xs = np.array([a.pos.x for a in assets], dtype=np.float64)
         self._ys = np.array([a.pos.y for a in assets], dtype=np.float64)
-        self._rows = max(1, _BLOCK // max(1, len(assets)))
         self.kappa = np.array([a.kappa for a in assets], dtype=np.int64)
         self.cover = np.zeros(len(assets), dtype=np.int64)
         self.holders = [0] * len(assets)
@@ -109,23 +108,17 @@ class CoverTally:
     def _count_disks(self, rows: list[int]) -> None:
         """Take back what the disks of the robots at `rows` covered and
         count what they cover now, a block of robots at a time."""
-        robots = self.robots
-        for start in range(0, len(rows), self._rows):
-            block = rows[start : start + self._rows]
-            rx = np.array([robots[i].pos.x for i in block], dtype=np.float64)
-            ry = np.array([robots[i].pos.y for i in block], dtype=np.float64)
-            # A dead robot covers nothing: no squared distance is negative.
-            thr2 = np.array(
-                [(robots[i].radius + CONTAINMENT_TOL) ** 2 if robots[i].alive else -1.0 for i in block],
-                dtype=np.float64,
-            )
-            dx = self._xs - rx[:, None]
-            dy = self._ys - ry[:, None]
-            dx *= dx
-            dy *= dy
-            dx += dy
-            at, ids = np.nonzero(dx <= thr2[:, None])
-            n = len(self.cover)
+        robots = [self.robots[i] for i in rows]
+        rx = np.array([r.pos.x for r in robots], dtype=np.float64)
+        ry = np.array([r.pos.y for r in robots], dtype=np.float64)
+        # A dead robot covers nothing: no squared distance is negative.
+        thr2 = np.array(
+            [(r.radius + CONTAINMENT_TOL) ** 2 if r.alive else -1.0 for r in robots], dtype=np.float64
+        )
+        n = len(self.cover)
+        for start, d2 in sq_dist_blocks(rx, ry, self._xs, self._ys):
+            block = rows[start : start + len(d2)]
+            at, ids = np.nonzero(d2 <= thr2[start : start + len(d2), None])
             self.cover -= np.bincount(np.concatenate([self.covered[i] for i in block]), minlength=n)
             self.cover += np.bincount(ids, minlength=n)
             for i, own in zip(block, np.split(ids, np.searchsorted(at, range(1, len(block))))):
@@ -140,11 +133,6 @@ class CoverTally:
 
 
 _NO_IDS = np.zeros(0, dtype=np.intp)
-
-# Distances a block of `CoverTally._count_disks` holds at once.  Its
-# temporaries stay near 128 KB each however many robots moved, so a full
-# recount adds nothing measurable to a run's peak memory.
-_BLOCK = 1 << 14
 
 
 def _held(robot: RobotState) -> frozenset[int]:

@@ -46,13 +46,13 @@ from .engine import (
 )
 from .geometry import (
     CONTAINMENT_TOL,
-    CellGrid,
     Disk,
     Point,
     dist,
     dist2,
     enclose_with_anchor,
     min_enclosing_disk,
+    sq_dist_blocks,
 )
 from .instances import DEFAULT_GRID_LAMBDA, Asset, Instance, grid_partition, initial_positions
 from .metrics import CoverTally, RoundMetrics, summarize
@@ -163,9 +163,9 @@ class _View:
     round.
 
     This is the one place local knowledge is computed: the alive robots, the
-    neighbor map, each robot's sensed assets (through a cell grid of side
-    r_max) and its membership cover counts (see `_cover_counts`), all for
-    `snapshot`, and the asset coordinates as two float64 arrays indexed by
+    neighbor map, each robot's sensed assets (those within r_max, by the
+    test of `geometry.sq_dist_blocks`) and its membership cover counts (see
+    `_cover_counts`), all for `snapshot`, and the asset coordinates as two float64 arrays indexed by
     asset id (`asset_x`, `asset_y`) for the auction's bid bounds.  A robot
     knows an asset when it senses it or counts a holder of it (`knows`).
     Filled on demand, and kept per robot:
@@ -215,8 +215,8 @@ class _View:
         self.robot = snapshot.robots  # robot ids are dense
         self.alive_ids = [r.id for r in snapshot.robots if r.alive]
         self.nbrs = neighbor_map(snapshot)
-        self._grid = CellGrid(self.params.r_max, ((a.pos, a) for a in self.assets))
-        self.sensed = {rid: self._sense(self.robot[rid]) for rid in self.alive_ids}
+        self.sensed: dict[int, set[int]] = {}
+        self._sense(self.alive_ids)
         self.cover = _cover_counts(snapshot, self.nbrs)
         self._donor_disks: dict[int, dict[int, Disk]] = {}
         self._donor_bounds: dict[int, dict[int, float]] = {}
@@ -225,16 +225,17 @@ class _View:
         self.clean_for: Optional[Config] = None
         self.candidates: dict[int, list[tuple[int, float]]] = {}
 
-    def _sense(self, robot: RobotState) -> set[int]:
-        px, py = robot.pos.x, robot.pos.y
+    def _sense(self, rids: Sequence[int]) -> None:
+        # Re-sense each robot in rids, replacing its set as soon as its row
+        # is scanned, so the old and new sets of every robot that moved are
+        # never all held at once.
+        assets = self.assets
+        qx = np.array([self.robot[rid].pos.x for rid in rids], dtype=np.float64)
+        qy = np.array([self.robot[rid].pos.y for rid in rids], dtype=np.float64)
         r_max2 = self.params.r_max ** 2
-        got = set()
-        for a in self._grid.near(robot.pos):
-            dx = a.pos.x - px
-            dy = a.pos.y - py
-            if dx * dx + dy * dy <= r_max2:
-                got.add(a.id)
-        return got
+        for start, d2 in sq_dist_blocks(qx, qy, self.asset_x, self.asset_y):
+            for rid, row in zip(rids[start : start + len(d2)], d2 <= r_max2):
+                self.sensed[rid] = {assets[j].id for j in np.flatnonzero(row).tolist()}
 
     def update(self, snapshot: WorldSnapshot) -> None:
         """Carry the view to `snapshot` (see the class docstring)."""
@@ -256,8 +257,7 @@ class _View:
         moved = {r.id for r in changed if r.pos != prev[r.id].pos}
         swap_dirty = {r.id for r in changed}  # candidates and clean pairs to drop
         if moved:
-            for rid in moved:
-                self.sensed[rid] = self._sense(self.robot[rid])
+            self._sense(list(moved))
             self.nbrs = neighbor_map(snapshot)
             for k in self.alive_ids:
                 if self.nbrs[k] == old_nbrs[k]:
@@ -388,31 +388,30 @@ def _finalize_radius(radius: float, r_max: float) -> float:
 # Phase 1: exploration
 
 
-# Lloyd's ring search uses cells of side r_max / 4.  At the ladders' density
-# (one robot per 200 m^2, r_max 40 m) an asset's nearest robot is usually
-# within ~10 m, so rings 0 and 1, a block 3/4 r_max wide, mostly settle it:
-# 1/16 of the area of a 3x3 block of r_max cells.  Finer cells would add
-# empty cell lookups per ring, coarser ones robots per cell.
-_LLOYD_CELL = 0.25
-
-
 def lloyd_round(snapshot: WorldSnapshot) -> dict[int, Proposal]:
     """One Lloyd iteration: assets are claimed by the nearest sensing robot,
     robots move to the centroid of their cell, radius capped at r_max.
 
     The nearest robot minimizes (squared distance, id) among the robots
-    within r_max; `CellGrid.nearest` finds it in rings of cells of side
-    `_LLOYD_CELL` * r_max.  Each cell's centroid and radius are summed over
-    its assets in ascending id.
+    within r_max: a first-minimum `argmin` over the alive robots in id
+    order.  Each cell's centroid and radius are summed over its assets in
+    ascending id.
     """
     alive = [r for r in snapshot.robots if r.alive]
     r_max = snapshot.params.r_max
-    grid = CellGrid(_LLOYD_CELL * r_max, ((r.pos, r.id) for r in alive))
+    lim2 = r_max * r_max
     cells: dict[int, list[int]] = {}
-    for a in snapshot.assets:
-        rid = grid.nearest(a.pos, r_max)
-        if rid is not None:
-            cells.setdefault(rid, []).append(a.id)
+    if alive:  # argmin has nothing to pick from otherwise
+        assets = snapshot.assets
+        rx = np.array([r.pos.x for r in alive], dtype=np.float64)
+        ry = np.array([r.pos.y for r in alive], dtype=np.float64)
+        qx = np.array([a.pos.x for a in assets], dtype=np.float64)
+        qy = np.array([a.pos.y for a in assets], dtype=np.float64)
+        for start, d2 in sq_dist_blocks(qx, qy, rx, ry):
+            best = d2.argmin(axis=1)
+            within = d2[np.arange(len(best)), best] <= lim2
+            for i, k in zip(np.flatnonzero(within).tolist(), best[within].tolist()):
+                cells.setdefault(alive[k].id, []).append(assets[start + i].id)
     proposals: dict[int, Proposal] = {}
     for r in alive:
         cell = cells.get(r.id)

@@ -1,9 +1,10 @@
 """Brute-force references the tests compare the program against.
 
-Each one answers a question the program answers through a cell grid, the
-round's carried view, the carried cover tally or a vectorized pass, but
-from its definition: an all-pairs scan, a fresh `_View` built for a single
-query, a recount of a whole snapshot, or a scalar loop over one pair.  No
+Each one answers a question the program answers through a blocked NumPy
+distance scan, the round's carried view, the carried cover tally or a
+vectorized pass, but from its definition: a scalar loop over every pair,
+a fresh `_View` built for a single query, or a recount of a whole
+snapshot.  No
 program code calls them.
 """
 
@@ -13,7 +14,7 @@ import math
 from typing import Optional, Sequence
 
 from swarmcover.engine import RobotState, WorldSnapshot
-from swarmcover.geometry import CONTAINMENT_TOL, CellGrid, Disk, Point, dist
+from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, dist
 from swarmcover.instances import Asset
 from swarmcover.metrics import RoundMetrics, total_cost
 from swarmcover.protocol import (
@@ -75,28 +76,13 @@ def coverage_count(snapshot: WorldSnapshot, p: Point) -> int:
 
 def summarize(snapshot: WorldSnapshot, max_displacement: float = 0.0) -> RoundMetrics:
     """The round metrics of a snapshot recounted from scratch: every
-    asset's cover count from a cell grid of the alive robots' disks, and
-    the union of the alive robots' assigned sets; what
-    `metrics.summarize` reads from its carried tally."""
+    asset's cover count by `coverage_count`, and the union of the alive
+    robots' assigned sets; what `metrics.summarize` reads from its carried
+    tally."""
     alive = [r for r in snapshot.robots if r.alive]
-    # Cells as wide as the widest closed disk; at round 0 every radius is 0
-    # and the cells shrink to the containment slack.
-    reach = max((r.radius for r in alive), default=0.0) + CONTAINMENT_TOL
-    grid = CellGrid(reach, ((r.pos, (r.pos.x, r.pos.y, (r.radius + CONTAINMENT_TOL) ** 2)) for r in alive))
-    under = 0
-    over = 0
-    for a in snapshot.assets:
-        ax, ay = a.pos.x, a.pos.y
-        c = 0
-        for rx, ry, thr2 in grid.near(a.pos):
-            dx = rx - ax
-            dy = ry - ay
-            if dx * dx + dy * dy <= thr2:
-                c += 1
-        if c < a.kappa:
-            under += 1
-        elif c > a.kappa:
-            over += 1
+    counts = [(coverage_count(snapshot, a.pos), a.kappa) for a in snapshot.assets]
+    under = sum(1 for c, k in counts if c < k)
+    over = sum(1 for c, k in counts if c > k)
     assigned: set[int] = set()
     for r in alive:
         assigned.update(r.assigned)

@@ -93,6 +93,20 @@ def test_instance_rejects_sparse_ids_and_outside_assets():
         Instance(WS, (), 0, 55.0, 40.0)
 
 
+def test_instance_m_must_be_an_integer():
+    # True reads as one robot, and a float m dies inside the run.
+    for m in (True, 2.5, 2.0, "2", np.int64(2)):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            Instance(WS, (), m, 55.0, 40.0)
+
+
+def test_instance_radii_must_be_numbers():
+    for r_comm, r_max in ((True, 40.0), (55.0, True), (False, 40.0), ("55", 40.0)):
+        with pytest.raises(ValueError, match="r_comm and r_max must be numbers"):
+            Instance(WS, (), 2, r_comm, r_max)
+    assert Instance(WS, (), 2, 55, 40).r_comm == 55
+
+
 def test_grid_partition_hand_cases():
     assert grid_partition(1) == GridShape(1, 1)
     assert grid_partition(2) == GridShape(1, 2)

@@ -1,17 +1,19 @@
 """Equivalence of the locality-bounded queries with their brute-force
 references.
 
-Sensing, the neighbor map and Lloyd's nearest-robot search (a ring search)
-go through `geometry.CellGrid`; the cover counts of `summarize` are carried
-from round to round in a `metrics.CoverTally`; each robot's
+Sensing, the neighbor map, Lloyd's nearest-robot search and the cover
+counts of `summarize` scan squared distances in the blocks of
+`geometry.sq_dist_blocks`, at any block size; those cover counts are
+carried from round to round in a `metrics.CoverTally`; each robot's
 knowledge, cover counts and deficits come from the round's view alone, and
 the completion certificate reuses its cover counts; the swap sweep reads
 memoized disks and candidate lists from that view, and the auctions decide
 every auctioneer's deficit from one sorted list of bids per asset, ranked
 by bounds that one vectorized pass computes for the whole round.  Each must
-give exactly what the all-pairs or scalar definition gives, including on
-cell boundaries, at negative coordinates,
-with zero radii and dead robots, with ties, and when r_comm equals r_max.
+give exactly what the all-pairs or scalar definition gives, including at
+exactly the threshold distance, at negative coordinates, with zero radii,
+dead robots, no alive robot or no asset, with ties, and when r_comm equals
+r_max.
 The view `run` carries from round to round must equal a fresh view of each
 round, memos and neighbor map included, and the carried tally must give the
 counts of a recount of each round.
@@ -41,11 +43,11 @@ from swarmcover.engine import (
     neighbor_map,
     step,
 )
-from swarmcover.geometry import CONTAINMENT_TOL, CellGrid, Point, dist, dist2
+from swarmcover import geometry
+from swarmcover.geometry import CONTAINMENT_TOL, Point, dist, dist2
 from swarmcover.instances import Asset, Workspace
 from swarmcover.metrics import CoverTally, summarize
 from swarmcover.protocol import (
-    _LLOYD_CELL,
     Config,
     RunStatus,
     SwapRecord,
@@ -75,10 +77,11 @@ WS = Workspace(-120.0, 120.0, -120.0, 120.0)
 radii = st.sampled_from([2.5, 10.0, 40.0]) | st.floats(0.5, 60.0)
 
 
-def coords(*cells: float):
-    """Plain coordinates, plus exact multiples of each cell size given."""
+def coords(*steps: float):
+    """Plain coordinates, plus exact multiples of each step given: with a
+    radius as the step, pairs land at exactly that distance."""
     plain = st.floats(-120.0, 120.0, allow_nan=False, allow_infinity=False)
-    multiples = [st.integers(-6, 6).map(lambda k, c=c: k * c) for c in cells]
+    multiples = [st.integers(-6, 6).map(lambda k, c=c: k * c) for c in steps]
     return st.one_of(plain, *multiples)
 
 
@@ -88,7 +91,7 @@ def worlds(draw, max_robots: int = 12, max_assets: int = 30) -> WorldSnapshot:
     robots, and r_comm sometimes equal to r_max."""
     r_max = draw(radii)
     r_comm = draw(st.just(r_max) | radii)
-    coord = coords(r_max, r_comm, _LLOYD_CELL * r_max)
+    coord = coords(r_max, r_comm)
     n_assets = draw(st.integers(0, max_assets))
     assets = tuple(Asset(i, Point(draw(coord), draw(coord)), draw(st.integers(1, 3))) for i in range(n_assets))
     zero_radii = draw(st.booleans())  # the all-zero radii of round 0
@@ -104,57 +107,46 @@ def worlds(draw, max_robots: int = 12, max_assets: int = 30) -> WorldSnapshot:
     return WorldSnapshot(0, Phase.EXPLORE, tuple(robots), assets, Params(WS, len(robots), r_comm, r_max))
 
 
-@given(
-    st.lists(st.tuples(coords(7.0), coords(7.0)), max_size=40),
-    st.lists(st.tuples(coords(7.0), coords(7.0)), min_size=1, max_size=10),
-    st.sampled_from([7.0, 1e-9]) | st.floats(1e-6, 80.0),
+# Distances per kernel block: the default, and sizes that split every scan
+# of these small worlds into one row, or a few rows, per block.
+blocks = st.sampled_from([geometry._BLOCK, 1, 7])
+
+# A world whose robots are all dead, and one with no assets.
+NO_ALIVE = WorldSnapshot(
+    0,
+    Phase.EXPLORE,
+    (RobotState(0, Point(0.0, 0.0), 0.0, frozenset(), False), RobotState(1, Point(5.0, 0.0), 0.0, frozenset(), False)),
+    (Asset(0, Point(1.0, 0.0), 1), Asset(1, Point(-3.0, 4.0), 2)),
+    Params(WS, 2, 55.0, 40.0),
 )
-@settings(max_examples=200, deadline=None)
-def test_cell_grid_returns_every_item_within_reach(points, queries, reach):
-    grid = CellGrid(reach, ((Point(x, y), k) for k, (x, y) in enumerate(points)))
-    thr2 = reach * reach
-    for qx, qy in queries:
-        near = grid.near(Point(qx, qy))
-        assert len(near) == len(set(near))
-        for k, (x, y) in enumerate(points):
-            if (x - qx) ** 2 + (y - qy) ** 2 <= thr2:
-                assert k in near
-
-
-@given(
-    st.lists(st.tuples(coords(7.0), coords(7.0)), max_size=40),
-    st.lists(st.tuples(coords(7.0), coords(7.0)), min_size=1, max_size=10),
-    st.sampled_from([7.0, 1.75]) | st.floats(0.5, 80.0),
-    st.sampled_from([1.0, 4.0, 0.5]) | st.floats(0.1, 10.0),
-    st.sampled_from([0.0, 1e6, -1e6]),
+NO_ASSETS = WorldSnapshot(
+    0,
+    Phase.EXPLORE,
+    (RobotState(0, Point(0.0, 0.0), 3.0, frozenset(), True), RobotState(1, Point(40.0, 0.0), 0.0, frozenset(), True)),
+    (),
+    Params(WS, 2, 40.0, 40.0),
 )
-@settings(max_examples=200, deadline=None)
-def test_cell_grid_nearest_matches_brute_force(points, queries, reach, ratio, offset):
-    # Exact multiples of 7 put points on cell edges and make ties common;
-    # ties go to the lower index.
-    points = [(x + offset, y - offset) for x, y in points]
-    limit = reach * ratio
-    grid = CellGrid(reach, ((Point(x, y), k) for k, (x, y) in enumerate(points)))
-    for qx, qy in queries:
-        q = Point(qx + offset, qy - offset)
-        within = [(dist2(Point(x, y), q), k) for k, (x, y) in enumerate(points)]
-        want = min((d2k for d2k in within if d2k[0] <= limit * limit), default=None)
-        assert grid.nearest(q, limit) == (None if want is None else want[1])
 
 
-@given(worlds())
+@given(worlds(), blocks)
+@example(NO_ALIVE, 1)
+@example(NO_ASSETS, 7)
 @settings(max_examples=150, deadline=None)
-def test_neighbor_map_matches_pairwise_neighbors(snap):
-    nm = neighbor_map(snap)
+def test_neighbor_map_matches_pairwise_neighbors(snap, block):
+    with mock.patch.object(geometry, "_BLOCK", block):
+        nm = neighbor_map(snap)
     assert sorted(nm) == [r.id for r in snap.robots if r.alive]
     for rid, ids in nm.items():
         assert list(ids) == sorted(neighbors(snap, rid))
 
 
-@given(worlds())
+@given(worlds(), blocks)
+@example(NO_ALIVE, 1)
+@example(NO_ASSETS, 7)
 @settings(max_examples=150, deadline=None)
-def test_view_sensing_matches_sense(snap):
-    view = _View(snap)
+def test_view_sensing_matches_sense(snap, block):
+    with mock.patch.object(geometry, "_BLOCK", block):
+        view = _View(snap)
     assert sorted(view.sensed) == [r.id for r in snap.robots if r.alive]
     for rid, got in view.sensed.items():
         assert got == sense(snap.robots[rid], snap.assets, snap.params.r_max)
@@ -227,19 +219,21 @@ def test_view_deficits_match_brute_force(snap):
     assert has_undercovered_views(snap) == any(want.values())
 
 
-@given(worlds())
+@given(worlds(), blocks)
+@example(NO_ALIVE, 1)
+@example(NO_ASSETS, 7)
 @settings(max_examples=150, deadline=None)
-def test_summarize_counts_match_coverage_count(snap):
-    rm = summarize(snap)
+def test_summarize_counts_match_coverage_count(snap, block):
+    with mock.patch.object(geometry, "_BLOCK", block):
+        rm = summarize(snap)
     counts = [(coverage_count(snap, a.pos), a.kappa) for a in snap.assets]
     assert rm.undercovered_count == sum(1 for c, k in counts if c < k)
     assert rm.overcovered_count == sum(1 for c, k in counts if c > k)
 
 
 def test_summarize_counts_assets_on_the_rim_at_every_cell_offset():
-    # Rows of one robot each, far apart; every robot's disk is the widest
-    # and passes exactly through its asset, as the robot slides across
-    # many cell boundaries in small steps.
+    # Rows of one robot each, far apart; every robot's disk passes exactly
+    # through its asset, as the robot slides along x in small steps.
     radius = 10.0
     robots, assets = [], []
     for i in range(600):
@@ -299,10 +293,14 @@ def tied_worlds(draw) -> WorldSnapshot:
     return replace(snap, robots=robots, assets=assets, params=replace(snap.params, m=len(robots)))
 
 
-@given(worlds() | tied_worlds())
+@given(worlds() | tied_worlds(), blocks)
+@example(NO_ALIVE, 1)
+@example(NO_ASSETS, 7)
 @settings(max_examples=300, deadline=None)
-def test_lloyd_round_matches_brute_force_reference(snap):
-    assert lloyd_round(snap) == lloyd_reference(snap)
+def test_lloyd_round_matches_brute_force_reference(snap, block):
+    with mock.patch.object(geometry, "_BLOCK", block):
+        got = lloyd_round(snap)
+    assert got == lloyd_reference(snap)
 
 
 # -- swap sweep ---------------------------------------------------------------
@@ -907,13 +905,14 @@ def holder_counts(snap: WorldSnapshot) -> list[int]:
     return [sum(1 for r in snap.robots if r.alive and a.id in r.assigned) for a in snap.assets]
 
 
-@given(st.one_of(worlds(), holding_worlds()), st.data())
+@given(st.one_of(worlds(), holding_worlds()), blocks, st.data())
 @settings(max_examples=200, deadline=None)
-def test_carried_tally_matches_a_recount(snap, data):
-    # Positions in worlds() include exact multiples of the cell sizes, so
-    # rim assets land at every cell offset of the recount's grid.
+def test_carried_tally_matches_a_recount(snap, block, data):
     tally = CoverTally()
-    with mock.patch.object(CoverTally, "_build", autospec=True, side_effect=CoverTally._build) as build:
+    with (
+        mock.patch.object(geometry, "_BLOCK", block),
+        mock.patch.object(CoverTally, "_build", autospec=True, side_effect=CoverTally._build) as build,
+    ):
         assert summarize(snap, tally=tally) == reference.summarize(snap)
         builds = 1
         for _ in range(data.draw(st.integers(1, 6))):
