@@ -167,7 +167,7 @@ class _View:
     test of `geometry.sq_dist_blocks`) and its membership cover counts (see
     `_cover_counts`), all for `snapshot`, and the asset coordinates as two float64 arrays indexed by
     asset id (`asset_x`, `asset_y`) for the auction's bid bounds.  A robot
-    knows an asset when it senses it or counts a holder of it (`knows`).
+    knows an asset when it senses it or counts a holder of it (`known`).
     Filled on demand, and kept per robot:
 
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
@@ -296,18 +296,17 @@ class _View:
     def local_coverage(self, rid: int, asset_id: int) -> int:
         return self.cover[rid].get(asset_id, 0)
 
-    def knows(self, rid: int, asset_id: int) -> bool:
-        """Does robot rid sense the asset, or does it or a neighbor hold it?
-        Its cover counts list exactly the assets it or a neighbor holds."""
-        return asset_id in self.sensed[rid] or asset_id in self.cover[rid]
+    def known(self, rid: int) -> set[int]:
+        """The assets robot rid knows, as a fresh set: those it senses and
+        those it or a neighbor holds (its cover counts list exactly these)."""
+        return self.sensed[rid].union(self.cover[rid])
 
     def deficits(self, rid: int) -> list[int]:
         """Assets robot rid may claim, in ascending id: known, not held by
         rid, and counted below kappa in its neighborhood."""
         held = self.robot[rid].assigned
         counts = self.cover[rid]
-        known = self.sensed[rid].union(counts)
-        return sorted(a for a in known if a not in held and counts.get(a, 0) < self.assets[a].kappa)
+        return sorted(a for a in self.known(rid) if a not in held and counts.get(a, 0) < self.assets[a].kappa)
 
     def positions(self, assigned: Sequence[int]) -> list[Point]:
         return [self.assets[a].pos for a in assigned]
@@ -480,11 +479,13 @@ def _grow_disk(view: _View, robot: RobotState, asset_id: int) -> Disk:
     return enclose_with_anchor(pts, ppos)
 
 
-def _bid(view: _View, robot: RobotState, asset_id: int) -> float:
+def _bid(view: _View, robot: RobotState, asset_id: int) -> tuple[float, Disk]:
+    """The robot's bid for the asset, the disk area it adds (INFEASIBLE
+    past r_max), and the grown disk it priced (see `_grow_disk`)."""
     d = _grow_disk(view, robot, asset_id)
     if d.radius > view.params.r_max:
-        return INFEASIBLE
-    return max(0.0, math.pi * (d.radius * d.radius - robot.radius * robot.radius))
+        return INFEASIBLE, d
+    return max(0.0, math.pi * (d.radius * d.radius - robot.radius * robot.radius)), d
 
 
 def _bid_bounds(view: _View, candidates: Mapping[int, Sequence[int]]) -> np.ndarray:
@@ -565,6 +566,37 @@ def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps:
     return min(tie, key=lambda j: (h64(iteration, asset_id, j), j))
 
 
+def _auction_candidates(view: _View) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The round's auctions: each auctioned asset's auctioneers, in
+    ascending id, and its candidates, the robots in some auctioneer's group
+    (the auctioneer and its neighbors) that know the asset and do not hold
+    it, in no set order.  The candidates are keyed by asset in ascending id.
+
+    The candidates are listed robot by robot: a robot is a candidate for an
+    auctioned asset it knows and does not hold when its closed neighborhood
+    (itself and its neighbors) meets the asset's auctioneers, since the
+    neighbor relation is symmetric.  The auctioneers of each asset are kept
+    as a bitmask of robot ids for that test."""
+    auctioneers: dict[int, list[int]] = {}
+    mask: dict[int, int] = {}
+    for rid in view.alive_ids:
+        bit = 1 << rid
+        for asset_id in view.deficits(rid):
+            auctioneers.setdefault(asset_id, []).append(rid)
+            mask[asset_id] = mask.get(asset_id, 0) | bit
+    candidates: dict[int, list[int]] = {asset_id: [] for asset_id in sorted(auctioneers)}
+    for j in view.alive_ids:
+        closed = 1 << j
+        for k in view.nbrs[j]:
+            closed |= 1 << k
+        held = view.robot[j].assigned
+        for asset_id in view.known(j):
+            m = mask.get(asset_id)
+            if m is not None and m & closed and asset_id not in held:
+                candidates[asset_id].append(j)
+    return auctioneers, candidates
+
+
 def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dict[int, Proposal], bool]:
     """One auction round.
 
@@ -578,8 +610,11 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
     its group's best or fall in the tie window.  The round runs in three
     stages:
 
-    1. each auctioned asset's candidates are listed: the bidders in some
-       auctioneer's group;
+    1. each auctioned asset's candidates are listed, the bidders in some
+       auctioneer's group, robot by robot (`_auction_candidates`): one
+       pass takes every robot's deficits, and a second lists each robot
+       under every auctioned asset it knows and does not hold whose
+       auctioneers include it or a neighbor;
     2. every candidate of every asset gets a lower bound on its bid that
        solves no disk, all in one pass over the round grouped by robot
        (`_bid_bounds`);
@@ -602,26 +637,18 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
     A robot's wins are grown into its disk one at a time, in ascending asset
     id (see `_grow_disk`); a win is skipped if stacking it onto the earlier
     wins would push the disk past r_max (it stays undercovered and is
-    re-auctioned next round).
+    re-auctioned next round).  A win carries the disk its winning bid
+    priced, and the fold takes that disk while the robot is still as the
+    bid priced it: only the wins after a robot's first kept win are solved
+    again.
     """
     view.update(snapshot)
     r_max = snapshot.params.r_max
     iteration = snapshot.round
-    auctioneers: dict[int, list[int]] = {}
-    for rid in view.alive_ids:
-        for asset_id in view.deficits(rid):
-            auctioneers.setdefault(asset_id, []).append(rid)
-    # The candidates: every bidder in some auctioneer's group, the
-    # auctioneers among them.
-    candidates: dict[int, list[int]] = {}
-    for asset_id in sorted(auctioneers):
-        near = set(auctioneers[asset_id]).union(*(view.nbrs[rid] for rid in auctioneers[asset_id]))
-        candidates[asset_id] = [
-            j for j in near if view.knows(j, asset_id) and asset_id not in view.robot[j].assigned
-        ]
+    auctioneers, candidates = _auction_candidates(view)
     groups: dict[int, set[int]] = {}
 
-    wins: dict[int, list[int]] = {}
+    wins: dict[int, list[tuple[int, Disk]]] = {}
     bounds = _bid_bounds(view, candidates)
     end = 0
     for asset_id, cands in candidates.items():
@@ -629,13 +656,13 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
         bound = dict(zip(cands, bounds[start:end].tolist()))
         # An infeasible bound means an infeasible bid, which never wins.
         ranked = sorted((b, j) for j, b in bound.items() if b != INFEASIBLE)
-        price: dict[int, float] = {}
+        priced: dict[int, tuple[float, Disk]] = {}
 
         def exact(j: int) -> float:
-            got = price.get(j)
+            got = priced.get(j)
             if got is None:
-                got = price[j] = _bid(view, view.robot[j], asset_id)
-            return got
+                got = priced[j] = _bid(view, view.robot[j], asset_id)
+            return got[0]
 
         for rid in auctioneers[asset_id]:
             group = groups.get(rid)
@@ -661,16 +688,17 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
                     if got <= cut:
                         tie[j] = got
             if select_winner(asset_id, tie, iteration, cfg.eps) == rid:
-                wins.setdefault(rid, []).append(asset_id)
+                wins.setdefault(rid, []).append((asset_id, priced[rid][1]))
 
     proposals: dict[int, Proposal] = {}
     for rid in sorted(wins):
-        cur = view.robot[rid]
-        for asset_id in wins[rid]:
-            d = _grow_disk(view, cur, asset_id)
+        robot = cur = view.robot[rid]
+        for asset_id, d in wins[rid]:
+            if cur is not robot:  # the priced disk grew the robot as it was
+                d = _grow_disk(view, cur, asset_id)
             if d.radius <= r_max:
                 cur = replace(cur, pos=d.center, radius=d.radius, assigned=cur.assigned | {asset_id})
-        if cur is not view.robot[rid]:
+        if cur is not robot:
             proposals[rid] = Proposal(cur.pos, _finalize_radius(cur.radius, r_max), cur.assigned)
     return proposals, bool(proposals)
 

@@ -105,7 +105,28 @@ def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> float:
     robot = snapshot.robot(rid)
     if asset_id in robot.assigned:
         raise ValueError(f"asset {asset_id} is already assigned to robot {rid}")
-    return _bid(view, robot, asset_id)
+    return _bid(view, robot, asset_id)[0]
+
+
+def auction_candidates(snapshot: WorldSnapshot) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
+    """The round's auctions listed asset by asset, on a fresh view: each
+    asset's auctioneers, the robots that count it a deficit, in ascending
+    id, and its candidates, every robot in an auctioneer's group (the
+    auctioneer and its neighbors) that knows the asset and does not hold
+    it; the listing that `protocol._auction_candidates` makes robot by
+    robot.  The candidates are keyed by asset in ascending id."""
+    view = _View(snapshot)
+    auctioneers: dict[int, list[int]] = {}
+    for rid in view.alive_ids:
+        for asset_id in view.deficits(rid):
+            auctioneers.setdefault(asset_id, []).append(rid)
+    candidates: dict[int, set[int]] = {}
+    for asset_id in sorted(auctioneers):
+        near = set(auctioneers[asset_id]).union(*(view.nbrs[rid] for rid in auctioneers[asset_id]))
+        candidates[asset_id] = {
+            j for j in near if asset_id in view.known(j) and asset_id not in view.robot[j].assigned
+        }
+    return auctioneers, candidates
 
 
 def bid_bound(view: _View, robot: RobotState, asset_id: int) -> float:

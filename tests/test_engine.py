@@ -93,9 +93,9 @@ def test_knowledge_set_matches_naive_union():
     # the round's view is the one place knowledge is computed
     view = _View(snap)
     expected = sense(snap.robots[0], snap.assets, 10.0) | {5} | {6}
-    assert {a.id for a in snap.assets if view.knows(0, a.id)} == expected
-    assert not view.knows(0, 7)
-    assert view.knows(2, 7)
+    assert view.known(0) == expected
+    assert 7 not in view.known(0)
+    assert 7 in view.known(2)
 
 
 def test_event_rounds_and_robot_ids_must_be_integers():

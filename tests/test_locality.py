@@ -7,10 +7,11 @@ counts of `summarize` scan squared distances in the blocks of
 carried from round to round in a `metrics.CoverTally`; each robot's
 knowledge, cover counts and deficits come from the round's view alone, and
 the completion certificate reuses its cover counts; the swap sweep reads
-memoized disks and candidate lists from that view, and the auctions decide
-every auctioneer's deficit from one sorted list of bids per asset, ranked
-by bounds that one vectorized pass computes for the whole round.  Each must
-give exactly what the all-pairs or scalar definition gives, including at
+memoized disks and candidate lists from that view, and the auctions list
+their candidates robot by robot and decide every auctioneer's deficit from
+one sorted list of bids per asset, ranked by bounds that one vectorized
+pass computes for the whole round.  Each must give exactly what the
+all-pairs or scalar definition gives, including at
 exactly the threshold distance, at negative coordinates, with zero radii,
 dead robots, no alive robot or no asset, with ties, and when r_comm equals
 r_max.
@@ -51,6 +52,7 @@ from swarmcover.protocol import (
     Config,
     RunStatus,
     SwapRecord,
+    _auction_candidates,
     _bid,
     _bid_bounds,
     _donor_bound,
@@ -194,7 +196,10 @@ def deficits_reference(snapshot: WorldSnapshot, rid: int) -> list[int]:
 def test_view_knowledge_matches_brute_force(snap):
     view = _View(snap)
     for rid in view.alive_ids:
-        assert {a.id for a in snap.assets if view.knows(rid, a.id)} == knowledge_reference(snap, rid)
+        known = view.known(rid)
+        assert known == knowledge_reference(snap, rid)
+        known.add(-1)  # a fresh set: the view keeps its own
+        assert -1 not in view.known(rid)
 
 
 @given(worlds())
@@ -554,9 +559,9 @@ def auction_reference(snapshot: WorldSnapshot, cfg: Config):
         group = sorted((rid, *view.nbrs[rid]))
         for asset_id in view.deficits(rid):
             bids = {
-                j: _bid(view, view.robot[j], asset_id)
+                j: _bid(view, view.robot[j], asset_id)[0]
                 for j in group
-                if asset_id not in view.robot[j].assigned and view.knows(j, asset_id)
+                if asset_id not in view.robot[j].assigned and asset_id in view.known(j)
             }
             if select_winner(asset_id, bids, snapshot.round, cfg.eps) == rid:
                 wins.setdefault(rid, []).append(asset_id)
@@ -649,6 +654,20 @@ def test_auction_fixtures():
     plan, _ = phase2_round(STACKED_WINS, cfg, _View(STACKED_WINS))
     assert plan.keys() == {0}
     assert (plan[0].pos, plan[0].radius, plan[0].assigned) == (Point(-10.0, 0.0), 10.0, {0, 1})
+
+
+@given(st.one_of(worlds(), holding_worlds()))
+@example(HIDDEN_BIDDER)
+@example(NEIGHBOR_UNDERBIDS)
+@settings(max_examples=200, deadline=None)
+def test_auction_candidates_match_per_asset_listing(snap):
+    auctioneers, candidates = _auction_candidates(_View(snap))
+    want_auctioneers, want = reference.auction_candidates(snap)
+    assert auctioneers == want_auctioneers
+    assert list(candidates) == list(want)
+    for asset_id, cands in candidates.items():
+        assert len(cands) == len(want[asset_id])
+        assert set(cands) == want[asset_id]
 
 
 @given(st.one_of(worlds(), holding_worlds()), st.sampled_from([0.01, 0.5, 5.0]), st.integers(0, 60))

@@ -361,7 +361,7 @@ def test_bid_bound_never_exceeds_exact_bid(case):
     bounds = iter(_bid_bounds(view, pairs).tolist())
     for a in view.assets:
         for robot in view.robot:
-            lo, bid = next(bounds), _bid(view, robot, a.id)
+            lo, (bid, _) = next(bounds), _bid(view, robot, a.id)
             assert lo <= bid, (robot.id, a.id, lo, bid)
             if lo == INFEASIBLE:
                 assert bid == INFEASIBLE
