@@ -23,6 +23,7 @@ The solver itself runs on plain floats; see `_mec_one_point`.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -150,9 +151,7 @@ def min_enclosing_disk(points: Sequence[Point] | Iterable[Point]) -> Disk:
     pts = list(points)
     if not pts:
         raise ValueError("min_enclosing_disk requires at least one point")
-    if len(pts) > 1:
-        random.Random(SOLVE_ORDER_SEED).shuffle(pts)
-    xy = [(p.x, p.y) for p in pts]
+    xy = [(pts[i].x, pts[i].y) for i in _solve_order(len(pts))]
     cx, cy = xy[0]
     r = 0.0
     for i, (px, py) in enumerate(xy):
@@ -166,6 +165,16 @@ def min_enclosing_disk(points: Sequence[Point] | Iterable[Point]) -> Disk:
     if far > r + CONTAINMENT_TOL:
         r = far
     return Disk(Point(cx, cy), r)
+
+
+@functools.cache
+def _solve_order(n: int) -> tuple[int, ...]:
+    # The permutation `random.Random(SOLVE_ORDER_SEED).shuffle` makes of any
+    # n items, as indices.  It depends only on n, so each length's is drawn
+    # once, on first use, and indexes every later input of that length.
+    perm = list(range(n))
+    random.Random(SOLVE_ORDER_SEED).shuffle(perm)
+    return tuple(perm)
 
 
 def enclose_with_anchor(points: Sequence[Point], anchor: Point) -> Disk:

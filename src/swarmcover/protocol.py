@@ -27,7 +27,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -813,37 +813,120 @@ def fallback_assign(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[
     return proposals, bool(proposals)
 
 
+# A rim point of `_donor_bound` lies at least (1 - _RIM_BAND) times the
+# donor's radius from its center; the bound takes at most _RIM_POINTS.
+_RIM_BAND = 1e-6
+_RIM_POINTS = 6
+
+
 def _donor_bound(view: _View, donor: int, asset_id: int) -> float:
     """A lower bound on the radius of the donor's disk without asset_id
     (`_View.donor_disk`) that solves no disk.
 
-    Any disk holding two points has radius at least half their distance
-    (Welzl 1991).  The bound takes x, the remaining asset farthest from the
-    donor's center (any one would do; a far one tends to give a tight
-    bound), and q, the remaining asset farthest from x, and returns
-    hypot(x - q)/2 - 2 CONTAINMENT_TOL, shrunk by a relative 1e-9, or 0 when
-    that is negative or nothing remains (`consolidate` then keeps a zero
-    radius).  `min_enclosing_disk` leaves every point within its radius
-    plus CONTAINMENT_TOL, in a hypot test off by a few ulps, so its radius
-    is at least the true distance over 2 less CONTAINMENT_TOL, less those
-    ulps: one CONTAINMENT_TOL of the slack covers that, and the relative
-    shrink covers the rounding of the hypot and of the bound's own
-    arithmetic.  So the bound stays below the radius by CONTAINMENT_TOL
-    and by a relative ~4e-10: every two remaining points lie within
-    2 hypot(x - q) of each other, so by Jung's theorem the radius is at most
-    2/sqrt(3) hypot(x - q).  That gap is far above the rounding of `**`, so
-    the bound's square is at most the radius's square.  Sums, the product
-    with pi and the subtraction are monotone, so when `_evaluate_swap`'s
-    tau test rejects with the bound in place of the radius, it rejects with
-    the radius too.
+    It is the larger of two spreads of the remaining assets, each a lower
+    bound on the radius r* of their smallest enclosing disk:
+
+    * Two points: any disk holding two points has radius at least half
+      their distance (Welzl 1991).  It takes x, the remaining asset
+      farthest from the donor's center (any one would do; a far one tends
+      to give a tight bound), and q, the remaining asset farthest from x:
+      hypot(x - q)/2.
+    * The rim (`_rim_spread`): for any weights w >= 0 summing to 1 over a
+      set S of points, with m = sum w s, the weighted variance
+      sum w |s - m|^2 is at most sum w |s - c*|^2 (m minimizes it over all
+      points) and so at most r*(S)^2, where c* is the center of S's
+      smallest enclosing disk; and r*(S) <= r* for S among the remaining
+      assets.  S is the remaining assets on the donor's rim, and w the
+      barycentric coordinates of the donor's center in a triangle of them.
+      When the removed asset is not a support point of the donor's disk,
+      such a triangle tends to exist and the variance is about the squared
+      radius: the bound is then tight.
+
+    The bound returns (spread - 2 CONTAINMENT_TOL) shrunk by a relative
+    1e-9, or 0 when that is negative or nothing remains (`consolidate` then
+    keeps a zero radius).  `min_enclosing_disk` leaves every point within
+    its radius plus CONTAINMENT_TOL, in a hypot test off by a few ulps, so
+    its radius is at least r* less CONTAINMENT_TOL, less those ulps: one
+    CONTAINMENT_TOL of the slack covers that and the error of the rim
+    points' translation to the donor's center (under an ulp of a
+    coordinate each), and the relative shrink covers the rounding of the
+    hypot, of the variance and of the bound's own arithmetic.  So the
+    bound stays below the radius by CONTAINMENT_TOL and by a relative
+    ~4e-10: every two remaining points lie within 2 hypot(x - q) of each
+    other, so by Jung's theorem the radius is at most 2/sqrt(3)
+    hypot(x - q).  That gap is far above the rounding of `**`, so the
+    bound's square is at most the radius's square.  Sums, the product with
+    pi and the subtraction are monotone, so when `_evaluate_swap`'s tau
+    test rejects with the bound in place of the radius, it rejects with the
+    radius too.
     """
     robot = view.robot[donor]
     rest = [view.assets[a].pos for a in robot.assigned if a != asset_id]
     if not rest:
         return 0.0
     x = max(rest, key=lambda p: dist2(robot.pos, p))
-    far = max(dist(x, q) for q in rest)
-    return max(0.0, (far / 2.0 - 2.0 * CONTAINMENT_TOL) * (1.0 - 1e-9))
+    spread = max(dist(x, q) for q in rest) / 2.0
+    cx, cy = robot.pos.x, robot.pos.y
+    band = (robot.radius * (1.0 - _RIM_BAND)) ** 2
+    rim: list[tuple[float, float]] = []
+    for p in rest:
+        dx = p.x - cx
+        dy = p.y - cy
+        if dx * dx + dy * dy >= band:
+            rim.append((dx, dy))
+            if len(rim) == _RIM_POINTS:
+                break
+    spread = max(spread, _rim_spread(rim))
+    return max(0.0, (spread - 2.0 * CONTAINMENT_TOL) * (1.0 - 1e-9))
+
+
+def _rim_spread(rim: Sequence[tuple[float, float]]) -> float:
+    """The weighted standard deviation of three of the points, with the
+    origin's barycentric coordinates in their triangle as weights, for the
+    first triangle (in `combinations` order) that holds the origin; 0 when
+    none does.
+
+    The coordinates are the triangle's three signed sub-areas u opposite
+    each point, normalized by their sum: a triangle whose u differ in sign
+    from their sum, or sum to 0, does not hold the origin and is skipped.
+    The argument of `_donor_bound` holds for any nonnegative weights, so
+    whatever bits the u have, only the few flops of their sum, the mean
+    and the variance round: a relative few ulps of the variance.  The
+    points are given relative to the donor's center, so those errors scale
+    with the donor's radius, not with the coordinates.
+    """
+    for (ax, ay), (bx, by), (ex, ey) in combinations(rim, 3):
+        ua = bx * ey - by * ex
+        ub = ex * ay - ey * ax
+        ue = ax * by - ay * bx
+        tot = ua + ub + ue
+        if tot < 0.0:
+            ua, ub, ue, tot = -ua, -ub, -ue, -tot
+        if not tot > 0.0 or ua < 0.0 or ub < 0.0 or ue < 0.0:
+            continue
+        mx = (ua * ax + ub * bx + ue * ex) / tot
+        my = (ua * ay + ub * by + ue * ey) / tot
+        var = ua * ((ax - mx) ** 2 + (ay - my) ** 2) + ub * ((bx - mx) ** 2 + (by - my) ** 2)
+        var = (var + ue * ((ex - mx) ** 2 + (ey - my) ** 2)) / tot
+        return math.sqrt(var)
+    return 0.0
+
+
+def _receiver_bound(view: _View, robot: RobotState, asset_id: int) -> float:
+    """A lower bound on the radius of the robot's disk grown by asset_id
+    (`_grow_disk`) that solves no disk, for a robot that holds assets and
+    whose disk does not hold asset_id.
+
+    The argument and slack are those of `_bid_bounds`: the grown disk holds
+    the asset and the held asset `far` from it (`enclose_with_anchor`
+    guarantees it holds every point), so its radius is at least far/2 less
+    about CONTAINMENT_TOL.  The bound is far/2 - 2 CONTAINMENT_TOL, shrunk
+    by a relative 1e-9 for the rounding of the one square root and of the
+    squares the tau test takes, or 0 when that is negative.
+    """
+    ppos = view.assets[asset_id].pos
+    far2 = max(dist2(ppos, view.assets[a].pos) for a in robot.assigned)
+    return max(0.0, (math.sqrt(far2) / 2.0 - 2.0 * CONTAINMENT_TOL) * (1.0 - 1e-9))
 
 
 def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: Config) -> Optional[SwapDecision]:
@@ -856,28 +939,46 @@ def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: C
     rejection.  The donor must hold the asset and the receiver must be its
     neighbor.
 
-    The donor's disk is solved only when the tau test passes with its
-    lower bound (`_donor_bound`) in place of its radius: a rejection under
-    the bound is a rejection under the radius.
+    The tests run cheapest first, and each disk is solved only when the
+    tests before it pass with lower bounds in place of the radii it would
+    give; a rejection under a lower bound is a rejection under the radius
+    (the tau test grows with both radii), so every verdict is that of the
+    solved disks:
+
+    1. the closer, rim and coverage tests;
+    2. when the receiver's disk must grow to take the asset: the r_max
+       test with the receiver's bound (`_receiver_bound`), then the tau
+       test with the donor's bound (`_donor_bound`) and the receiver's;
+    3. the receiver's grown disk (`_View.grown_disk`) and its r_max test;
+    4. the tau test with the donor's bound and the receiver's radius;
+    5. the donor's disk (`_View.donor_disk`) and the tau test.
     """
     di = view.robot[donor]
     dj = view.robot[receiver]
     ppos = view.assets[asset_id].pos
     to_donor = dist(ppos, di.pos)
-    if not dist(ppos, dj.pos) < to_donor:
+    to_receiver = dist(ppos, dj.pos)
+    if not to_receiver < to_donor:
         return None
     if not to_donor > cfg.boundary_factor * di.radius:
         return None
     held_by_receiver = asset_id in dj.assigned
     if view.local_coverage(donor, asset_id) - (1 if held_by_receiver else 0) < view.assets[asset_id].kappa:
         return None
+    r_max = view.params.r_max
+    before = math.pi * (di.radius ** 2 + dj.radius ** 2)
     if held_by_receiver:
         recv_after = Disk(dj.pos, dj.radius)
     else:
+        if dj.assigned and to_receiver > dj.radius + CONTAINMENT_TOL:
+            grown = _receiver_bound(view, dj, asset_id)
+            if grown > r_max:
+                return None
+            if before - math.pi * (view.donor_bound(donor, asset_id) ** 2 + grown ** 2) <= cfg.tau * before:
+                return None
         recv_after = view.grown_disk(receiver, asset_id)
-        if recv_after.radius > view.params.r_max:
+        if recv_after.radius > r_max:
             return None
-    before = math.pi * (di.radius ** 2 + dj.radius ** 2)
     low = view.donor_bound(donor, asset_id)
     if before - math.pi * (low ** 2 + recv_after.radius ** 2) <= cfg.tau * before:
         return None
@@ -888,9 +989,9 @@ def _evaluate_swap(view: _View, donor: int, receiver: int, asset_id: int, cfg: C
     return SwapDecision(
         before - after,
         donor_after.center,
-        _finalize_radius(donor_after.radius, view.params.r_max),
+        _finalize_radius(donor_after.radius, r_max),
         recv_after.center,
-        _finalize_radius(recv_after.radius, view.params.r_max),
+        _finalize_radius(recv_after.radius, r_max),
     )
 
 

@@ -166,10 +166,12 @@ def evaluate_swap(
     snapshot: WorldSnapshot, donor: int, receiver: int, asset_id: int, cfg: Config
 ) -> Optional[SwapDecision]:
     """The swap sweep's verdict on handing the asset from donor to receiver,
-    judged on a fresh view and with the donor's disk always solved: the
-    rule `protocol._evaluate_swap` decides without solving when its donor
-    bound already rejects.  The accepted decision, or None for a
-    rejection."""
+    judged on a fresh view with both disks always solved: the closer, rim
+    and coverage tests, then the receiver's grown disk and its r_max test,
+    then the tau test on the two solved radii.  `protocol._evaluate_swap`
+    tries lower bounds on both radii before it solves either disk (see its
+    docstring), which must leave every verdict as this one.  The accepted
+    decision, or None for a rejection."""
     view = _View(snapshot)
     if asset_id not in view.robot[donor].assigned:
         raise ValueError(f"asset {asset_id} is not assigned to robot {donor}")

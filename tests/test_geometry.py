@@ -338,8 +338,9 @@ def test_med_shuffles_sorted_input(monkeypatch):
 
 
 def test_med_solve_order_is_fixed_per_call(monkeypatch):
-    # No random state outlives a call: unrelated solves, and draws from the
-    # global generator, leave the next solve of the same sequence unchanged.
+    # The order depends on the input's length alone: unrelated solves, and
+    # draws from the global generator, leave the next solve of the same
+    # sequence unchanged.
     restarts = _restarts(monkeypatch)
     first = min_enclosing_disk(SPIRAL)
     order = list(restarts)
@@ -351,6 +352,16 @@ def test_med_solve_order_is_fixed_per_call(monkeypatch):
     restarts.clear()
     assert _same_bits(min_enclosing_disk(SPIRAL), first)
     assert restarts == order
+
+
+def test_med_solve_order_is_the_seeded_shuffle():
+    # Each length's permutation, drawn once and kept, is the one a fresh
+    # generator seeded with SOLVE_ORDER_SEED shuffles any n items into.
+    for n in range(1, 200):
+        want = list(range(n))
+        random.Random(SOLVE_ORDER_SEED).shuffle(want)
+        assert geometry._solve_order(n) == tuple(want)
+        assert geometry._solve_order(n) is geometry._solve_order(n)
 
 
 @st.composite

@@ -120,10 +120,13 @@ def test_ladder_250_carries_one_view(monkeypatch):
     # (22,137 evaluations), stop each scan at the gap bound (4,044) and
     # keep a pair clean while the cover counts of the assets its robots
     # hold are unchanged (1,971).  Rejecting by the donor bound before the
-    # donor's disk is solved cut the sweeps' solves from 54 to 42.
+    # donor's disk is solved cut the sweeps' donor solves from 54 to 42;
+    # bounding the receiver's grown disk too, before either disk is solved,
+    # and a donor bound that sees the rim cut them to 37 and the receiver
+    # solves from 25 to 16.
     recount, evaluate = protocol._cover_counts, protocol._evaluate_swap
-    solve, sweep = protocol.min_enclosing_disk, protocol.swap_round
-    recounts, evaluations, solves, inside = 0, 0, 0, False
+    solve, grow, sweep = protocol.min_enclosing_disk, protocol.enclose_with_anchor, protocol.swap_round
+    recounts, evaluations, solves, grows, inside = 0, 0, 0, 0, False
 
     def counting_recount(*args):
         nonlocal recounts
@@ -140,6 +143,11 @@ def test_ladder_250_carries_one_view(monkeypatch):
         solves += inside
         return solve(*args)
 
+    def counting_grow(*args):
+        nonlocal grows
+        grows += inside
+        return grow(*args)
+
     def flagged_sweep(*args):
         nonlocal inside
         inside = True
@@ -151,9 +159,11 @@ def test_ladder_250_carries_one_view(monkeypatch):
     monkeypatch.setattr(protocol, "_cover_counts", counting_recount)
     monkeypatch.setattr(protocol, "_evaluate_swap", counting_evaluate)
     monkeypatch.setattr(protocol, "min_enclosing_disk", counting_solve)
+    monkeypatch.setattr(protocol, "enclose_with_anchor", counting_grow)
     monkeypatch.setattr(protocol, "swap_round", flagged_sweep)
     res = run(ladder_250(), Config(), (), 0)
     assert res.status is RunStatus.FEASIBLE
     assert 0 < recounts <= 2, recounts
     assert 0 < evaluations < 3_000, evaluations
-    assert 0 < solves < 48, solves
+    assert 0 < solves <= 37, solves
+    assert 0 < grows <= 16, grows

@@ -449,8 +449,12 @@ def test_evaluate_swap_matches_the_solve_always_rule(snap, tau, boundary_factor)
 def tight_held_sets(draw):
     """A robot's held points where the donor bound sits closest to the
     solved radius: on a circle (a regular polygon, with antipodal pairs
-    when its order is even, or random angles), or near-coincident, each
-    point jittered by ~1e-10 m, near the origin or offset by 1e6 m."""
+    when its order is even, or random angles), each point's distance from
+    the circle's center off by up to a relative 1e-6, the width of the rim
+    bound's band, and sometimes one more point inside the ring; or
+    near-coincident.  Each point is jittered by ~1e-10 m, near the origin
+    or offset by 1e6 m.  The robot sits on the solved center, on the
+    circle's center or off both: the bound must hold for any center."""
     ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.sampled_from([0.0, 1e6]))
     n = draw(st.integers(1, 9))
     jitter = st.sampled_from([0.0, 1e-10, -1e-10]) | st.floats(-1e-10, 1e-10)
@@ -461,12 +465,23 @@ def tight_held_sets(draw):
             angles = [turn + 2.0 * math.pi * k / n for k in range(n)]
         else:
             angles = [draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(n)]
+        spread = st.sampled_from([0.0, 1e-7, -1e-7, -1e-6]) | st.floats(-1e-6, 1e-6)
+        radii = [radius * (1.0 + draw(spread)) for _ in angles]
+        if draw(st.booleans()):
+            angles.append(draw(st.floats(0.0, 2.0 * math.pi)))
+            radii.append(radius * draw(st.sampled_from([0.0, 0.9, 1.0 - 1e-5]) | st.floats(0.0, 0.99)))
     else:
-        radius, angles = 0.0, [0.0] * n
+        radius, angles, radii = 0.0, [0.0] * n, [0.0] * n
     pts = [
-        Point(ox + radius * math.cos(a) + draw(jitter), oy + radius * math.sin(a) + draw(jitter)) for a in angles
+        Point(ox + r * math.cos(a) + draw(jitter), oy + r * math.sin(a) + draw(jitter))
+        for a, r in zip(angles, radii)
     ]
-    center = draw(st.sampled_from([None, Point(ox, oy)]))
+    off = st.sampled_from([1e-10, -1e-9, 1e-3]) | st.floats(-1.0, 1.0)
+    scale = max(radius, 1e-9)
+    center = draw(
+        st.sampled_from([None, Point(ox, oy)])
+        | st.builds(lambda dx, dy: Point(ox + dx * scale, oy + dy * scale), off, off)
+    )
     return pts, center
 
 

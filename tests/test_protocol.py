@@ -36,6 +36,8 @@ from swarmcover.protocol import (
     _bid_bounds,
     _evaluate_swap,
     _gap_prunes,
+    _grow_disk,
+    _receiver_bound,
     _View,
 )
 
@@ -484,7 +486,7 @@ def swap_fixture(rnd: int = 0):
 
 def verdict(snap, donor, receiver, asset_id, cfg):
     """The solve-always verdict of tests/reference.py, checked against the
-    program's, which rejects by a donor bound before solving."""
+    program's, which rejects by lower bounds on both disks before solving."""
     dec = evaluate_swap(snap, donor, receiver, asset_id, cfg)
     assert _evaluate_swap(_View(snap), donor, receiver, asset_id, cfg) == dec
     return dec
@@ -549,6 +551,83 @@ def test_donor_bound_rejects_without_solving():
     with mock.patch("swarmcover.protocol.min_enclosing_disk", side_effect=AssertionError("solved")):
         assert _evaluate_swap(view, 0, 1, 2, Config()) is None
     assert 2 not in view._donor_disks.get(0, {})
+
+
+def unsolvable():
+    """Patches both disk solvers to fail the test when called."""
+    return mock.patch.multiple(
+        "swarmcover.protocol",
+        min_enclosing_disk=mock.Mock(side_effect=AssertionError("donor disk solved")),
+        enclose_with_anchor=mock.Mock(side_effect=AssertionError("receiver disk solved")),
+    )
+
+
+def test_receiver_bound_rejects_on_tau_without_solving():
+    # Without asset 2 the donor keeps (0, 0) and (9.8, 0), so it shrinks
+    # from radius 5 to no less than 4.9: alone, that saves more than tau.
+    # The receiver's disk must grow to hold asset 2 and (15.5, 0), 5.5 from
+    # it, so to a radius of at least 2.75: the pair then grows, and the
+    # bounds reject before either disk is solved.
+    assets = mkassets([(0, 0, 1), (9.8, 0, 1), (10, 0, 1), (13.5, 0, 1), (15.5, 0, 1)])
+    donor = mkrobot(0, 5, 0, {0, 1, 2}, radius=5.0)
+    recv = mkrobot(1, 14.5, 0, {3, 4}, radius=1.0)
+    snap = wide_snap([donor, recv], assets)
+    assert verdict(snap, 0, 1, 2, Config()) is None
+    view = _View(snap)
+    assert 4.9 - 1e-8 < view.donor_bound(0, 2) < 4.9
+    assert 2.75 - 1e-8 < _receiver_bound(view, view.robot[1], 2) < 2.75
+    with unsolvable():
+        assert _evaluate_swap(view, 0, 1, 2, Config()) is None
+    assert 2 not in view._grown_disks.get(1, {})
+
+
+def test_receiver_bound_rejects_on_r_max_without_solving():
+    # The receiver would grow to hold (30, 0) and (20, 0), a disk of
+    # radius at least 5, past r_max = 4.
+    assets = mkassets([(30, 0, 1), (20, 0, 1)])
+    snap = wide_snap([mkrobot(0, 0, 0, {0}), mkrobot(1, 20, 0, {1})], assets, r_max=4.0)
+    assert verdict(snap, 0, 1, 0, Config()) is None
+    view = _View(snap)
+    assert 5.0 - 1e-8 < _receiver_bound(view, view.robot[1], 0) < 5.0
+    with unsolvable():
+        assert _evaluate_swap(view, 0, 1, 0, Config()) is None
+
+
+def test_rim_bound_rejects_an_interior_asset_without_solving():
+    # The donor's disk rests on an equilateral triangle of radius 10, and
+    # asset 3 lies inside it, 9.5 from its center (past the 0.9 rim test):
+    # without it the donor keeps its disk.  Two of the triangle's points
+    # bound that radius by only 10 sqrt(3)/2 = 8.66; the rim bound, from
+    # the donor's center in the triangle, by ~10.
+    s = 10.0 * math.sqrt(3.0) / 2.0
+    assets = mkassets([(0, 10, 1), (-s, -5, 1), (s, -5, 1), (9.5, 0, 1), (14, 0, 1)])
+    disk = consolidate(P(0, 0), {0, 1, 2, 3}, assets)
+    donor = mkrobot(0, disk.center.x, disk.center.y, {0, 1, 2, 3}, radius=disk.radius)
+    snap = wide_snap([donor, mkrobot(1, 14, 0, {4})], assets)
+    assert verdict(snap, 0, 1, 3, Config()) is None
+    view = _View(snap)
+    assert 10.0 - 2e-8 < view.donor_bound(0, 3) <= view.donor_disk(0, 3).radius
+    view = _View(snap)
+    with unsolvable():
+        assert _evaluate_swap(view, 0, 1, 3, Config()) is None
+
+
+@given(bound_cases())
+@example((*_SLACK_CASE, 40.0))
+@example(_LOOSE_CASE)
+@settings(max_examples=400, deadline=None)
+def test_receiver_bound_never_exceeds_the_grown_radius(case):
+    # The receiver is robot 0 and the asset the case's own, which it does
+    # not hold; the bound is taken only where its disk must grow.  The tau
+    # test squares the radius, so the bound must stay below it after
+    # squaring too.
+    view = _View(bound_case_snapshot(case))
+    robot, asset_id = view.robot[0], len(view.assets) - 1
+    if dist(robot.pos, view.assets[asset_id].pos) <= robot.radius + CONTAINMENT_TOL:
+        return
+    bound, radius = _receiver_bound(view, robot, asset_id), _grow_disk(view, robot, asset_id).radius
+    assert 0.0 <= bound <= radius
+    assert bound ** 2 <= radius ** 2
 
 
 def test_evaluate_swap_rejects_infeasible_receiver_growth():
