@@ -89,6 +89,7 @@ def _parse_events(items: Any, instance: Instance) -> tuple[Event, ...]:
     events = []
     for i, item in enumerate(items):
         where = f"event {i}"
+        _known_keys(_object(item, where), ("at_round", "kind", "payload"), where)
         at_round = _integer(_field(item, "at_round", where), f"{where} at_round")
         kind = _field(item, "kind", where)
         payload = item.get("payload")
@@ -98,12 +99,15 @@ def _parse_events(items: Any, instance: Instance) -> tuple[Event, ...]:
             specs = []
             for k, a in enumerate(payload):
                 what = f"{where} asset {k}"
+                _known_keys(_object(a, what), ("x", "y", "kappa"), what)
                 pos = Point(_number(_field(a, "x", what), f"{what} x"), _number(_field(a, "y", what), f"{what} y"))
                 specs.append(AssetSpec(pos, _integer(a.get("kappa", 1), f"{what} kappa")))
             events.append(Event(at_round, AddAssets(tuple(specs))))
         elif kind == "kill_robot":
-            rid = _field(payload, "robot_id", where) if isinstance(payload, dict) else payload
-            rid = _integer(rid, f"{where} robot_id")
+            if isinstance(payload, dict):
+                _known_keys(payload, ("robot_id",), f"{where} payload")
+                payload = _field(payload, "robot_id", where)
+            rid = _integer(payload, f"{where} robot_id")
             if rid < 0:  # KillRobot rejects it too, but without the instance's range
                 raise ScenarioError(f"{where}: robot_id {rid} is not in 0..{instance.m - 1}")
             events.append(Event(at_round, KillRobot(rid)))
@@ -118,11 +122,14 @@ def load_scenario(
     """Parse a scenario JSON file into an instance, events, and config.
 
     A bare instance JSON (with a workspace field and no instance reference)
-    is accepted as an event-free scenario.
+    is accepted as a scenario; beside the instance's keys it may hold
+    events and config.  Any other key is an error.
     """
     with open(path) as fh:
         data = json.load(fh)
-    _object(data, f"{path}: scenario")
+    inline = {k: v for k, v in _object(data, f"{path}: scenario").items() if k not in ("events", "config")}
+    if "instance" in data or "instance_file" in data:
+        _known_keys(inline, ("instance", "instance_file"), f"{path}: scenario")
 
     cfg_data = dict(_object(data.get("config", {}), "scenario config"))
     if config_path is not None:
@@ -140,7 +147,7 @@ def load_scenario(
             raise ScenarioError(f"{path}: scenario instance_file must be a path string, got {name!r}")
         inst = load_instance(base_dir / name, default_seed=seed)
     elif "workspace" in data:
-        inst = instance_from_dict(data, base_dir, default_seed=seed)
+        inst = instance_from_dict(inline, base_dir, default_seed=seed)
     else:
         raise ScenarioError(f"{path}: scenario needs an instance, instance_file, or inline instance")
 
@@ -254,9 +261,7 @@ def sweep(spec: dict[str, Any], seed: int, out: Path) -> None:
     seeds = spec.get("seeds")
     if seeds is not None:
         seeds = _int_list(seeds, "sweep seeds")
-    trials = _integer(spec.get("trials", len(seeds or ()) or 1), "sweep trials")
-    if trials < 1:
-        raise ScenarioError(f"sweep trials must be >= 1, got {trials}")
+    trials = _integer(spec.get("trials", len(seeds or ()) or 1), "sweep trials", least=1)
     if seeds is None:
         seeds = [seed + t for t in range(trials)]
     if len(seeds) != trials:
@@ -357,12 +362,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
     inst = scenario.instance
     if inst.n > SOLVE_MAX_ASSETS or inst.m > SOLVE_MAX_ROBOTS:
-        print(
+        raise ScenarioError(
             f"refusing: exact solver is limited to {SOLVE_MAX_ASSETS} assets "
-            f"and {SOLVE_MAX_ROBOTS} robots (got n={inst.n}, m={inst.m})",
-            file=sys.stderr,
+            f"and {SOLVE_MAX_ROBOTS} robots (got n={inst.n}, m={inst.m})"
         )
-        return 1
     result = run(inst, scenario.config, scenario.events)
     sm = result.trace[-1]
     placement = solve_exact(inst.assets, inst.m, inst.r_max)

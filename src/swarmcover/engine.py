@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .geometry import Point, dist, sq_dist_blocks
-from .instances import Asset, Instance, Workspace
+from .instances import Asset, Instance, Workspace, _integer
 from .metrics import CoverTally, RoundMetrics, summarize
 
 
@@ -57,10 +57,7 @@ class AssetSpec:
     kappa: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.kappa, bool) or not isinstance(self.kappa, int):
-            raise ValueError(f"kappa must be an integer, got {self.kappa!r}")
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        _integer(self.kappa, "kappa", least=1)
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,7 @@ class KillRobot:
     robot_id: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.robot_id, bool) or not isinstance(self.robot_id, int) or self.robot_id < 0:
-            raise ValueError(f"robot id must be an integer >= 0, got {self.robot_id!r}")
+        _integer(self.robot_id, "robot id", least=0)
 
 
 @dataclass(frozen=True)
@@ -85,10 +81,7 @@ class Event:
     def __post_init__(self) -> None:
         # A round that is no integer never comes up, and the run would wait
         # for it forever.
-        if isinstance(self.at_round, bool) or not isinstance(self.at_round, int):
-            raise ValueError(f"event round must be an integer, got {self.at_round!r}")
-        if self.at_round < 0:
-            raise ValueError(f"event round must be >= 0, got {self.at_round}")
+        _integer(self.at_round, "event round", least=0)
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,11 @@ class Asset:
     kappa: int
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"asset id must be nonnegative, got {self.id}")
-        # A float or bool kappa would compare against integer holder counts
-        # without complaint: kappa 1.5 is met by 2 holders.
-        if isinstance(self.kappa, bool) or not isinstance(self.kappa, int):
-            raise ValueError(f"kappa must be an integer, got {self.kappa!r}")
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        # A float id indexes nothing, and a float or bool kappa would compare
+        # against integer holder counts without complaint: kappa 1.5 is met
+        # by 2 holders.
+        _integer(self.id, "asset id", least=0)
+        _integer(self.kappa, "kappa", least=1)
 
 
 @dataclass(frozen=True)
@@ -97,15 +94,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         # True would pass as one robot, and a float m fails deep in the run.
-        if isinstance(self.m, bool) or not isinstance(self.m, int):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise ValueError(f"need at least one robot, got m={self.m}")
-        for v in (self.r_comm, self.r_max):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"r_comm and r_max must be numbers, got {self.r_comm!r} and {self.r_max!r}")
-        if not (0 < self.r_comm < math.inf and 0 < self.r_max < math.inf):
-            raise ValueError(f"r_comm and r_max must be positive and finite, got {self.r_comm} and {self.r_max}")
+        _integer(self.m, "m", least=1)
+        _number(self.r_comm, "r_comm", positive=True)
+        _number(self.r_max, "r_max", positive=True)
         for i, a in enumerate(self.assets):
             if a.id != i:
                 raise ValueError(f"asset ids must be dense 0..n-1, got id {a.id} at index {i}")
@@ -230,19 +221,25 @@ def load_assets(path: str | Path) -> list[Asset]:
     return out
 
 
-# Strict readers for JSON fields: int() and float() would quietly accept
-# 2.9, True or "7", so a wrong type is an error that names the field.
+# Strict readers: the one input policy that the constructors here, in
+# `engine` and in `protocol.Config`, and the CLI's JSON readers share.
+# int() and float() would quietly accept 2.9, True or "7", so a wrong type
+# or a value out of range is an error that names the field.
 
 
-def _integer(value: Any, what: str) -> int:
+def _integer(value: Any, what: str, *, least: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
 
 
-def _number(value: Any, what: str) -> float:
+def _number(value: Any, what: str, *, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
+    if positive and not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
     return float(value)
 
 
@@ -271,6 +268,8 @@ def _field(obj: Any, key: str, what: str) -> Any:
 
 
 _WORKSPACE_KEYS = ("x_min", "x_max", "y_min", "y_max")
+_INSTANCE_KEYS = ("workspace", "m", "r_comm", "r_max", "assets_file", "generator")
+_GENERATOR_KEYS = ("name", "n", "kappa_choices", "seed")
 
 
 def instance_from_dict(data: dict, base_dir: str | Path = ".", default_seed: int = 0) -> Instance:
@@ -279,8 +278,10 @@ def instance_from_dict(data: dict, base_dir: str | Path = ".", default_seed: int
     Assets come either from an `assets_file` CSV (path relative to base_dir)
     or from a `generator` object {name, n, kappa_choices, seed}.  A generator
     without an explicit seed uses default_seed.  A missing field or a value
-    of the wrong type raises ValueError naming the field.
+    of the wrong type raises ValueError naming the field, and so does a key
+    that names no field.
     """
+    _known_keys(_object(data, "instance"), _INSTANCE_KEYS, "instance")
     ws_data = _object(_field(data, "workspace", "instance"), "instance workspace")
     _known_keys(ws_data, _WORKSPACE_KEYS, "instance workspace")
     ws = Workspace(
@@ -296,6 +297,7 @@ def instance_from_dict(data: dict, base_dir: str | Path = ".", default_seed: int
         assets = load_assets(Path(base_dir) / name)
     elif "generator" in data:
         gen = _object(data["generator"], "instance generator")
+        _known_keys(gen, _GENERATOR_KEYS, "instance generator")
         if gen.get("name", "uniform") != "uniform":
             raise ValueError(f"unknown generator {gen.get('name')!r}")
         n = _integer(_field(gen, "n", "instance generator"), "generator n")

@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -51,20 +51,22 @@ class CoverTally:
     """Per-asset cover and holder counts, carried from snapshot to snapshot.
 
     The tally holds, for the snapshot it was last advanced to, each asset's
-    geometric cover count (alive robots whose closed disk contains it), each
-    asset's holder count (alive robots whose assigned set lists it), and
-    the ids of the assets each robot's disk covers (`covered`).  `advance`
-    diffs a snapshot's robots against the previous ones by identity: a
-    robot whose disk or liveness changed has its covered ids taken back and
-    its new disk counted, and a changed assigned set moves holder counts
-    only.  A new assets tuple or a different robot count rebuilds the
-    tally.  A fresh tally advanced to a snapshot gives the same counts, so
-    a carried one may be advanced to any snapshot.
+    geometric cover count (alive robots whose closed disk contains it) and
+    each asset's holder count (alive robots whose assigned set lists it).
+    `advance` diffs a snapshot's robots against the previous ones by
+    identity: a robot whose disk or liveness changed has its previous state
+    counted off and its new state counted on, and a changed assigned set
+    moves holder counts only.  When more than half of the disks changed, as
+    in Lloyd rounds, the cover counts are counted afresh instead.  A new
+    assets tuple or a different robot count rebuilds the tally.  A fresh
+    tally advanced to a snapshot gives the same counts, so a carried one may
+    be advanced to any snapshot.
 
     The disks are matched against every asset with the squared distances
     of `geometry.sq_dist_blocks` and the test `d2 <= (r + CONTAINMENT_TOL)**2`.
     Each operation is an elementwise IEEE double operation, rounded once as
-    in a scalar loop, so the counts are exact for any radius.
+    in a scalar loop, whichever disks share a block, so the counts are exact
+    for any radius and a state counted off takes back what it counted on.
     """
 
     def __init__(self) -> None:
@@ -78,18 +80,23 @@ class CoverTally:
             return
         prev = self.robots
         self.robots = snapshot.robots
-        moved = []
-        for i, (r, old) in enumerate(zip(snapshot.robots, prev)):
+        before, after = [], []
+        for r, old in zip(snapshot.robots, prev):
             if r is old:
                 continue
             if r.pos != old.pos or r.radius != old.radius or r.alive != old.alive:
-                moved.append(i)
+                before.append(old)
+                after.append(r)
             if r.assigned != old.assigned or r.alive != old.alive:
                 was, now = _held(old), _held(r)
                 self._count_held(was - now, -1)
                 self._count_held(now - was, 1)
-        if moved:
-            self._count_disks(moved)
+        if 2 * len(after) > len(prev):
+            self.cover[:] = 0
+            self._count_disks(self.robots, 1)
+        elif after:
+            self._count_disks(before, -1)
+            self._count_disks(after, 1)
 
     def _build(self, snapshot: "WorldSnapshot") -> None:
         assets, robots = snapshot.assets, snapshot.robots
@@ -100,29 +107,21 @@ class CoverTally:
         self.kappa = np.array([a.kappa for a in assets], dtype=np.int64)
         self.cover = np.zeros(len(assets), dtype=np.int64)
         self.holders = [0] * len(assets)
-        self.covered = [_NO_IDS] * len(robots)
-        self._count_disks(list(range(len(robots))))
+        self._count_disks(robots, 1)
         for r in robots:
             self._count_held(_held(r), 1)
 
-    def _count_disks(self, rows: list[int]) -> None:
-        """Take back what the disks of the robots at `rows` covered and
-        count what they cover now, a block of robots at a time."""
-        robots = [self.robots[i] for i in rows]
+    def _count_disks(self, robots: Sequence[RobotState], sign: int) -> None:
+        """Add `sign` to the cover count of every asset each of `robots`'
+        disks contains, a block of robots at a time."""
         rx = np.array([r.pos.x for r in robots], dtype=np.float64)
         ry = np.array([r.pos.y for r in robots], dtype=np.float64)
         # A dead robot covers nothing: no squared distance is negative.
         thr2 = np.array(
             [(r.radius + CONTAINMENT_TOL) ** 2 if r.alive else -1.0 for r in robots], dtype=np.float64
         )
-        n = len(self.cover)
         for start, d2 in sq_dist_blocks(rx, ry, self._xs, self._ys):
-            block = rows[start : start + len(d2)]
-            at, ids = np.nonzero(d2 <= thr2[start : start + len(d2), None])
-            self.cover -= np.bincount(np.concatenate([self.covered[i] for i in block]), minlength=n)
-            self.cover += np.bincount(ids, minlength=n)
-            for i, own in zip(block, np.split(ids, np.searchsorted(at, range(1, len(block))))):
-                self.covered[i] = own
+            self.cover += sign * np.count_nonzero(d2 <= thr2[start : start + len(d2), None], axis=0)
 
     def _count_held(self, ids: frozenset[int], sign: int) -> None:
         holders = self.holders
@@ -130,9 +129,6 @@ class CoverTally:
         for a in ids:
             if 0 <= a < n:  # an id that names no asset counts for nothing
                 holders[a] += sign
-
-
-_NO_IDS = np.zeros(0, dtype=np.intp)
 
 
 def _held(robot: RobotState) -> frozenset[int]:

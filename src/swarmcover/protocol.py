@@ -54,7 +54,7 @@ from .geometry import (
     min_enclosing_disk,
     sq_dist_blocks,
 )
-from .instances import DEFAULT_GRID_LAMBDA, Asset, Instance, grid_partition, initial_positions
+from .instances import DEFAULT_GRID_LAMBDA, Asset, Instance, _integer, _number, grid_partition, initial_positions
 from .metrics import CoverTally, RoundMetrics, summarize
 
 INFEASIBLE = math.inf
@@ -97,19 +97,11 @@ class Config:
         # Values may come straight from a JSON config, so check types too: a
         # string or a bool must fail here, not deep inside the run.
         for name in ("lam", "tol", "eps", "tau", "boundary_factor"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            _number(getattr(self, name), name, positive=True)
         for name in ("max_iters_phase1", "max_iters_phase2", "max_swap_sweeps", "max_iters_phase3"):
             value = getattr(self, name)
-            if name == "max_iters_phase2" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            if value is not None or name != "max_iters_phase2":  # None means 10 * m
+                _integer(value, name, least=1)
 
     def phase2_cap(self, m: int) -> int:
         return self.max_iters_phase2 if self.max_iters_phase2 is not None else 10 * m

@@ -7,6 +7,7 @@ conventions are 0 feasible, 2 infeasible/cap, 1 usage or I/O errors.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from swarmcover.cli import load_scenario, main
 from swarmcover.geometry import Point
 from swarmcover.instances import Asset, load_instance, save_assets
 from swarmcover.oracle import solve_exact
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_json(path, obj):
@@ -158,6 +162,25 @@ def test_run_accepts_bare_instance_json(tmp_path):
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_bare_instance_json_takes_events_and_config(tmp_path):
+    bare = {
+        "workspace": {"x_min": 0.0, "x_max": 30.0, "y_min": 0.0, "y_max": 30.0},
+        "m": 2,
+        "r_comm": 85.0,
+        "r_max": 45.0,
+        "generator": {"name": "uniform", "n": 3, "kappa_choices": [1], "seed": 1},
+        "events": [kill_robot(1)],
+        "config": {"tau": 0.05},
+    }
+    sc = load_scenario(write_json(tmp_path / "bare.json", bare))
+    assert (sc.instance.n, sc.config.tau, sc.events[0].action.robot_id) == (3, 0.05, 1)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_shipped_scenarios_run(tmp_path, name):
+    assert main(["run", str(SCENARIOS / name), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_run_infeasible_exit_code(pigeonhole_scenario, tmp_path):
     assert main(["run", str(pigeonhole_scenario), "--out", str(tmp_path / "out")]) == 2
 
@@ -259,7 +282,7 @@ def test_sweep_rejects_bad_parameter(tmp_path):
         ({"parameter": "n", "values": [5.7]}, "sweep n value must be an integer, got 5.7"),
         ({"parameter": "m", "values": [True]}, "sweep m value must be an integer"),
         ({"parameter": "r_max", "values": ["40"]}, "sweep r_max value must be a number"),
-        ({"parameter": "m", "values": [2, 0], "base": {"n": 3}}, "need at least one robot, got m=0"),
+        ({"parameter": "m", "values": [2, 0], "base": {"n": 3}}, "m must be >= 1, got 0"),
         ({"parameter": "n", "values": []}, "sweep values must be a nonempty list"),
         ({"parameter": "n", "values": [4], "trials": 1.9}, "sweep trials must be an integer, got 1.9"),
         ({"parameter": "n", "values": [4], "trials": 0}, "sweep trials must be >= 1, got 0"),
@@ -309,7 +332,8 @@ def test_compare_refuses_oversized(tmp_path, capsys):
         },
     )
     assert main(["compare", str(big)]) == 1
-    assert "refusing" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: refusing: exact solver is limited to")
 
 
 def test_compare_infeasible_exit(pigeonhole_scenario, capsys):
@@ -459,8 +483,8 @@ GEN = {"name": "uniform", "n": 4, "kappa_choices": [1], "seed": 2}
         ({"m": 3.9}, "instance m must be an integer, got 3.9"),
         ({"m": "3"}, "instance m must be an integer"),
         ({"r_comm": True}, "instance r_comm must be a number, got True"),
-        ({"r_max": float("nan")}, "r_comm and r_max must be positive and finite"),
-        ({"r_max": float("inf")}, "r_comm and r_max must be positive and finite"),
+        ({"r_max": float("nan")}, "r_max must be positive and finite, got nan"),
+        ({"r_max": float("inf")}, "r_max must be positive and finite, got inf"),
         ({"workspace": {**WS, "x_min": "0"}}, "instance workspace x_min must be a number"),
         ({"workspace": {**WS, "z_min": 0.0}}, "instance workspace: unknown keys ['z_min']"),
         ({"workspace": [0.0, 60.0, 0.0, 60.0]}, "instance workspace must be a JSON object"),
@@ -529,6 +553,28 @@ def test_non_object_json_is_named(tmp_path, capsys, scenario, needle):
     else:
         path = write_json(tmp_path / "scenario.json", scenario)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda d: d.update(confg={"tau": 0.5}), "scenario: unknown keys ['confg']"),
+        (lambda d: d["instance"].update(r_sense=40.0), "instance: unknown keys ['r_sense']"),
+        (lambda d: d["instance"]["generator"].update(sed=4), "instance generator: unknown keys ['sed']"),
+        (lambda d: d["events"][0].update(round=9), "event 0: unknown keys ['round']"),
+        (lambda d: d["events"][1]["payload"][0].update(kapa=3), "event 1 asset 0: unknown keys ['kapa']"),
+        (lambda d: d["events"][0]["payload"].update(robot=2), "event 0 payload: unknown keys ['robot']"),
+    ],
+    ids=["scenario", "instance", "generator", "event", "event_asset", "kill_robot_payload"],
+)
+def test_unknown_json_keys_are_errors(tmp_path, capsys, edit, needle):
+    # A misspelt key would leave its field at the default: "kapa" gives kappa 1.
+    data = json.loads(event_scenario(tmp_path, [kill_robot(0), add_assets()]).read_text())
+    edit(data)
+    assert main(["run", str(write_json(tmp_path / "typo.json", data)), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
     assert not (tmp_path / "o").exists()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmcover.engine import AssetSpec, Event, KillRobot
 from swarmcover.geometry import Point
 from swarmcover.instances import (
     KAPPA_DEFAULT_CHOICES,
@@ -28,6 +29,7 @@ from swarmcover.instances import (
     save_assets,
     save_instance,
 )
+from swarmcover.protocol import Config
 
 WS = Workspace(0.0, 100.0, 0.0, 100.0)
 
@@ -72,6 +74,36 @@ def test_asset_kappa_must_be_an_integer():
             Asset(0, Point(1, 1), kappa)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # Instance's dense-id test reads 1.0 == 1, and a float id then fails
+        # as an index deep inside the run.
+        (lambda: Asset(1.0, Point(1, 1), 1), "asset id must be an integer, got 1.0"),
+        (lambda: Asset(True, Point(1, 1), 1), "asset id must be an integer, got True"),
+        (lambda: Asset(-1, Point(1, 1), 1), "asset id must be >= 0, got -1"),
+        (lambda: Asset(0, Point(1, 1), 0), "kappa must be >= 1, got 0"),
+        (lambda: Instance(WS, (), 0, 55.0, 40.0), "m must be >= 1, got 0"),
+        (lambda: Instance(WS, (), 2.0, 55.0, 40.0), "m must be an integer, got 2.0"),
+        (lambda: Instance(WS, (), 2, 0.0, 40.0), "r_comm must be positive and finite, got 0.0"),
+        (lambda: Instance(WS, (), 2, 55.0, math.nan), "r_max must be positive and finite, got nan"),
+        (lambda: AssetSpec(Point(1, 1), 1.5), "kappa must be an integer, got 1.5"),
+        (lambda: KillRobot(-1), "robot id must be >= 0, got -1"),
+        (lambda: KillRobot(2.0), "robot id must be an integer, got 2.0"),
+        (lambda: Event(-1, KillRobot(0)), "event round must be >= 0, got -1"),
+        (lambda: Event(True, KillRobot(0)), "event round must be an integer, got True"),
+        (lambda: Config(tau=0.0), "tau must be positive and finite, got 0.0"),
+        (lambda: Config(eps="0.1"), "eps must be a number, got '0.1'"),
+        (lambda: Config(max_iters_phase2=0), "max_iters_phase2 must be >= 1, got 0"),
+        (lambda: Config(max_swap_sweeps=2.0), "max_swap_sweeps must be an integer, got 2.0"),
+    ],
+)
+def test_constructors_word_their_checks_as_the_strict_readers_do(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_asset_builders_pass_plain_integer_kappas(tmp_path):
     # The generator draws from NumPy integers here, and the CSV reader parses
     # text: both must hand Asset a plain int.
@@ -101,8 +133,13 @@ def test_instance_m_must_be_an_integer():
 
 
 def test_instance_radii_must_be_numbers():
-    for r_comm, r_max in ((True, 40.0), (55.0, True), (False, 40.0), ("55", 40.0)):
-        with pytest.raises(ValueError, match="r_comm and r_max must be numbers"):
+    for r_comm, r_max, needle in (
+        (True, 40.0, "r_comm must be a number, got True"),
+        (55.0, True, "r_max must be a number, got True"),
+        (False, 40.0, "r_comm must be a number, got False"),
+        ("55", 40.0, "r_comm must be a number, got '55'"),
+    ):
+        with pytest.raises(ValueError, match=needle):
             Instance(WS, (), 2, r_comm, r_max)
     assert Instance(WS, (), 2, 55, 40).r_comm == 55
 

@@ -236,7 +236,7 @@ def test_summarize_counts_match_coverage_count(snap, block):
     assert rm.overcovered_count == sum(1 for c, k in counts if c > k)
 
 
-def test_summarize_counts_assets_on_the_rim_at_every_cell_offset():
+def test_summarize_counts_assets_on_the_rim_at_every_offset():
     # Rows of one robot each, far apart; every robot's disk passes exactly
     # through its asset, as the robot slides along x in small steps.
     radius = 10.0
@@ -939,9 +939,40 @@ def holder_counts(snap: WorldSnapshot) -> list[int]:
     return [sum(1 for r in snap.robots if r.alive and a.id in r.assigned) for a in snap.assets]
 
 
-@given(st.one_of(worlds(), holding_worlds()), blocks, st.data())
+@st.composite
+def tally_missions(draw):
+    """A world and one to six rounds of it, each drawn by `tally_round` for
+    the snapshot that the rounds before it lead to."""
+    snap = first = draw(st.one_of(worlds(), holding_worlds()))
+    rounds = []
+    for _ in range(draw(st.integers(1, 6))):
+        plan, events = draw(tally_round(snap))
+        rounds.append((plan, events))
+        snap, _ = step(snap, plan, events)
+    return first, rounds
+
+
+# Four robots on a line, each with its own asset on its rim.  The tally
+# counts the cover afresh when more than half of the disks change, as when
+# every robot moves, and otherwise takes back the old disks of those that
+# changed, as when one robot moves onto its neighbour's asset.
+LINE = WorldSnapshot(
+    0,
+    Phase.OPTIMIZE,
+    tuple(RobotState(i, Point(10.0 * i, 0.0), 3.0, frozenset({i}), True) for i in range(4)),
+    tuple(Asset(i, Point(10.0 * i + 3.0, 0.0), 2) for i in range(4)),
+    Params(WS, 4, 55.0, 40.0),
+)
+EVERY_ROBOT_MOVES = [({r.id: Proposal(Point(r.pos.x + 1.0, 0.0), 2.0, r.assigned) for r in LINE.robots}, [])]
+ONE_ROBOT_MOVES = [({2: Proposal(Point(28.0, 0.0), 5.0, frozenset({2, 3}))}, [])]
+
+
+@given(tally_missions(), blocks)
+@example((LINE, EVERY_ROBOT_MOVES), 1)
+@example((LINE, ONE_ROBOT_MOVES), 1)
 @settings(max_examples=200, deadline=None)
-def test_carried_tally_matches_a_recount(snap, block, data):
+def test_carried_tally_matches_a_recount(mission, block):
+    snap, rounds = mission
     tally = CoverTally()
     with (
         mock.patch.object(geometry, "_BLOCK", block),
@@ -949,8 +980,7 @@ def test_carried_tally_matches_a_recount(snap, block, data):
     ):
         assert summarize(snap, tally=tally) == reference.summarize(snap)
         builds = 1
-        for _ in range(data.draw(st.integers(1, 6))):
-            plan, events = data.draw(tally_round(snap))
+        for plan, events in rounds:
             prev = snap
             snap, rm = step(snap, plan, events, tally=tally)
             assert rm == reference.summarize(snap, rm.max_displacement)
