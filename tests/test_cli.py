@@ -282,7 +282,12 @@ def test_sweep_rejects_bad_parameter(tmp_path):
         ({"parameter": "n", "values": [5.7]}, "sweep n value must be an integer, got 5.7"),
         ({"parameter": "m", "values": [True]}, "sweep m value must be an integer"),
         ({"parameter": "r_max", "values": ["40"]}, "sweep r_max value must be a number"),
-        ({"parameter": "m", "values": [2, 0], "base": {"n": 3}}, "m must be >= 1, got 0"),
+        # The id keeps the case's name from before the message named the field.
+        pytest.param(
+            {"parameter": "m", "values": [2, 0], "base": {"n": 3}},
+            "m must be >= 1, got 0",
+            id="spec3-need at least one robot, got m=0",
+        ),
         ({"parameter": "n", "values": []}, "sweep values must be a nonempty list"),
         ({"parameter": "n", "values": [4], "trials": 1.9}, "sweep trials must be an integer, got 1.9"),
         ({"parameter": "n", "values": [4], "trials": 0}, "sweep trials must be >= 1, got 0"),
@@ -483,8 +488,17 @@ GEN = {"name": "uniform", "n": 4, "kappa_choices": [1], "seed": 2}
         ({"m": 3.9}, "instance m must be an integer, got 3.9"),
         ({"m": "3"}, "instance m must be an integer"),
         ({"r_comm": True}, "instance r_comm must be a number, got True"),
-        ({"r_max": float("nan")}, "r_max must be positive and finite, got nan"),
-        ({"r_max": float("inf")}, "r_max must be positive and finite, got inf"),
+        # The ids keep the cases' names from before each radius had its own message.
+        pytest.param(
+            {"r_max": float("nan")},
+            "r_max must be positive and finite, got nan",
+            id="change3-r_comm and r_max must be positive and finite",
+        ),
+        pytest.param(
+            {"r_max": float("inf")},
+            "r_max must be positive and finite, got inf",
+            id="change4-r_comm and r_max must be positive and finite",
+        ),
         ({"workspace": {**WS, "x_min": "0"}}, "instance workspace x_min must be a number"),
         ({"workspace": {**WS, "z_min": 0.0}}, "instance workspace: unknown keys ['z_min']"),
         ({"workspace": [0.0, 60.0, 0.0, 60.0]}, "instance workspace must be a JSON object"),
