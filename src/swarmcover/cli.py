@@ -121,15 +121,18 @@ def load_scenario(
 ) -> Scenario:
     """Parse a scenario JSON file into an instance, events, and config.
 
-    A bare instance JSON (with a workspace field and no instance reference)
-    is accepted as a scenario; beside the instance's keys it may hold
-    events and config.  Any other key is an error.
+    The instance comes from exactly one of an `instance` object and an
+    `instance_file` path.  A bare instance JSON (with a workspace field and
+    no instance reference) is accepted as a scenario; beside the instance's
+    keys it may hold events and config.  Any other key is an error.
     """
     with open(path) as fh:
         data = json.load(fh)
     inline = {k: v for k, v in _object(data, f"{path}: scenario").items() if k not in ("events", "config")}
     if "instance" in data or "instance_file" in data:
         _known_keys(inline, ("instance", "instance_file"), f"{path}: scenario")
+    if "instance" in data and "instance_file" in data:
+        raise ScenarioError(f"{path}: scenario has both 'instance' and 'instance_file': give exactly one of them")
 
     cfg_data = dict(_object(data.get("config", {}), "scenario config"))
     if config_path is not None:

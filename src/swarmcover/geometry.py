@@ -105,6 +105,17 @@ def sq_dist_blocks(
         yield start, dx
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """The floats added left to right from 0.0.  From Python 3.12 the
+    builtin `sum()` compensates the rounding of a float sum (Neumaier), so
+    its last bits differ between interpreters; this has the bits of
+    `sum()` on 3.10 and 3.11, on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def dist(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 

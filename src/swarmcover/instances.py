@@ -276,12 +276,14 @@ def instance_from_dict(data: dict, base_dir: str | Path = ".", default_seed: int
     """Build an Instance from its JSON dict form.
 
     Assets come either from an `assets_file` CSV (path relative to base_dir)
-    or from a `generator` object {name, n, kappa_choices, seed}.  A generator
-    without an explicit seed uses default_seed.  A missing field or a value
-    of the wrong type raises ValueError naming the field, and so does a key
-    that names no field.
+    or from a `generator` object {name, n, kappa_choices, seed}, never from
+    both.  A generator without an explicit seed uses default_seed.  A
+    missing field or a value of the wrong type raises ValueError naming the
+    field, and so does a key that names no field.
     """
     _known_keys(_object(data, "instance"), _INSTANCE_KEYS, "instance")
+    if "assets_file" in data and "generator" in data:
+        raise ValueError("instance has both 'assets_file' and 'generator': give exactly one of them")
     ws_data = _object(_field(data, "workspace", "instance"), "instance workspace")
     _known_keys(ws_data, _WORKSPACE_KEYS, "instance workspace")
     ws = Workspace(

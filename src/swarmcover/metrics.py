@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CONTAINMENT_TOL, sq_dist_blocks
+from .geometry import CONTAINMENT_TOL, ordered_sum, sq_dist_blocks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import RobotState, WorldSnapshot
@@ -44,7 +44,7 @@ class RoundMetrics:
 
 def total_cost(snapshot: "WorldSnapshot") -> float:
     """pi * sum of squared radii over alive robots."""
-    return math.pi * sum(r.radius * r.radius for r in snapshot.robots if r.alive)
+    return math.pi * ordered_sum(r.radius * r.radius for r in snapshot.robots if r.alive)
 
 
 class CoverTally:

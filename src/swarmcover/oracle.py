@@ -26,6 +26,7 @@ from .geometry import (
     diametral_disk,
     dist,
     min_enclosing_disk,
+    ordered_sum,
 )
 from .instances import Asset
 
@@ -224,7 +225,7 @@ def brute_force_optimum(
     best: Optional[tuple[Disk, ...]] = None
     for size in range(0, m + 1):
         for combo in itertools.combinations_with_replacement(cands, size):
-            cost = sum(d.area for d, _ in combo)
+            cost = ordered_sum(d.area for d, _ in combo)
             if cost >= best_cost:
                 continue
             counts = {aid: 0 for aid in kappa}

@@ -52,6 +52,7 @@ from .geometry import (
     dist2,
     enclose_with_anchor,
     min_enclosing_disk,
+    ordered_sum,
     sq_dist_blocks,
 )
 from .instances import DEFAULT_GRID_LAMBDA, Asset, Instance, _integer, _number, grid_partition, initial_positions
@@ -62,20 +63,26 @@ INFEASIBLE = math.inf
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
+# _FNV_PRIME**k mod 2**64: the FNV-1a steps of k zero bytes in one product.
+_ZERO_RUNS = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
 
 
 def h64(iteration: int, asset_id: int, robot_id: int) -> int:
     """64-bit FNV-1a over (iteration, asset_id, robot_id), each encoded as
     8 little-endian bytes.  Used for symmetry breaking in auctions and
-    removal conflicts."""
+    removal conflicts.
+
+    Only each field's bytes up to its highest nonzero one are hashed a byte
+    at a time.  XOR with a zero byte changes nothing, so the k zero bytes
+    above them fold into one multiplication by _FNV_PRIME**k mod 2**64
+    (`_ZERO_RUNS`), with the bits of the byte loop.  `to_bytes` raises
+    OverflowError for a field below 0 or at 2**64 and above."""
     h = _FNV_OFFSET
-    for b in (
-        iteration.to_bytes(8, "little")
-        + asset_id.to_bytes(8, "little")
-        + robot_id.to_bytes(8, "little")
-    ):
-        h ^= b
-        h = (h * _FNV_PRIME) & _U64
+    for v in (iteration, asset_id, robot_id):
+        low = v.to_bytes(8, "little").rstrip(b"\0")
+        for b in low:
+            h = ((h ^ b) * _FNV_PRIME) & _U64
+        h = (h * _ZERO_RUNS[8 - len(low)]) & _U64
     return h
 
 
@@ -409,8 +416,8 @@ def lloyd_round(snapshot: WorldSnapshot) -> dict[int, Proposal]:
         if not cell:
             proposals[r.id] = Proposal(r.pos, 0.0, frozenset())
             continue
-        xs = sum(snapshot.assets[a].pos.x for a in cell)
-        ys = sum(snapshot.assets[a].pos.y for a in cell)
+        xs = ordered_sum(snapshot.assets[a].pos.x for a in cell)
+        ys = ordered_sum(snapshot.assets[a].pos.y for a in cell)
         centroid = Point(xs / len(cell), ys / len(cell))
         maxd = max(dist(centroid, snapshot.assets[a].pos) for a in cell)
         proposals[r.id] = Proposal(centroid, min(maxd, r_max), frozenset(cell))
@@ -545,9 +552,21 @@ def _tie_cut(best: float, eps: float) -> float:
     return best * (1.0 + eps) + 1e-12
 
 
-def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps: float) -> Optional[int]:
+def select_winner(
+    asset_id: int,
+    bids: Mapping[int, float],
+    iteration: int,
+    eps: float,
+    keys: Optional[dict[int, tuple[int, int]]] = None,
+) -> Optional[int]:
     """Lowest-cost bidder; bids within a relative eps of the best tie and the
-    tie is broken by the h64 hash.  Returns None when no bid is feasible."""
+    tie is broken by the key (h64(iteration, asset_id, j), j), lowest first.
+    Returns None when no bid is feasible.
+
+    `keys` memoizes the tie keys by robot id j and is filled as keys are
+    hashed.  A dict holds the keys of one (iteration, asset_id) only, so a
+    caller shares one across the auctioneers of one asset in one round and
+    drops it after; without one, a local dict serves this call alone."""
     feasible = {j: d for j, d in bids.items() if d != INFEASIBLE}
     if not feasible:
         return None
@@ -555,7 +574,12 @@ def select_winner(asset_id: int, bids: Mapping[int, float], iteration: int, eps:
     tie = [j for j, d in feasible.items() if d <= cut]
     if len(tie) == 1:
         return tie[0]  # nothing to break: skip the hash
-    return min(tie, key=lambda j: (h64(iteration, asset_id, j), j))
+    if keys is None:
+        keys = {}
+    for j in tie:
+        if j not in keys:
+            keys[j] = (h64(iteration, asset_id, j), j)
+    return min(tie, key=keys.__getitem__)
 
 
 def _auction_candidates(view: _View) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
@@ -625,6 +649,10 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
 
     So `select_winner` stays the one winner rule, sees the same best bid,
     cut and tie set as with every bid priced, and names the same winner.
+    The auctioneers of one asset share one dict of tie keys, robot id to
+    (h64, id), which `select_winner` fills: each key is hashed at most once
+    per round.  The dict lives for its asset's walks only, so no key
+    outlives this call.
 
     A robot's wins are grown into its disk one at a time, in ascending asset
     id (see `_grow_disk`); a win is skipped if stacking it onto the earlier
@@ -649,6 +677,7 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
         # An infeasible bound means an infeasible bid, which never wins.
         ranked = sorted((b, j) for j, b in bound.items() if b != INFEASIBLE)
         priced: dict[int, tuple[float, Disk]] = {}
+        keys: dict[int, tuple[int, int]] = {}  # this asset's tie keys
 
         def exact(j: int) -> float:
             got = priced.get(j)
@@ -679,7 +708,7 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
                     got = exact(j)
                     if got <= cut:
                         tie[j] = got
-            if select_winner(asset_id, tie, iteration, cfg.eps) == rid:
+            if select_winner(asset_id, tie, iteration, cfg.eps, keys) == rid:
                 wins.setdefault(rid, []).append((asset_id, priced[rid][1]))
 
     proposals: dict[int, Proposal] = {}

@@ -534,6 +534,29 @@ def test_instance_file_is_loaded_or_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_instance_with_two_asset_sources_is_rejected(tmp_path, capsys):
+    # The file exists and would load: neither source is silently dropped.
+    save_assets(tmp_path / "assets.csv", [Asset(0, Point(5.0, 5.0), 1)])
+    inst = {"workspace": WS, "m": 3, "r_comm": 85.0, "r_max": 45.0, "assets_file": "assets.csv", "generator": GEN}
+    scenario = write_json(tmp_path / "both.json", {"instance": inst})
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "give exactly one of them" in err
+    assert "'assets_file' and 'generator'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_with_two_instance_sources_is_rejected(tmp_path, capsys):
+    # The inline instance is valid, and the file it shadowed does not exist.
+    inst = {"workspace": WS, "m": 3, "r_comm": 85.0, "r_max": 45.0, "generator": GEN}
+    scenario = write_json(tmp_path / "both.json", {"instance": inst, "instance_file": "missing.json"})
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "give exactly one of them" in err
+    assert "'instance' and 'instance_file'" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "event, needle",
     [

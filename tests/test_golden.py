@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from swarmcover import protocol
+from swarmcover.cli import load_scenario
 from swarmcover.engine import AddAssets, AssetSpec, Event, KillRobot
 from swarmcover.geometry import Point
 from swarmcover.instances import Instance, Workspace, generate_uniform
@@ -167,3 +170,23 @@ def test_ladder_250_carries_one_view(monkeypatch):
     assert 0 < evaluations < 3_000, evaluations
     assert 0 < solves <= 37, solves
     assert 0 < grows <= 16, grows
+
+
+def test_glyph_mission_hashes_each_tie_key_once(monkeypatch):
+    # The paper's glyph mission: 24 robots, nearly all neighbours, where
+    # empty robots bid 0 and most auctions tie.  Each auctioneer of an
+    # asset hashing its tie keys anew made 6,044 h64 calls for 1,156
+    # distinct keys; one key memo per auctioned asset and round hashes
+    # each key once.
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "dynamic_ants_2026.json")
+    h64, keys = protocol.h64, Counter()
+
+    def counting_h64(*key):
+        keys[key] += 1
+        return h64(*key)
+
+    monkeypatch.setattr(protocol, "h64", counting_h64)
+    res = run(scenario.instance, scenario.config, scenario.events, scenario.seed)
+    assert res.status is RunStatus.FEASIBLE
+    assert keys, "no auction tie was broken"
+    assert keys.most_common(1)[0][1] == 1, keys.most_common(3)

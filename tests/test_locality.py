@@ -271,8 +271,10 @@ def lloyd_reference(snapshot: WorldSnapshot) -> dict[int, Proposal]:
         if not cell:
             out[r.id] = Proposal(r.pos, 0.0, frozenset())
             continue
-        xs = sum(snapshot.assets[a].pos.x for a in cell)
-        ys = sum(snapshot.assets[a].pos.y for a in cell)
+        xs = ys = 0.0
+        for a in cell:  # left to right: the builtin sum() compensates from Python 3.12
+            xs += snapshot.assets[a].pos.x
+            ys += snapshot.assets[a].pos.y
         centroid = Point(xs / len(cell), ys / len(cell))
         maxd = max(dist(centroid, snapshot.assets[a].pos) for a in cell)
         out[r.id] = Proposal(centroid, min(maxd, r_max), frozenset(cell))

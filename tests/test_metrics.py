@@ -48,6 +48,16 @@ def test_total_cost_sums_disk_areas():
     assert total_cost(snap) == pytest.approx(math.pi * (4 + 9))
 
 
+def test_total_cost_sums_left_to_right():
+    # 1 + 1e-16 rounds back to 1 at each step of a plain sum; the
+    # compensated float sum() of Python 3.12 and later gives 1 + 2**-52.
+    snap = mksnapshot(
+        [mkrobot(0, 0, 0, radius=1.0), mkrobot(1, 5, 5, radius=1e-8), mkrobot(2, 9, 9, radius=1e-8)],
+        mkassets([(1, 1, 1)]),
+    )
+    assert total_cost(snap) == math.pi
+
+
 def test_summarize_counts():
     # asset 0: kappa=1 covered twice -> overcovered; asset 1: kappa=2 covered
     # zero times -> undercovered; asset 2: assigned nowhere -> undiscovered

@@ -71,10 +71,28 @@ def test_h64_pinned_values():
     assert h64(3, 7, 2) == 0x5B790A3C741B2863
 
 
-@given(st.integers(0, 2**32), st.integers(0, 2**20), st.integers(0, 2**20))
-@settings(max_examples=200, deadline=None)
+U64 = st.integers(0, 2**64 - 1)
+
+
+# h64 hashes each field's bytes up to its highest nonzero one and folds the
+# zero bytes above: the examples put zero bytes inside and above a field.
+@given(U64, U64, U64)
+@example(0x0100, 1 << 56, 2**64 - 1)
+@example(2**64 - 1, 0, 0x0100)
+@example(1 << 56, 0x0100, 0)
+@settings(max_examples=300, deadline=None)
 def test_h64_matches_reference(it, aid, rid):
     assert h64(it, aid, rid) == fnv1a_reference(it, aid, rid)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+@pytest.mark.parametrize("field", range(3))
+def test_h64_rejects_fields_outside_u64(bad, field):
+    args = [0, 0, 0]
+    args[field] = bad
+    for fn in (h64, fnv1a_reference):
+        with pytest.raises(OverflowError):
+            fn(*args)
 
 
 def test_h64_argument_order_matters():
@@ -163,6 +181,18 @@ def test_lloyd_round_ignores_out_of_reach_assets():
     snap = wide_snap([mkrobot(0, 0, 0)], mkassets([(1, 0, 1), (80, 0, 1)]), r_max=10.0)
     plan = lloyd_round(snap)
     assert plan[0].assigned == frozenset({0})
+
+
+def test_lloyd_round_sums_the_cell_left_to_right():
+    # Ten 0.1s add to 0.9999999999999999 left to right and to 1.0 under the
+    # compensated float sum() of Python 3.12 and later.
+    snap = wide_snap([mkrobot(0, 0, 0)], mkassets([(0.1, 0.1, 1)] * 10))
+    plain = 0.0
+    for _ in range(10):
+        plain += 0.1
+    assert plain == 0.9999999999999999
+    plan = lloyd_round(snap)
+    assert plan[0].pos == P(plain / 10, plain / 10)
 
 
 def test_lloyd_round_caps_radius_at_r_max():
@@ -379,6 +409,26 @@ def test_select_winner_tie_breaks_by_hash():
     assert select_winner(9, bids, iteration=4, eps=0.01) == want
     # outside the eps window the cheap bid wins outright
     assert select_winner(9, {1: 10.0, 2: 10.2}, iteration=4, eps=0.01) == 1
+
+
+@given(
+    st.integers(0, 500),
+    st.integers(0, 3000),
+    st.lists(
+        st.dictionaries(st.integers(0, 40), st.sampled_from([0.0, 0.0, 1.0, 1.005, 2.0, INFEASIBLE]), max_size=8),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_select_winner_shared_keys_change_no_winner(iteration, asset_id, auctions):
+    # One key dict serves every auction of the asset in the round, as in
+    # phase2_round: each call names the winner it names on its own.
+    keys: dict[int, tuple[int, int]] = {}
+    for bids in auctions:
+        want = select_winner(asset_id, bids, iteration, 0.01)
+        assert select_winner(asset_id, bids, iteration, 0.01, keys) == want
+    assert keys == {j: (h64(iteration, asset_id, j), j) for j in keys}
 
 
 def test_select_winner_all_infeasible_or_empty():
