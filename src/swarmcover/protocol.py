@@ -14,10 +14,13 @@ each enclosing disk is a function of the sequence of points it is solved
 over (see `geometry`), and that sequence comes from the snapshot alone.
 
 The robots' local knowledge lives in one `_View`, which `run` builds once
-and carries from round to round (see `_View.update`).  Each phase function
-takes it as its last argument and carries it to the snapshot it decides
-on; the carried view always equals a fresh `_View(snapshot)`, so the
-decisions are those of a view built for that snapshot alone.
+and carries from round to round (see `_View.update`).  It keeps what each
+robot senses, holds and counts as robot x asset NumPy matrices, the counts
+in the smallest unsigned dtype that holds m + 1, and derives knowledge and
+deficits from them.  Each phase function takes it as its last argument and
+carries it to the snapshot it decides on; the carried view always equals a
+fresh `_View(snapshot)`, so the decisions are those of a view built for
+that snapshot alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -161,13 +164,23 @@ class _View:
     """Every alive robot's local knowledge, carried by `run` from round to
     round.
 
-    This is the one place local knowledge is computed: the alive robots, the
-    neighbor map, each robot's sensed assets (those within r_max, by the
-    test of `geometry.sq_dist_blocks`) and its membership cover counts (see
-    `_cover_counts`), all for `snapshot`, and the asset coordinates as two float64 arrays indexed by
-    asset id (`asset_x`, `asset_y`) for the auction's bid bounds.  A robot
-    knows an asset when it senses it or counts a holder of it (`known`).
-    Filled on demand, and kept per robot:
+    This is the one place local knowledge is computed, all for `snapshot`:
+    the alive robots, the neighbor map, and three robot x asset matrices,
+    one row per robot id (a dead robot's rows are empty) and one column per
+    asset id:
+
+    * `sensed`, bool: the assets within r_max, each row straight from the
+      test of `geometry.sq_dist_blocks`;
+    * `held`, bool: each robot's assigned set;
+    * `cover`, unsigned: the membership cover counts (see `_cover_counts`),
+      in the smallest unsigned dtype that holds m + 1 (`_count_dtype`).
+
+    `need` is each asset's kappa capped at m + 1 in that dtype: a count is
+    at most m, so `cover < need` is the test `cover < kappa`, and it makes
+    no wider temporary.  A robot knows an asset when it senses it or counts
+    a holder of it (`known`).  The asset coordinates are two float64 arrays
+    indexed by asset id (`asset_x`, `asset_y`) for the auction's bid
+    bounds.  Filled on demand, and kept per robot:
 
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
       asset, and `donor_bound`, a lower bound on that disk's radius;
@@ -184,18 +197,17 @@ class _View:
     plan entry, so the work is confined to the robots whose object changed
     and their neighbors:
 
-    * the robots that moved are re-sensed, and the neighbor map is rebuilt
-      (`engine.neighbor_map`) when one moved;
-    * cover counts are patched by deltas: +1 or -1, per asset gained or
-      lost, at the robot and at each neighbor it kept, and a whole assigned
-      list added or removed where a pair came into or went out of range;
+    * the rows of the robots that moved are re-sensed, and the neighbor map
+      is rebuilt (`engine.neighbor_map`) when one moved;
+    * cover counts are patched by deltas (`_patch`): +1 or -1 at a
+      robot's assets gained or lost, in the rows of the robot and of each
+      neighbor it kept, and a whole assigned set in the rows of the
+      neighbors that came into or went out of its range;
     * a changed robot loses its memo entries;
-    * a robot loses its swap candidates and its clean pairs when its cover
-      count of an asset it holds may have changed: when its `RobotState`
-      changed, when a neighbor that came into or went out of range holds
-      one of its assets, or when a neighbor it kept gained or lost one of
-      its assets.  A count of an asset it does not hold is read by neither
-      (see `swap_round`).
+    * a robot loses its swap candidates and its clean pairs when its
+      `RobotState` changed or its cover count of an asset it holds did.  A
+      count of an asset it does not hold is read by neither (see
+      `swap_round`).
 
     An event (new assets, a robot killed) rebuilds the whole view.  So the
     view always equals a fresh `_View(snapshot)`, and per-robot decisions
@@ -214,7 +226,11 @@ class _View:
         self.robot = snapshot.robots  # robot ids are dense
         self.alive_ids = [r.id for r in snapshot.robots if r.alive]
         self.nbrs = neighbor_map(snapshot)
-        self.sensed: dict[int, set[int]] = {}
+        shape = (len(self.robot), len(self.assets))
+        self.need = np.minimum([a.kappa for a in self.assets], shape[0] + 1).astype(_count_dtype(shape[0]))
+        self.held = np.zeros(shape, dtype=bool)
+        self._hold([self.robot[rid] for rid in self.alive_ids])
+        self.sensed = np.zeros(shape, dtype=bool)
         self._sense(self.alive_ids)
         self.cover = _cover_counts(snapshot, self.nbrs)
         self._donor_disks: dict[int, dict[int, Disk]] = {}
@@ -225,16 +241,20 @@ class _View:
         self.candidates: dict[int, list[tuple[int, float]]] = {}
 
     def _sense(self, rids: Sequence[int]) -> None:
-        # Re-sense each robot in rids, replacing its set as soon as its row
-        # is scanned, so the old and new sets of every robot that moved are
-        # never all held at once.
-        assets = self.assets
+        # Re-sense the rows of the robots in rids, a block of rows at a time.
+        rows = np.array(rids, dtype=np.intp)
         qx = np.array([self.robot[rid].pos.x for rid in rids], dtype=np.float64)
         qy = np.array([self.robot[rid].pos.y for rid in rids], dtype=np.float64)
         r_max2 = self.params.r_max ** 2
         for start, d2 in sq_dist_blocks(qx, qy, self.asset_x, self.asset_y):
-            for rid, row in zip(rids[start : start + len(d2)], d2 <= r_max2):
-                self.sensed[rid] = {assets[j].id for j in np.flatnonzero(row).tolist()}
+            self.sensed[rows[start : start + len(d2)]] = d2 <= r_max2
+
+    def _hold(self, robots: Sequence[RobotState]) -> None:
+        # Rewrite the held rows of these robots (`held` is C-contiguous, so
+        # its flat reshape is a view).
+        self.held[_ids(r.id for r in robots)] = False
+        cells = _cells([(r.id,) for r in robots], [r.assigned for r in robots], len(self.assets))
+        self.held.reshape(-1)[cells] = True
 
     def update(self, snapshot: WorldSnapshot) -> None:
         """Carry the view to `snapshot` (see the class docstring)."""
@@ -251,39 +271,30 @@ class _View:
             return
         self.snapshot = snapshot
         self.robot = snapshot.robots
-        cover = self.cover
         old_nbrs = self.nbrs
-        moved = {r.id for r in changed if r.pos != prev[r.id].pos}
-        swap_dirty = {r.id for r in changed}  # candidates and clean pairs to drop
+        moved = [r.id for r in changed if r.pos != prev[r.id].pos]
+        # (rows, gained, lost) blocks of cover count changes.  The neighbor
+        # relation is symmetric, so the robots that came into (went out of)
+        # j's range are those that gain (lose) j's whole assigned set.
+        patches: list[tuple[Collection[int], Collection[int], Collection[int]]] = []
         if moved:
-            self._sense(list(moved))
+            self._sense(moved)
             self.nbrs = neighbor_map(snapshot)
-            for k in self.alive_ids:
-                if self.nbrs[k] == old_nbrs[k]:
-                    continue
-                was, now = set(old_nbrs[k]), set(self.nbrs[k])
-                held = self.robot[k].assigned
-                for j in now - was:
-                    _count_in(cover[k], self.robot[j].assigned, 1)
-                    if not held.isdisjoint(self.robot[j].assigned):
-                        swap_dirty.add(k)
-                for j in was - now:
-                    _count_in(cover[k], prev[j].assigned, -1)
-                    if not held.isdisjoint(prev[j].assigned):
-                        swap_dirty.add(k)
-        for r in changed:
+            for j in self.alive_ids:
+                if self.nbrs[j] != old_nbrs[j]:
+                    was, now = set(old_nbrs[j]), set(self.nbrs[j])
+                    patches.append((now - was, self.robot[j].assigned, ()))
+                    patches.append((was - now, (), prev[j].assigned))
+        reassigned = [r for r in changed if r.assigned != prev[r.id].assigned]
+        for r in reassigned:
             old = prev[r.id].assigned
-            if r.assigned == old:
-                continue
-            gained, lost = r.assigned - old, old - r.assigned
             kept = set(old_nbrs[r.id]).intersection(self.nbrs[r.id])
             kept.add(r.id)
-            for k in kept:
-                _count_in(cover[k], gained, 1)
-                _count_in(cover[k], lost, -1)
-                held = self.robot[k].assigned
-                if not (held.isdisjoint(gained) and held.isdisjoint(lost)):
-                    swap_dirty.add(k)
+            patches.append((kept, r.assigned - old, old - r.assigned))
+        self._hold(reassigned)
+        swap_dirty = {r.id for r in changed}  # candidates and clean pairs to drop
+        if patches:
+            self._patch(patches, swap_dirty)
         for r in changed:
             self._donor_disks.pop(r.id, None)
             self._donor_bounds.pop(r.id, None)
@@ -292,20 +303,49 @@ class _View:
             self.candidates.pop(k, None)
         self.clean = {p for p in self.clean if p[0] not in swap_dirty and p[1] not in swap_dirty}
 
-    def local_coverage(self, rid: int, asset_id: int) -> int:
-        return self.cover[rid].get(asset_id, 0)
+    def _patch(self, patches: Sequence[tuple[Collection[int], ...]], swap_dirty: set[int]) -> None:
+        # Add 1 at every cell of each block rows x gained of the cover
+        # counts and take 1 at every cell of each block rows x lost, and add
+        # to swap_dirty the robots not in it whose count of an asset they
+        # hold moved.  Blocks may share a cell, so the sums go through
+        # `np.add.at`; the gains go first, so no count dips below zero.
+        flat = self.cover.reshape(-1)
+        n = self.cover.shape[1]
+        gained = _cells([p[0] for p in patches], [p[1] for p in patches], n)
+        lost = _cells([p[0] for p in patches], [p[2] for p in patches], n)
+        dirty = np.zeros(len(self.robot), dtype=bool)
+        dirty[_ids(swap_dirty)] = True
+        check = np.concatenate((gained, lost))
+        check = check[~dirty[check // n] & self.held.reshape(-1)[check]]
+        before = flat[check]
+        one = self.cover.dtype.type(1)
+        np.add.at(flat, gained, one)
+        np.subtract.at(flat, lost, one)
+        swap_dirty.update((check[before != flat[check]] // n).tolist())
 
-    def known(self, rid: int) -> set[int]:
-        """The assets robot rid knows, as a fresh set: those it senses and
-        those it or a neighbor holds (its cover counts list exactly these)."""
-        return self.sensed[rid].union(self.cover[rid])
+    def local_coverage(self, rid: int, asset_id: int) -> int:
+        return self.cover.item(rid, asset_id)
+
+    def known(self, rids: int | slice | np.ndarray) -> np.ndarray:
+        """The assets the robots rids know, as fresh bool rows indexed by
+        asset id (one row for one id): those it senses and those it or a
+        neighbor holds (a cover count above zero)."""
+        got = self.cover[rids] > 0
+        got |= self.sensed[rids]
+        return got
+
+    def deficit_mask(self, rids: int | slice | np.ndarray) -> np.ndarray:
+        """The deficits (`deficits`) of the robots rids, as fresh bool rows
+        indexed by asset id (one row for one id)."""
+        got = self.known(rids)
+        got &= ~self.held[rids]
+        got &= self.cover[rids] < self.need
+        return got
 
     def deficits(self, rid: int) -> list[int]:
         """Assets robot rid may claim, in ascending id: known, not held by
         rid, and counted below kappa in its neighborhood."""
-        held = self.robot[rid].assigned
-        counts = self.cover[rid]
-        return sorted(a for a in self.known(rid) if a not in held and counts.get(a, 0) < self.assets[a].kappa)
+        return np.flatnonzero(self.deficit_mask(rid)).tolist()
 
     def positions(self, assigned: Sequence[int]) -> list[Point]:
         return [self.assets[a].pos for a in assigned]
@@ -348,30 +388,47 @@ class _View:
         return self.asset_x[ids], self.asset_y[ids]
 
 
-def _cover_counts(
-    snapshot: WorldSnapshot, nbrs: Mapping[int, Sequence[int]]
-) -> dict[int, dict[int, int]]:
-    """Per alive robot, the membership cover count of every asset it or a
-    neighbor holds: the number of holders among itself and its neighbors."""
+def _count_dtype(m: int) -> np.dtype:
+    """The dtype of a view's cover counts for m robots: the smallest
+    unsigned one that holds m + 1, so that a count (at most m) and a kappa
+    capped at m + 1 share it."""
+    return np.min_scalar_type(m + 1)
+
+
+def _ids(ids: Iterable[int]) -> np.ndarray:
+    # Ids as an index array.
+    return np.fromiter(ids, dtype=np.intp)
+
+
+def _cells(rows: Sequence[Collection[int]], cols: Sequence[Collection[int]], n: int) -> np.ndarray:
+    """The flat indices (row * n + col) of every cell of the blocks
+    rows[i] x cols[i] of a matrix n wide, block after block."""
+    r = np.array([len(x) for x in rows], dtype=np.intp)
+    c = np.array([len(x) for x in cols], dtype=np.intp)
+    row_ids = _ids(chain.from_iterable(rows))
+    col_ids = _ids(chain.from_iterable(cols))
+    size = r * c
+    block = np.repeat(np.arange(len(size)), size)
+    k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # a cell's place in its block
+    width = c[block]
+    row = row_ids[(np.cumsum(r) - r)[block] + k // width]
+    col = col_ids[(np.cumsum(c) - c)[block] + k % width]
+    return row * n + col
+
+
+def _cover_counts(snapshot: WorldSnapshot, nbrs: Mapping[int, Sequence[int]]) -> np.ndarray:
+    """The membership cover counts, a row per robot id and a column per
+    asset id: the number of holders of the asset among the robot and its
+    neighbors (0 in a dead robot's row).  Since the neighbor relation is
+    symmetric, each alive robot adds 1 at the rows of itself and its
+    neighbors and the columns of its assets, in one `np.ix_` block."""
     robots = snapshot.robots
-    cover: dict[int, dict[int, int]] = {}
+    cover = np.zeros((len(robots), len(snapshot.assets)), dtype=_count_dtype(len(robots)))
     for rid, near in nbrs.items():
-        counts = dict.fromkeys(robots[rid].assigned, 1)
-        for j in near:
-            _count_in(counts, robots[j].assigned, 1)
-        cover[rid] = counts
+        held = robots[rid].assigned
+        if held:
+            cover[np.ix_([rid, *near], _ids(held))] += 1
     return cover
-
-
-def _count_in(counts: dict[int, int], held: Iterable[int], delta: int) -> None:
-    # Add delta to the count of every asset in held, dropping counts that
-    # reach zero: a cover dict lists only assets with a holder.
-    for p in held:
-        c = counts.get(p, 0) + delta
-        if c:
-            counts[p] = c
-        else:
-            del counts[p]
 
 
 def _finalize_radius(radius: float, r_max: float) -> float:
@@ -487,10 +544,9 @@ def _bid(view: _View, robot: RobotState, asset_id: int) -> tuple[float, Disk]:
     return max(0.0, math.pi * (d.radius * d.radius - robot.radius * robot.radius)), d
 
 
-def _bid_bounds(view: _View, candidates: Mapping[int, Sequence[int]]) -> np.ndarray:
-    """A lower bound on the bid (`_bid`) of every candidate robot of every
-    asset in `candidates` that solves no disk, asset after asset in the
-    order of `candidates` and each asset's robots in the order listed.
+def _bid_bounds(view: _View, robots: np.ndarray, assets: np.ndarray) -> np.ndarray:
+    """A lower bound on the bid (`_bid`) of robot robots[i] for asset
+    assets[i], for every i, that solves no disk.
 
     The bound is 0 for a robot that holds nothing or whose disk already
     holds the asset: the exact bid is 0 there too.  Otherwise a disk holding
@@ -501,8 +557,9 @@ def _bid_bounds(view: _View, candidates: Mapping[int, Sequence[int]]) -> np.ndar
     of the area formula.  The far/2 argument needs the grown disk to hold
     the robot's assets, which `enclose_with_anchor` guarantees.
 
-    The pass groups the (asset, candidate) pairs by robot and takes each
-    robot's k pairs in one block.  It first finds the assets its disk does
+    The pass takes each run of pairs of one robot in one block; the round's
+    listing (`_auction_candidates`) gives each robot's pairs in one run.
+    For a run of k pairs it first finds the assets the robot's disk does
     not hold, where `dist(robot.pos, asset.pos)` exceeds radius +
     CONTAINMENT_TOL.  The squared distance `dx*dx + dy*dy` is within a few
     ulps of the square of that `math.hypot`, which is off by under an ulp,
@@ -515,18 +572,14 @@ def _bid_bounds(view: _View, candidates: Mapping[int, Sequence[int]]) -> np.ndar
     order (`dx*dx + dy*dy`, an exact max, a correctly rounded sqrt), so
     every bound has its bits.
     """
-    counts = [len(c) for c in candidates.values()]
-    n = sum(counts)
-    pair_robot = np.fromiter(chain.from_iterable(candidates.values()), dtype=np.int32, count=n)
-    order = np.argsort(pair_robot, kind="stable")  # the pairs grouped by robot
-    robot_ids = pair_robot[order]
-    asset_ids = np.repeat(np.fromiter(candidates, dtype=np.int32, count=len(counts)), counts)[order]
+    robots, assets = np.asarray(robots), np.asarray(assets)
+    n = len(robots)
     cap = view.params.r_max + 2.0 * CONTAINMENT_TOL
     got = np.zeros(n)
-    starts = np.flatnonzero(np.diff(robot_ids, prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(robots, prepend=-1)).tolist()
     for s, e in zip(starts, [*starts[1:], n]):
-        robot = view.robot[int(robot_ids[s])]
-        ids = asset_ids[s:e]
+        robot = view.robot[int(robots[s])]
+        ids = assets[s:e]
         ax, ay = view.asset_x[ids], view.asset_y[ids]
         dx = robot.pos.x - ax
         dy = robot.pos.y - ay
@@ -543,7 +596,7 @@ def _bid_bounds(view: _View, candidates: Mapping[int, Sequence[int]]) -> np.ndar
         r = robot.radius
         area = math.pi * (half * half - r * r) * (1.0 - 1e-9)
         area = np.where(half > cap, INFEASIBLE, np.where(half <= r, 0.0, area))
-        got[order[s:e]] = np.where(far, area, 0.0)
+        got[s:e] = np.where(far, area, 0.0)
     return got
 
 
@@ -582,35 +635,67 @@ def select_winner(
     return min(tie, key=keys.__getitem__)
 
 
-def _auction_candidates(view: _View) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """The round's auctions: each auctioned asset's auctioneers, in
-    ascending id, and its candidates, the robots in some auctioneer's group
-    (the auctioneer and its neighbors) that know the asset and do not hold
-    it, in no set order.  The candidates are keyed by asset in ascending id.
+# Cells of one robot x asset block of the auction listing: each of its
+# temporaries stays near 64 KB, and the packed rows it gathers near
+# (degree + 1) / 8 of that.
+_LIST_CELLS = 1 << 16
 
-    The candidates are listed robot by robot: a robot is a candidate for an
-    auctioned asset it knows and does not hold when its closed neighborhood
-    (itself and its neighbors) meets the asset's auctioneers, since the
-    neighbor relation is symmetric.  The auctioneers of each asset are kept
-    as a bitmask of robot ids for that test."""
-    auctioneers: dict[int, list[int]] = {}
-    mask: dict[int, int] = {}
-    for rid in view.alive_ids:
-        bit = 1 << rid
-        for asset_id in view.deficits(rid):
-            auctioneers.setdefault(asset_id, []).append(rid)
-            mask[asset_id] = mask.get(asset_id, 0) | bit
-    candidates: dict[int, list[int]] = {asset_id: [] for asset_id in sorted(auctioneers)}
-    for j in view.alive_ids:
-        closed = 1 << j
-        for k in view.nbrs[j]:
-            closed |= 1 << k
-        held = view.robot[j].assigned
-        for asset_id in view.known(j):
-            m = mask.get(asset_id)
-            if m is not None and m & closed and asset_id not in held:
-                candidates[asset_id].append(j)
-    return auctioneers, candidates
+
+def _row_blocks(m: int, n: int) -> Iterator[slice]:
+    # Slices of the robot ids 0..m-1, each of at most _LIST_CELLS cells of
+    # an m x n matrix (at least one row).
+    rows = max(1, _LIST_CELLS // max(1, n))
+    for start in range(0, m, rows):
+        yield slice(start, min(m, start + rows))
+
+
+def _auction_candidates(view: _View) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The round's auctions, as two pairs of id arrays:
+
+    * the auctioneers, (asset, robot) for every deficit of every robot (see
+      `_View.deficits`), in ascending asset and then robot id;
+    * the candidates, (robot, asset) for every robot in some auctioneer's
+      group (the auctioneer and its neighbors) that knows the asset and
+      does not hold it, in ascending robot and then asset id.
+
+    Since the neighbor relation is symmetric, a robot is in the group of
+    an auctioneer of an asset exactly when its closed neighborhood (itself
+    and its neighbors) holds one: when the OR of the deficit rows
+    (`_View.deficit_mask`) over its closed neighborhood has the asset.  The
+    deficit rows are packed eight assets to a byte, and one
+    `np.bitwise_or.reduceat` takes the ORs of a block of robots.  The
+    blocks of deficit rows and of candidate rows are `_row_blocks`, so the
+    listing holds the packed rows and no robot x asset matrix.  Every
+    auctioneer is one of its own candidates."""
+    m, n = view.held.shape
+    packed = np.zeros((m, (n + 7) // 8), dtype=np.uint8)
+    robots: list[np.ndarray] = [np.zeros(0, dtype=np.int32)]
+    assets: list[np.ndarray] = [np.zeros(0, dtype=np.int32)]
+    for rows in _row_blocks(m, n):
+        deficit = view.deficit_mask(rows)
+        packed[rows] = np.packbits(deficit, axis=1)
+        robot, asset = np.nonzero(deficit)
+        robots.append((robot + rows.start).astype(np.int32))
+        assets.append(asset.astype(np.int32))
+    robot, asset = np.concatenate(robots), np.concatenate(assets)
+    order = np.argsort(asset, kind="stable")
+    auctioneers = (asset[order], robot[order])
+    if not len(order):
+        return auctioneers, (robot, asset)
+    ids = view.alive_ids
+    robots, assets = [], []
+    for rows in _row_blocks(len(ids), n):
+        closed = [(j, *view.nbrs[j]) for j in ids[rows]]
+        offsets = np.cumsum([0, *map(len, closed[:-1])])
+        near = np.bitwise_or.reduceat(packed[list(chain.from_iterable(closed))], offsets, axis=0)
+        got = np.unpackbits(near, axis=1, count=n).view(bool)
+        block = np.array(ids[rows], dtype=np.int32)
+        got &= view.known(block)
+        got &= ~view.held[block]
+        robot, asset = np.nonzero(got)
+        robots.append(block[robot])
+        assets.append(asset.astype(np.int32))
+    return auctioneers, (np.concatenate(robots), np.concatenate(assets))
 
 
 def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dict[int, Proposal], bool]:
@@ -626,13 +711,12 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
     its group's best or fall in the tie window.  The round runs in three
     stages:
 
-    1. each auctioned asset's candidates are listed, the bidders in some
-       auctioneer's group, robot by robot (`_auction_candidates`): one
-       pass takes every robot's deficits, and a second lists each robot
-       under every auctioned asset it knows and does not hold whose
-       auctioneers include it or a neighbor;
-    2. every candidate of every asset gets a lower bound on its bid that
-       solves no disk, all in one pass over the round grouped by robot
+    1. the auctioneers and candidates are listed from the view's matrices
+       (`_auction_candidates`): the deficits, in ascending asset and then
+       robot id, and the bidders in some auctioneer's group as (robot,
+       asset) pairs grouped by robot;
+    2. every candidate pair gets a lower bound on its bid that solves no
+       disk, all in one pass over the round grouped by robot
        (`_bid_bounds`);
     3. each asset's candidates are sorted once by (bound, id), and each of
        its auctioneers walks that list over its group:
@@ -665,15 +749,23 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
     view.update(snapshot)
     r_max = snapshot.params.r_max
     iteration = snapshot.round
-    auctioneers, candidates = _auction_candidates(view)
+    (auct_asset, auct_robot), (pair_robot, pair_asset) = _auction_candidates(view)
     groups: dict[int, set[int]] = {}
 
     wins: dict[int, list[tuple[int, Disk]]] = {}
-    bounds = _bid_bounds(view, candidates)
-    end = 0
-    for asset_id, cands in candidates.items():
-        start, end = end, end + len(cands)
-        bound = dict(zip(cands, bounds[start:end].tolist()))
+    bounds = _bid_bounds(view, pair_robot, pair_asset)
+    # The pairs asset by asset, each asset's robots in ascending id.  The
+    # auctioned assets are those with a candidate, since every auctioneer
+    # is one of its own candidates.
+    order = np.argsort(pair_asset, kind="stable")
+    pair_robot, bounds = pair_robot[order], bounds[order]
+    n_cands = np.bincount(pair_asset, minlength=len(view.assets))
+    auctioned = np.flatnonzero(n_cands)
+    cand_at = [0, *np.cumsum(n_cands[auctioned]).tolist()]
+    auct_at = [0, *np.cumsum(np.bincount(auct_asset, minlength=len(view.assets))[auctioned]).tolist()]
+    for i, asset_id in enumerate(auctioned.tolist()):
+        c0, c1 = cand_at[i], cand_at[i + 1]
+        bound = dict(zip(pair_robot[c0:c1].tolist(), bounds[c0:c1].tolist()))
         # An infeasible bound means an infeasible bid, which never wins.
         ranked = sorted((b, j) for j, b in bound.items() if b != INFEASIBLE)
         priced: dict[int, tuple[float, Disk]] = {}
@@ -685,7 +777,7 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
                 got = priced[j] = _bid(view, view.robot[j], asset_id)
             return got[0]
 
-        for rid in auctioneers[asset_id]:
+        for rid in auct_robot[auct_at[i] : auct_at[i + 1]].tolist():
             group = groups.get(rid)
             if group is None:
                 group = groups[rid] = {rid, *view.nbrs[rid]}
@@ -732,7 +824,7 @@ def has_undercovered_views(snapshot: WorldSnapshot) -> bool:
     true state, so this can stay true forever on assets whose covers sit
     outside the observer's communication range."""
     view = _View(snapshot)
-    return any(view.deficits(rid) for rid in view.alive_ids)
+    return any(view.deficit_mask(rows).any() for rows in _row_blocks(*view.held.shape))
 
 
 def coverage_satisfied(snapshot: WorldSnapshot) -> bool:
@@ -777,12 +869,14 @@ def holders_certified(snapshot: WorldSnapshot, view: _View) -> bool:
     holders.  With adequate communication the bidding and fallback grind
     saturates every custodian's neighborhood before it goes quiet, so the
     certificate holds exactly when coordination sufficed.
+
+    It reads the view's matrices: the count (`_View.cover`) at every cell
+    a robot holds (`_View.held`) against the asset's kappa, capped at m + 1
+    in the counts' dtype (`_View.need`).
     """
     view.update(snapshot)
-    assets = snapshot.assets
-    return all(
-        counts[a] >= assets[a].kappa for rid, counts in view.cover.items() for a in snapshot.robots[rid].assigned
-    )
+    robots, assets = np.nonzero(view.held)
+    return bool((view.cover[robots, assets] >= view.need[assets]).all())
 
 
 def fallback_assign(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dict[int, Proposal], bool]:
@@ -817,9 +911,10 @@ def fallback_assign(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[
         robot = view.robot[actor]
         target = min(view.deficits(actor), key=lambda a: (dist2(robot.pos, view.assets[a].pos), a))
         tpos = view.assets[target].pos
-        counts = view.cover[actor]
         keep = sorted(robot.assigned)
-        releasable = [q for q in view.farthest_first(actor) if counts.get(q, 0) - 1 >= view.assets[q].kappa]
+        releasable = [
+            q for q in view.farthest_first(actor) if view.local_coverage(actor, q) - 1 >= view.assets[q].kappa
+        ]
         rel_idx = 0
         while True:
             d = min_enclosing_disk(view.positions(keep) + [tpos])
@@ -1161,12 +1256,11 @@ def phase3_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
         robot = view.robot[rid]
         if not robot.assigned:
             continue
-        counts = view.cover[rid]
         keep = set(robot.assigned)
         r_cur = robot.radius
         intent: list[int] = []
         for asset_id in view.farthest_first(rid):
-            if counts.get(asset_id, 0) - 1 < view.assets[asset_id].kappa:
+            if view.local_coverage(rid, asset_id) - 1 < view.assets[asset_id].kappa:
                 continue
             trial = consolidate(robot.pos, keep - {asset_id}, view.assets)
             if trial.radius < r_cur:
@@ -1179,7 +1273,6 @@ def phase3_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
     proposals: dict[int, Proposal] = {}
     for rid in sorted(intents):
         robot = view.robot[rid]
-        counts = view.cover[rid]
         my_keys = {a: (h64(rnd, a, rid), rid) for a in intents[rid]}
         removed: list[int] = []
         for asset_id in intents[rid]:
@@ -1188,7 +1281,7 @@ def phase3_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
                 for j in view.nbrs[rid]
                 if asset_id in intents.get(j, ()) and (h64(rnd, asset_id, j), j) < my_keys[asset_id]
             )
-            if counts.get(asset_id, 0) - 1 - contenders >= view.assets[asset_id].kappa:
+            if view.local_coverage(rid, asset_id) - 1 - contenders >= view.assets[asset_id].kappa:
                 removed.append(asset_id)
         if not removed:
             continue

@@ -124,7 +124,7 @@ def auction_candidates(snapshot: WorldSnapshot) -> tuple[dict[int, list[int]], d
     for asset_id in sorted(auctioneers):
         near = set(auctioneers[asset_id]).union(*(view.nbrs[rid] for rid in auctioneers[asset_id]))
         candidates[asset_id] = {
-            j for j in near if asset_id in view.known(j) and asset_id not in view.robot[j].assigned
+            j for j in near if view.known(j)[asset_id] and asset_id not in view.robot[j].assigned
         }
     return auctioneers, candidates
 

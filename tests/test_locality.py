@@ -5,10 +5,12 @@ Sensing, the neighbor map, Lloyd's nearest-robot search and the cover
 counts of `summarize` scan squared distances in the blocks of
 `geometry.sq_dist_blocks`, at any block size; those cover counts are
 carried from round to round in a `metrics.CoverTally`; each robot's
-knowledge, cover counts and deficits come from the round's view alone, and
-the completion certificate reuses its cover counts; the swap sweep reads
-memoized disks and candidate lists from that view, and the auctions list
-their candidates robot by robot and decide every auctioneer's deficit from
+knowledge, cover counts and deficits come from the round's view alone, as
+robot x asset matrices whose count dtype must not wrap, and the completion
+certificate reuses its cover counts; the swap sweep reads memoized disks
+and candidate lists from that view, and the auctions list their
+auctioneers and candidates from its matrices and decide every
+auctioneer's deficit from
 one sorted list of bids per asset, ranked by bounds that one vectorized
 pass computes for the whole round.  Each must give exactly what the
 all-pairs or scalar definition gives, including at
@@ -149,9 +151,27 @@ def test_neighbor_map_matches_pairwise_neighbors(snap, block):
 def test_view_sensing_matches_sense(snap, block):
     with mock.patch.object(geometry, "_BLOCK", block):
         view = _View(snap)
-    assert sorted(view.sensed) == [r.id for r in snap.robots if r.alive]
-    for rid, got in view.sensed.items():
-        assert got == sense(snap.robots[rid], snap.assets, snap.params.r_max)
+    want = np.zeros((len(snap.robots), len(snap.assets)), dtype=bool)
+    for r in snap.robots:
+        if r.alive:
+            want[r.id, sorted(sense(r, snap.assets, snap.params.r_max))] = True
+    assert_same_array(view.sensed, want)
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    """Same shape, same dtype, same values."""
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert np.array_equal(got, want)
+
+
+def matrix_reference(snapshot: WorldSnapshot, cell, dtype) -> np.ndarray:
+    """cell(rid, asset_id) at every alive robot's row and every asset's
+    column, and zero in the rows of dead robots."""
+    got = np.zeros((len(snapshot.robots), len(snapshot.assets)), dtype=dtype)
+    for r in snapshot.robots:
+        if r.alive:
+            got[r.id] = [cell(r.id, a.id) for a in snapshot.assets]
+    return got
 
 
 def knowledge_reference(snapshot: WorldSnapshot, rid: int) -> set[int]:
@@ -197,20 +217,23 @@ def test_view_knowledge_matches_brute_force(snap):
     view = _View(snap)
     for rid in view.alive_ids:
         known = view.known(rid)
-        assert known == knowledge_reference(snap, rid)
-        known.add(-1)  # a fresh set: the view keeps its own
-        assert -1 not in view.known(rid)
+        want = [a.id in knowledge_reference(snap, rid) for a in snap.assets]
+        assert_same_array(known, np.array(want, dtype=bool))
+        known[:] = ~known  # a fresh row: the view keeps its own
+        assert view.known(rid).tolist() == want
 
 
 @given(worlds())
 @settings(max_examples=150, deadline=None)
 def test_view_cover_matches_brute_force(snap):
     view = _View(snap)
-    assert sorted(view.cover) == [r.id for r in snap.robots if r.alive]
-    for rid, counts in view.cover.items():
-        want = {a.id: local_coverage_reference(snap, rid, a.id) for a in snap.assets}
-        assert counts == {a: c for a, c in want.items() if c}
-        assert all(view.local_coverage(rid, a) == c for a, c in want.items())
+    # The smallest unsigned dtype that holds m + 1.
+    dtype = np.min_scalar_type(len(snap.robots) + 1)
+    want = matrix_reference(snap, lambda rid, a: local_coverage_reference(snap, rid, a), dtype)
+    assert_same_array(view.cover, want)
+    assert_same_array(view.held, matrix_reference(snap, lambda rid, a: a in snap.robots[rid].assigned, bool))
+    for rid in view.alive_ids:
+        assert all(view.local_coverage(rid, a.id) == want[rid, a.id] for a in snap.assets)
 
 
 @given(worlds())
@@ -221,7 +244,28 @@ def test_view_deficits_match_brute_force(snap):
     want = {rid: deficits_reference(snap, rid) for rid in alive}
     for rid in alive:
         assert view.deficits(rid) == want[rid]
+    everyone = slice(None)
+    known = matrix_reference(snap, lambda rid, a: a in knowledge_reference(snap, rid), bool)
+    assert_same_array(view.known(everyone), known)
+    assert_same_array(view.deficit_mask(everyone), matrix_reference(snap, lambda rid, a: a in want[rid], bool))
     assert has_undercovered_views(snap) == any(want.values())
+
+
+@pytest.mark.parametrize("m", [255, 256, 300])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_view_counts_more_holders_than_a_byte_holds(m, shift):
+    # m robots at one point: all hold asset 0 and all but robot 0 hold
+    # asset 1, with kappas around those counts.  A count of 256 wraps to 0
+    # in a byte, and a kappa of 256 capped at 255 would pass a count of 255.
+    assets = (Asset(0, Point(0.0, 0.0), m + shift), Asset(1, Point(0.5, 0.0), m - 1 + shift))
+    robots = tuple(RobotState(i, Point(0.0, 0.0), 0.5, frozenset({0, 1} if i else {0}), True) for i in range(m))
+    snap = WorldSnapshot(0, Phase.OPTIMIZE, robots, assets, Params(WS, m, 55.0, 40.0))
+    view = _View(snap)
+    assert view.cover.dtype == np.min_scalar_type(m + 1)
+    for rid in (0, 1, m - 1):
+        assert [view.local_coverage(rid, a) for a in (0, 1)] == [local_coverage_reference(snap, rid, a) for a in (0, 1)]
+        assert view.deficits(rid) == deficits_reference(snap, rid)
+    assert holders_certified(snap, view) == certificate_reference(snap)
 
 
 @given(worlds(), blocks)
@@ -578,7 +622,7 @@ def auction_reference(snapshot: WorldSnapshot, cfg: Config):
             bids = {
                 j: _bid(view, view.robot[j], asset_id)[0]
                 for j in group
-                if asset_id not in view.robot[j].assigned and asset_id in view.known(j)
+                if asset_id not in view.robot[j].assigned and view.known(j)[asset_id]
             }
             if select_winner(asset_id, bids, snapshot.round, cfg.eps) == rid:
                 wins.setdefault(rid, []).append(asset_id)
@@ -680,11 +724,13 @@ def test_auction_fixtures():
 def test_auction_candidates_match_per_asset_listing(snap):
     auctioneers, candidates = _auction_candidates(_View(snap))
     want_auctioneers, want = reference.auction_candidates(snap)
-    assert auctioneers == want_auctioneers
-    assert list(candidates) == list(want)
-    for asset_id, cands in candidates.items():
-        assert len(cands) == len(want[asset_id])
-        assert set(cands) == want[asset_id]
+    # The auctioneers in ascending asset and then robot id; the candidates
+    # grouped by robot, in ascending robot and then asset id.
+    assert [a.dtype.kind for a in (*auctioneers, *candidates)] == ["i"] * 4
+    assert list(zip(*(a.tolist() for a in auctioneers))) == [
+        (a, rid) for a, rids in sorted(want_auctioneers.items()) for rid in rids
+    ]
+    assert list(zip(*(a.tolist() for a in candidates))) == sorted((j, a) for a, js in want.items() for j in js)
 
 
 @given(st.one_of(worlds(), holding_worlds()), st.sampled_from([0.01, 0.5, 5.0]), st.integers(0, 60))
@@ -701,11 +747,11 @@ def test_phase2_round_matches_per_auction_reference(snap, eps, rnd):
     assert phase2_round(snap, cfg, _View(snap)) == auction_reference(snap, cfg)
 
 
-def assert_bounds_are_the_scalar_loop(view: _View, candidates: dict[int, list[int]]) -> None:
-    """The round pass gives every (asset, robot) pair the bits of the
+def assert_bounds_are_the_scalar_loop(view: _View, robots, assets) -> None:
+    """The round pass gives every (robot, asset) pair the bits of the
     scalar reference."""
-    got = _bid_bounds(view, candidates)
-    want = np.array([bid_bound(view, view.robot[j], a) for a, cands in candidates.items() for j in cands])
+    got = _bid_bounds(view, robots, assets)
+    want = np.array([bid_bound(view, view.robot[j], a) for j, a in zip(robots, assets)])
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.astype(np.float64).view(np.uint64))
 
@@ -742,17 +788,19 @@ def test_round_bounds_are_the_scalar_loop(snap, hold_nothing):
     view = _View(snap)
     rounds = []
 
-    def recording(v, candidates):
-        rounds.append(candidates)
-        return _bid_bounds(v, candidates)
+    def recording(v, robots, assets):
+        rounds.append((robots.tolist(), assets.tolist()))
+        return _bid_bounds(v, robots, assets)
 
     # Every candidate of every auctioned asset, as the auction round lists
-    # them, then every alive robot on every asset, held ones included.
+    # them (grouped by robot), then every alive robot on every asset, held
+    # ones included, asset after asset.
     with mock.patch("swarmcover.protocol._bid_bounds", recording):
         outcome(lambda: phase2_round(snap, Config(), view))
     assert len(rounds) == 1
-    assert_bounds_are_the_scalar_loop(view, rounds[0])
-    assert_bounds_are_the_scalar_loop(view, {a.id: list(view.alive_ids) for a in snap.assets})
+    assert_bounds_are_the_scalar_loop(view, *rounds[0])
+    every = [(j, a.id) for a in snap.assets for j in view.alive_ids]
+    assert_bounds_are_the_scalar_loop(view, [j for j, _ in every], [a for _, a in every])
 
 
 # -- the carried view ---------------------------------------------------------
@@ -765,8 +813,8 @@ def assert_view_is_fresh(view: _View) -> None:
     fresh = _View(snap)
     assert view.alive_ids == fresh.alive_ids
     assert view.nbrs == fresh.nbrs
-    assert view.sensed == fresh.sensed
-    assert view.cover == fresh.cover
+    for name in ("sensed", "held", "cover", "need"):
+        assert_same_array(getattr(view, name), getattr(fresh, name))
     for donor, memo in view._donor_disks.items():
         robot = snap.robots[donor]
         for asset_id, disk in memo.items():

@@ -389,8 +389,9 @@ _LOOSE_CASE = ([(0.0, 3.0), (0.0, 0.0)], (0.0, 1.0), (0.0, 0.0), 0.0, 40.0)
 @settings(max_examples=400, deadline=None)
 def test_bid_bound_never_exceeds_exact_bid(case):
     view = _View(bound_case_snapshot(case))
-    pairs = {a.id: [r.id for r in view.robot] for a in view.assets}
-    bounds = iter(_bid_bounds(view, pairs).tolist())
+    robots = [r.id for _ in view.assets for r in view.robot]
+    assets = [a.id for a in view.assets for _ in view.robot]
+    bounds = iter(_bid_bounds(view, robots, assets).tolist())
     for a in view.assets:
         for robot in view.robot:
             lo, (bid, _) = next(bounds), _bid(view, robot, a.id)
