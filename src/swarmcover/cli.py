@@ -3,18 +3,21 @@
 Subcommands:
 
 * ``generate``  — build an instance (preset or uniform) and save it
-* ``run``       — execute a scenario, write trace + snapshots + result
+* ``run``       — execute a scenario, write trace + snapshots + result,
+  whose ``phases`` list digests each contiguous stretch of one phase
 * ``sweep``     — sensitivity sweep over one parameter, emit summary CSV
 * ``compare``   — distributed cost vs the exact solver on a tiny instance
-* ``dynamic``   — scenario with events, report adaptation locality
+* ``dynamic``   — ``run``, plus one adaptation record per round at which
+  events fired: the robots changed and the cost from there to the end
 * ``oracle``    — exact solver only, emit the placement as JSON
 
 Exit codes: 0 feasible, 2 infeasible (or iteration cap), 1 I/O or
-validation error.  The seed drives only the instance generators (the
-protocol itself has no randomness): ``--seed`` wins, else the scenario
-config seed, else 0.  Of a scenario, only a generator without its own
-``seed`` reads it, so for assets from an ``assets_file`` or a seeded
-generator the seed is accepted and changes nothing.
+validation error, a bad command-line argument included.  The seed drives
+only the instance generators (the protocol itself has no randomness):
+``--seed`` wins, else the scenario config seed, else 0.  Of a scenario,
+only a generator without its own ``seed`` reads it, so for assets from an
+``assets_file`` or a seeded generator the seed is accepted and changes
+nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import statistics
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 from .engine import AddAssets, AssetSpec, Event, KillRobot, WorldSnapshot, check_events
 from .geometry import Point
@@ -49,7 +52,7 @@ from .instances import (
     preset,
     save_instance,
 )
-from .metrics import RoundMetrics, optimality_gap, summarize, write_trace
+from .metrics import RoundMetrics, optimality_gap, summarize, total_cost, write_trace
 from .oracle import SOLVE_MAX_ASSETS, SOLVE_MAX_ROBOTS, solve_exact
 from .protocol import Config, RunResult, RunStatus, run
 
@@ -190,7 +193,33 @@ _EXIT_BY_STATUS = {
 }
 
 
-def _write_run_outputs(result: RunResult, out: Path) -> None:
+def _phases(trace: Sequence[RoundMetrics]) -> list[dict[str, Any]]:
+    """One entry per contiguous stretch of one phase in the trace: its first
+    and last round and the metrics of its last row."""
+    stretches: list[list[RoundMetrics]] = []
+    for rm in trace:
+        if stretches and stretches[-1][0].phase == rm.phase:
+            stretches[-1][1] = rm
+        else:
+            stretches.append([rm, rm])
+    return [
+        {
+            "phase": first.phase,
+            "first_round": first.round,
+            "last_round": last.round,
+            "total_cost": last.total_cost,
+            "undercovered": last.undercovered_count,
+            "overcovered": last.overcovered_count,
+        }
+        for first, last in stretches
+    ]
+
+
+def _run_and_write(scenario: Scenario, out: Path) -> RunResult:
+    """Run a scenario, write its trace, final snapshot and result into `out`
+    and print its status line: the one path of `run` and `dynamic`, so the
+    two write the same files."""
+    result = run(scenario.instance, scenario.config, scenario.events)
     out.mkdir(parents=True, exist_ok=True)
     write_trace(out / "trace.csv", result.trace)
     with open(out / "final_snapshot.json", "w") as fh:
@@ -207,10 +236,16 @@ def _write_run_outputs(result: RunResult, out: Path) -> None:
         "swaps": len(result.swaps),
         "time_to_feasibility": result.timings.time_to_feasibility,
         "total_seconds": result.timings.total_seconds,
+        "phases": _phases(result.trace),
     }
     with open(out / "result.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    print(
+        f"status={result.status.value} rounds={result.snapshot.round} "
+        f"cost={sm.total_cost:.2f} undercovered={sm.undercovered_count}"
+    )
+    return result
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -234,13 +269,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
-    result = run(scenario.instance, scenario.config, scenario.events)
-    _write_run_outputs(result, Path(args.out or "."))
-    sm = result.trace[-1]
-    print(
-        f"status={result.status.value} rounds={result.snapshot.round} "
-        f"cost={sm.total_cost:.2f} undercovered={sm.undercovered_count}"
-    )
+    result = _run_and_write(scenario, Path(args.out or "."))
     return _EXIT_BY_STATUS[result.status]
 
 
@@ -385,41 +414,39 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def changed_robots(before: WorldSnapshot, after: WorldSnapshot) -> list[int]:
-    """Ids, ascending, of the robots whose position, radius or liveness
-    differ between two snapshots of one mission."""
-    return [
-        r.id
-        for r, f in zip(before.robots, after.robots)
-        if (r.pos, r.radius, r.alive) != (f.pos, f.radius, f.alive)
-    ]
-
-
 def cmd_dynamic(args: argparse.Namespace) -> int:
     scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
     if not scenario.events:
         raise ScenarioError("dynamic scenarios must declare at least one event")
-    result = run(scenario.instance, scenario.config, scenario.events)
     out = Path(args.out or ".")
-    _write_run_outputs(result, out)
-
-    pre = result.pre_event_snapshots[-1][1] if result.pre_event_snapshots else None
-    changed = changed_robots(pre, result.snapshot) if pre is not None else []
-    summary = {
-        "events": len(scenario.events),
-        "pre_event_round": result.pre_event_snapshots[-1][0] if pre is not None else None,
-        "changed_robots": changed,
-        "changed_count": len(changed),
-        "status": result.status.value,
-    }
+    result = _run_and_write(scenario, out)
+    # One record per round at which events fired, in firing order, each
+    # measured from the snapshot before those events to the mission's end.
+    final, post_cost = result.snapshot, result.trace[-1].total_cost
+    adaptation = []
+    for event_round, pre in result.pre_event_snapshots:
+        changed = [
+            r.id
+            for r, f in zip(pre.robots, final.robots)
+            if (r.pos, r.radius, r.alive) != (f.pos, f.radius, f.alive)
+        ]
+        adaptation.append(
+            {
+                "event_round": event_round,
+                "changed_robots": changed,
+                "new_assets": len(final.assets) - len(pre.assets),
+                "pre_cost": total_cost(pre),
+                "post_cost": post_cost,
+            }
+        )
+        print(f"event at round {event_round}: {len(changed)}/{len(pre.robots)} robots changed")
+    summary = {"events": len(scenario.events), "status": result.status.value, "adaptation": adaptation}
     with open(out / "dynamic_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    if pre is not None:
-        with open(out / "pre_event_snapshot.json", "w") as fh:
-            json.dump(_snapshot_dict(pre, summarize(pre)), fh, indent=2)
-            fh.write("\n")
-    print(f"status={result.status.value} robots changed after event: {len(changed)}")
+    with open(out / "pre_event_snapshot.json", "w") as fh:
+        json.dump([_snapshot_dict(pre, summarize(pre)) for _, pre in result.pre_event_snapshots], fh, indent=2)
+        fh.write("\n")
     return _EXIT_BY_STATUS[result.status]
 
 
@@ -459,6 +486,16 @@ def _kappa_arg(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse errors `main` reports like any other
+    validation error, with exit code 1: argparse's own exit code 2 is the
+    code of an infeasible run.  Subparsers are built with the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ScenarioError(message)
+
+
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps an unused flag from writing into the namespace, so a
     # value parsed before the subcommand survives the subparser pass.
@@ -478,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_global_flags(common)
 
-    parser = argparse.ArgumentParser(prog="swarmcover", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="swarmcover", description=__doc__.split("\n")[0])
     _add_global_flags(parser)
     parser.set_defaults(seed=None, out=None, config=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -517,9 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,6 +91,34 @@ def test_generate_requires_shape(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--kappa", "x"],
+        ["generate", "--workspace", "1,2,3"],
+        ["generate", "--seed", "1.5"],
+        ["--seed", "1.5", "run", "s.json"],
+        ["run"],
+        ["run", "s.json", "extra"],
+        ["teleport"],
+        [],
+    ],
+)
+def test_parse_errors_exit_1(argv, capsys):
+    """A bad flag is a validation error, reported on an `error:` line with
+    exit code 1; argparse's own code 2 is the code of an infeasible run."""
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["generate", "--help"], ["dynamic", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: swarmcover" in capsys.readouterr().out
+
+
 # -- run ----------------------------------------------------------------------
 
 
@@ -176,7 +204,8 @@ def test_bare_instance_json_takes_events_and_config(tmp_path):
     assert (sc.instance.n, sc.config.tau, sc.events[0].action.robot_id) == (3, 0.05, 1)
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+# The shipped sweep specs are run by test_shipped_sweep_spec_runs.
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json") if not p.name.startswith("sweep_")))
 def test_shipped_scenarios_run(tmp_path, name):
     assert main(["run", str(SCENARIOS / name), "--out", str(tmp_path / "out")]) == 0
 
@@ -271,6 +300,21 @@ def test_sweep_outputs(tmp_path, capsys):
     assert "failure fraction 0.00" in capsys.readouterr().out
 
 
+def test_shipped_sweep_spec_runs(tmp_path, capsys):
+    """The communication-radius sweep spec runs; one value and one trial
+    here.  Its values are floats, so rows read r_comm=55.0."""
+    spec = json.loads((SCENARIOS / "sweep_r_comm.json").read_text())
+    assert (spec["parameter"], spec["trials"], spec["base"]) == ("r_comm", 10, {"n": 200, "m": 50})
+    assert 55.0 in spec["values"]
+    sweep = write_json(tmp_path / "one.json", {**spec, "values": [55.0], "trials": 1})
+    out = tmp_path / "sw"
+    assert main(["sweep", str(sweep), "--out", str(out)]) == 0
+    assert "r_comm=55.0: failure fraction" in capsys.readouterr().out
+    runs = (out / "runs.csv").read_text().splitlines()
+    assert len(runs) == 2 and runs[1].startswith("r_comm,55.0,0,0,")
+    assert len((out / "summary.csv").read_text().splitlines()) == 2
+
+
 def test_sweep_rejects_bad_parameter(tmp_path):
     sweep = write_json(tmp_path / "s.json", {"parameter": "gravity", "values": [1]})
     assert main(["sweep", str(sweep)]) == 1
@@ -321,6 +365,18 @@ def test_compare_reports_gap(tiny_scenario, capsys):
     assert "distributed: status=feasible" in out
     assert "exact:       feasible=True" in out
     assert "gap:" in out
+
+
+def test_generate_then_compare_reports_gap(tmp_path, capsys):
+    """The README's oracle-gap loop: small instances from `generate`, each
+    run by `compare`."""
+    for seed in ("0", "1"):
+        out = tmp_path / f"case{seed}"
+        argv = ["generate", "--n", "5", "--m", "2", "--workspace", "0,60,0,60", "--kappa", "1,2",
+                "--r-comm", "120", "--r-max", "45", "--seed", seed, "--out", str(out)]
+        assert main(argv) == 0
+        assert main(["compare", str(out / "instance.json")]) == 0
+    assert capsys.readouterr().out.count("gap:") == 2
 
 
 def test_compare_refuses_oversized(tmp_path, capsys):
@@ -393,10 +449,12 @@ def test_dynamic_interior_addition_changes_nothing(tmp_path, capsys):
     assert main(["dynamic", str(scenario), "--out", str(out)]) == 0
     summary = json.loads((out / "dynamic_summary.json").read_text())
     assert summary["status"] == "feasible"
-    assert summary["pre_event_round"] == 30
-    assert summary["changed_robots"] == []
-    assert (out / "pre_event_snapshot.json").exists()
-    assert "robots changed after event: 0" in capsys.readouterr().out
+    (record,) = summary["adaptation"]
+    assert (record["event_round"], record["changed_robots"], record["new_assets"]) == (30, [], 1)
+    assert record["pre_cost"] == record["post_cost"] == 0.0
+    (pre,) = json.loads((out / "pre_event_snapshot.json").read_text())
+    assert pre["round"] == 29
+    assert "event at round 30: 0/1 robots changed" in capsys.readouterr().out
 
 
 def test_dynamic_kill_is_reported(tmp_path):
@@ -415,8 +473,91 @@ def test_dynamic_kill_is_reported(tmp_path):
     )
     out = tmp_path / "d"
     assert main(["dynamic", str(scenario), "--out", str(out)]) == 0
+    (record,) = json.loads((out / "dynamic_summary.json").read_text())["adaptation"]
+    assert record["event_round"] == 40 and record["new_assets"] == 0
+    assert 1 in record["changed_robots"]  # the victim flips to dead
+
+
+def test_dynamic_keeps_every_event(tmp_path, capsys):
+    """Two events at different rounds: each gets its record, in firing
+    order whatever the scenario's order, measured from its own round to the
+    end of the mission."""
+    add = {"at_round": 1, "kind": "add_assets", "payload": [{"x": 30.0, "y": 30.0, "kappa": 1}]}
+    kill = {"at_round": 30, "kind": "kill_robot", "payload": {"robot_id": 2}}
+    scenario = event_scenario(tmp_path, [kill, add])
+    out = tmp_path / "d"
+    assert main(["dynamic", str(scenario), "--out", str(out)]) == 0
     summary = json.loads((out / "dynamic_summary.json").read_text())
-    assert 1 in summary["changed_robots"]  # the victim flips to dead
+    assert summary["events"] == 2
+    records = summary["adaptation"]
+    assert [r["event_round"] for r in records] == [1, 30]
+    assert [r["new_assets"] for r in records] == [1, 0]
+    assert all(r["post_cost"] == records[0]["post_cost"] for r in records)
+    pre = json.loads((out / "pre_event_snapshot.json").read_text())
+    assert [(p["round"], len(p["robots"])) for p in pre] == [(0, 3), (29, 3)]
+    stdout = capsys.readouterr().out
+    assert "event at round 1: " in stdout and "event at round 30: " in stdout
+
+
+@pytest.fixture(scope="module")
+def glyph_outputs(tmp_path_factory):
+    """`run` and `dynamic` on the glyph mission, each into its own directory."""
+    outs = {}
+    for command in ("run", "dynamic"):
+        outs[command] = tmp_path_factory.mktemp(command)
+        assert main([command, str(SCENARIOS / "dynamic_ants_2026.json"), "--out", str(outs[command])]) == 0
+    return outs
+
+
+def test_dynamic_glyph_mission(glyph_outputs):
+    """The "2026" arrival at round 80 is one record: 60 new assets, 16 of
+    the 24 robots changed, the cost from before the arrival to the end."""
+    summary = json.loads((glyph_outputs["dynamic"] / "dynamic_summary.json").read_text())
+    (record,) = summary["adaptation"]
+    assert (record["event_round"], record["new_assets"]) == (80, 60)
+    assert record["changed_robots"] == [0, 1, 2, 3, 4, 5, 6, 8, 10, 11, 13, 14, 16, 17, 18, 19]
+    assert round(record["pre_cost"], 1) == 6494.4 and round(record["post_cost"], 1) == 14651.5
+    (pre,) = json.loads((glyph_outputs["dynamic"] / "pre_event_snapshot.json").read_text())
+    assert (pre["round"], pre["metrics"]["total_cost"]) == (79, record["pre_cost"])
+
+
+def test_run_and_dynamic_write_the_same_outputs(glyph_outputs):
+    for name in ("trace.csv", "final_snapshot.json"):
+        assert (glyph_outputs["run"] / name).read_bytes() == (glyph_outputs["dynamic"] / name).read_bytes()
+
+
+def test_result_phases_are_contiguous_stretches(glyph_outputs):
+    """The glyph mission re-enters optimize after the round-80 arrival, so
+    each phase stretch is its own entry, with its last row's metrics."""
+    result = json.loads((glyph_outputs["run"] / "result.json").read_text())
+    phases = result["phases"]
+    assert [(p["phase"], p["first_round"], p["last_round"]) for p in phases] == [
+        ("explore", 0, 10),
+        ("optimize", 11, 13),
+        ("refine", 14, 80),
+        ("optimize", 81, 83),
+        ("refine", 84, 109),
+    ]
+    last = phases[-1]
+    assert (last["total_cost"], last["undercovered"]) == (result["total_cost"], 0)
+    assert last["overcovered"] == result["overcovered"]
+    # The arrival lands in round 80's row, the last of the first refine stretch.
+    row = (glyph_outputs["run"] / "trace.csv").read_text().splitlines()[81].split(",")
+    refine = phases[2]
+    assert row[:5] == ["80", "refine", "60", str(refine["overcovered"]), f"{refine['total_cost']:.6f}"]
+    assert refine["undercovered"] == 60
+
+
+def test_generate_preset_then_run_digests_phases(tmp_path):
+    """`generate --preset` then `run`: the trace and the phase digest."""
+    inst = tmp_path / "inst"
+    assert main(["generate", "--preset", "uni_sm", "--param", "10", "--out", str(inst)]) == 0
+    assert main(["run", str(inst / "instance.json"), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "trace.csv").read_text().startswith("round,phase,")
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    phases = result["phases"]
+    assert phases[0]["first_round"] == 0 and phases[-1]["last_round"] == result["rounds"]
+    assert all(b["first_round"] == a["last_round"] + 1 for a, b in zip(phases, phases[1:]))
 
 
 # -- scenario validation ----------------------------------------------------------
