@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, NoReturn, Optional, Sequence
 
 from .engine import AddAssets, AssetSpec, Event, KillRobot, WorldSnapshot, check_events
-from .geometry import Point
+from .geometry import Point, ordered_sum
 from .instances import (
     DEFAULT_R_COMM,
     DEFAULT_R_MAX,
@@ -406,7 +406,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"exact:       feasible={placement.feasible} cost={placement.total_cost:.6f}")
     if not (dist_ok and placement.feasible):
         return 2
-    gap = optimality_gap(sm.total_cost, placement.total_cost)
+    # Both costs as pi times the squared radii added in ascending order, so
+    # that equal placements give equal costs and a gap of exactly 0.
+    dist_cost, opt_cost = (
+        math.pi * ordered_sum(sorted(r * r for r in radii))
+        for radii in ([r.radius for r in result.snapshot.robots if r.alive], [d.radius for d in placement.disks])
+    )
+    gap = optimality_gap(dist_cost, opt_cost)
     if math.isfinite(gap):
         print(f"gap:         {gap:.2f}%")
     else:

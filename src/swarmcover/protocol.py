@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, combinations
@@ -164,10 +163,11 @@ class _View:
     """Every alive robot's local knowledge, carried by `run` from round to
     round.
 
-    This is the one place local knowledge is computed, all for `snapshot`:
-    the alive robots, the neighbor map, and three robot x asset matrices,
-    one row per robot id (a dead robot's rows are empty) and one column per
-    asset id:
+    This is the one place local knowledge is computed, all for `snapshot`,
+    and the run's completion tests read it too (`coverage_satisfied`,
+    `holders_certified`): the alive robots, the neighbor map, and three
+    robot x asset matrices, one row per robot id (a dead robot's rows are
+    empty) and one column per asset id:
 
     * `sensed`, bool: the assets within r_max, each row straight from the
       test of `geometry.sq_dist_blocks`;
@@ -354,6 +354,12 @@ class _View:
         """Robot rid's assets, farthest from its center first, ties by id."""
         robot = self.robot[rid]
         return sorted(robot.assigned, key=lambda a: (-dist2(robot.pos, self.assets[a].pos), a))
+
+    def releasable(self, rid: int) -> list[int]:
+        """Robot rid's held assets, farthest first (`farthest_first`), whose
+        cover count exceeds their need: rid may let one go and its
+        neighborhood still counts kappa holders."""
+        return [a for a in self.farthest_first(rid) if self.cover.item(rid, a) > self.need.item(a)]
 
     def donor_disk(self, donor: int, asset_id: int) -> Disk:
         """Enclosing disk of the donor's assets other than asset_id."""
@@ -827,7 +833,7 @@ def has_undercovered_views(snapshot: WorldSnapshot) -> bool:
     return any(view.deficit_mask(rows).any() for rows in _row_blocks(*view.held.shape))
 
 
-def coverage_satisfied(snapshot: WorldSnapshot) -> bool:
+def coverage_satisfied(snapshot: WorldSnapshot, view: _View) -> bool:
     """Phase-2 completion test: every discovered asset has at least kappa
     distinct holders.
 
@@ -839,21 +845,15 @@ def coverage_satisfied(snapshot: WorldSnapshot) -> bool:
     assets whose holders sit outside communication range.  Assets no robot
     senses or holds are undiscovered; they do not block completion and are
     surfaced through the metrics instead.
+
+    It reads the view: each asset's holders, counted down its column of
+    `_View.held`, against `_View.need`, and the rows of `_View.sensed`.
     """
-    alive = [r for r in snapshot.robots if r.alive]
-    holders = Counter()
-    for r in alive:
-        holders.update(r.assigned)
-    r_max2 = snapshot.params.r_max ** 2
-    for a in snapshot.assets:
-        got = holders[a.id]
-        if got >= a.kappa:
-            continue
-        if got > 0:
-            return False
-        if any(dist2(r.pos, a.pos) <= r_max2 for r in alive):
-            return False
-    return True
+    view.update(snapshot)
+    holders = view.held.sum(axis=0)
+    short = holders < view.need
+    short &= (holders > 0) | view.sensed.any(axis=0)
+    return not short.any()
 
 
 def holders_certified(snapshot: WorldSnapshot, view: _View) -> bool:
@@ -886,7 +886,8 @@ def fallback_assign(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[
     the largest spare capacity (r_max - r_i) among those that still have a
     deficit (see `_View.deficits`) takes its nearest one; if the grown
     disk would exceed r_max it first releases its own locally overcovered
-    assets farthest-first, one at a time, retrying after each.
+    assets farthest-first (`_View.releasable`), one at a time, retrying
+    after each.
     """
     view.update(snapshot)
     r_max = snapshot.params.r_max
@@ -912,20 +913,14 @@ def fallback_assign(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[
         target = min(view.deficits(actor), key=lambda a: (dist2(robot.pos, view.assets[a].pos), a))
         tpos = view.assets[target].pos
         keep = sorted(robot.assigned)
-        releasable = [
-            q for q in view.farthest_first(actor) if view.local_coverage(actor, q) - 1 >= view.assets[q].kappa
-        ]
-        rel_idx = 0
-        while True:
+        for release in (None, *view.releasable(actor)):  # if none fits, the component is stuck for now
+            if release is not None:
+                keep.remove(release)
             d = min_enclosing_disk(view.positions(keep) + [tpos])
             if d.radius <= r_max:
                 assigned = frozenset(keep) | {target}
                 proposals[actor] = Proposal(d.center, _finalize_radius(d.radius, r_max), assigned)
                 break
-            if rel_idx >= len(releasable):
-                break  # this component is stuck for now
-            keep.remove(releasable[rel_idx])
-            rel_idx += 1
     return proposals, bool(proposals)
 
 
@@ -1243,10 +1238,10 @@ def phase3_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
 
     Each robot builds a removal intent set greedily (farthest asset first,
     only removals that strictly shrink its disk, only assets its local view
-    shows overcovered).  An intent executes unless the surviving cover count,
-    discounted by intending neighbors with lower h64 priority, would fall
-    below kappa; the hash ordering lets exactly the right subset proceed when
-    neighbors contend for the same slack.
+    shows overcovered: `_View.releasable`).  An intent executes unless the
+    surviving cover count, discounted by intending neighbors with lower h64
+    priority, would fall below kappa; the hash ordering lets exactly the
+    right subset proceed when neighbors contend for the same slack.
     """
     view.update(snapshot)
     r_max = snapshot.params.r_max
@@ -1254,14 +1249,10 @@ def phase3_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
     intents: dict[int, list[int]] = {}
     for rid in view.alive_ids:
         robot = view.robot[rid]
-        if not robot.assigned:
-            continue
         keep = set(robot.assigned)
         r_cur = robot.radius
         intent: list[int] = []
-        for asset_id in view.farthest_first(rid):
-            if view.local_coverage(rid, asset_id) - 1 < view.assets[asset_id].kappa:
-                continue
+        for asset_id in view.releasable(rid):
             trial = consolidate(robot.pos, keep - {asset_id}, view.assets)
             if trial.radius < r_cur:
                 intent.append(asset_id)
@@ -1322,27 +1313,29 @@ def run(
     shape = grid_partition(params.m, cfg.lam)
     starts = initial_positions(params.m, params.workspace, shape)
     robots = tuple(RobotState(i, starts[i], 0.0, frozenset(), True) for i in range(params.m))
-    pending = sorted(events, key=lambda e: e.at_round)
+    pending = list(events)
     snapshot = WorldSnapshot(0, Phase.EXPLORE, robots, instance.assets, params)
     pre_event: list[tuple[int, WorldSnapshot]] = []
-    due0 = [e for e in pending if e.at_round == 0]
-    if due0:
-        pre_event.append((0, snapshot))
-        snapshot = apply_events(snapshot, due0)
-        pending = [e for e in pending if e.at_round > 0]
+
+    def take_due(rnd: int) -> list[Event]:
+        # Take the events due at round rnd off pending, noting the snapshot.
+        nonlocal pending
+        due = [e for e in pending if e.at_round == rnd]
+        if due:
+            pre_event.append((rnd, snapshot))
+            pending = [e for e in pending if e.at_round != rnd]
+        return due
+
+    if due := take_due(0):
+        snapshot = apply_events(snapshot, due)
     # The round metrics are carried like the view (see `metrics.CoverTally`).
     tally = CoverTally()
     trace: list[RoundMetrics] = [summarize(snapshot, tally=tally)]
     swaps: list[SwapRecord] = []
 
     def advance(plan: dict[int, Proposal], phase: Phase) -> None:
-        nonlocal snapshot, pending
-        due = [e for e in pending if e.at_round == snapshot.round + 1]
-        if due:
-            pre_event.append((snapshot.round + 1, snapshot))
-            pending = [e for e in pending if e.at_round != snapshot.round + 1]
-        new_snapshot, rm = step(snapshot, plan, due, next_phase=phase, tally=tally)
-        snapshot = new_snapshot
+        nonlocal snapshot
+        snapshot, rm = step(snapshot, plan, take_due(snapshot.round + 1), next_phase=phase, tally=tally)
         trace.append(rm)
 
     # Phase 1: Lloyd iterations until displacements settle, then lock disks.
@@ -1379,7 +1372,7 @@ def run(
         # deficits nobody can serve, or custodians that cannot reach enough
         # peers to confirm coverage.
         while True:
-            if coverage_satisfied(snapshot) and holders_certified(snapshot, view):
+            if coverage_satisfied(snapshot, view) and holders_certified(snapshot, view):
                 break
             plan, progress = phase2_round(snapshot, cfg, view)
             if not progress:
@@ -1409,7 +1402,7 @@ def run(
         # preserve membership coverage; it only reopens through events.
         sweep_budget = cfg.max_swap_sweeps
         removal_budget = cfg.max_iters_phase3
-        while coverage_satisfied(snapshot):
+        while coverage_satisfied(snapshot, view):
             acted = False
             while sweep_budget > 0:
                 plan, progress, records = swap_round(snapshot, cfg, view)
@@ -1419,7 +1412,7 @@ def run(
                 advance(plan, Phase.REFINE)
                 sweep_budget -= 1
                 acted = True
-            if not coverage_satisfied(snapshot):
+            if not coverage_satisfied(snapshot, view):
                 break
             while removal_budget > 0:
                 plan, progress = phase3_round(snapshot, cfg, view)
@@ -1433,7 +1426,7 @@ def run(
 
         # Re-optimize when an event during the later stages reopened coverage,
         # or after idling forward to the next scheduled event.
-        if coverage_satisfied(snapshot):
+        if coverage_satisfied(snapshot, view):
             if not pending:
                 break
             coast_to_next_event()

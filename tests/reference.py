@@ -11,10 +11,11 @@ program code calls them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Optional, Sequence
 
 from swarmcover.engine import RobotState, WorldSnapshot
-from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, dist
+from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, dist, dist2
 from swarmcover.instances import Asset
 from swarmcover.metrics import RoundMetrics, total_cost
 from swarmcover.protocol import (
@@ -96,6 +97,34 @@ def summarize(snapshot: WorldSnapshot, max_displacement: float = 0.0) -> RoundMe
         max_displacement=max_displacement,
         undiscovered_count=undiscovered,
     )
+
+
+def coverage_satisfied(snapshot: WorldSnapshot) -> bool:
+    """Every discovered asset has at least kappa distinct holders, from the
+    snapshot alone: the holders counted over the alive robots' assigned
+    sets, and each asset none of them holds sensed by scanning every alive
+    robot; what `protocol.coverage_satisfied` reads from the view."""
+    alive = [r for r in snapshot.robots if r.alive]
+    holders = Counter()
+    for r in alive:
+        holders.update(r.assigned)
+    r_max2 = snapshot.params.r_max ** 2
+    for a in snapshot.assets:
+        got = holders[a.id]
+        if got >= a.kappa:
+            continue
+        if got > 0:
+            return False
+        if any(dist2(r.pos, a.pos) <= r_max2 for r in alive):
+            return False
+    return True
+
+
+def releasable(view: _View, rid: int) -> list[int]:
+    """Robot rid's held assets, farthest first, that its cover counts still
+    show at kappa without it: the filter that `_View.releasable` reads
+    against `_View.need`."""
+    return [q for q in view.farthest_first(rid) if view.local_coverage(rid, q) - 1 >= view.assets[q].kappa]
 
 
 def marginal_cost(snapshot: WorldSnapshot, rid: int, asset_id: int) -> float:

@@ -379,6 +379,18 @@ def test_generate_then_compare_reports_gap(tmp_path, capsys):
     assert capsys.readouterr().out.count("gap:") == 2
 
 
+def test_compare_prints_zero_gap_for_equal_placements(tmp_path, capsys):
+    """Seed 10 of the README's gap loop: the distributed placement has the
+    optimum's three radii, so the gap is 0, not -0.00% from costs summed in
+    different orders."""
+    out = tmp_path / "case10"
+    argv = ["generate", "--n", "8", "--m", "3", "--workspace", "0,60,0,60", "--kappa", "1,2",
+            "--r-comm", "120", "--r-max", "45", "--seed", "10", "--out", str(out)]
+    assert main(argv) == 0
+    assert main(["compare", str(out / "instance.json")]) == 0
+    assert "\ngap:         0.00%\n" in capsys.readouterr().out
+
+
 def test_compare_refuses_oversized(tmp_path, capsys):
     big = write_json(
         tmp_path / "big.json",

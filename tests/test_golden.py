@@ -1,4 +1,4 @@
-"""Golden outputs: three missions must reproduce recorded fingerprints.
+"""Golden outputs: five missions must reproduce recorded fingerprints.
 
 The fingerprint is the sha256 of the bytes `metrics.write_trace` writes,
 followed by the JSON of the final robot states (id, position, radius,
@@ -31,6 +31,12 @@ LADDER_250_FINGERPRINT = "56f18d46d6ae13d0644fbcb2e81cd7ad4c3a6548eb9d99dd2f3d4e
 LADDER_1000_FINGERPRINT = "2f22a3c11aa3c17890390583a7183971313f5f82d4cbe87711e2f43ec6f166e3"
 # The event mission of test_run.py::test_dynamic_events_add_and_kill.
 EVENT_MISSION_FINGERPRINT = "51f8d3697bfc9c11e2248bcbb832d07f62b6b61425b77286669d8a8e2a430c7a"
+# Two missions of 200 assets / 50 robots on 100 m that do not end
+# feasible, so the cap, the fallback and the stall are pinned too: with
+# r_comm 10 (input seed 101) the fallback fires and the phase-2 cap ends the
+# run; with r_max 10 (input seed 100) deficits no robot can serve stall it.
+STARVED_COMM_FINGERPRINT = "c1af82878265ebd6a54f7272b5804a58d4c35c67e2e544b88d9372e1e4f2ff47"
+STARVED_SENSE_FINGERPRINT = "450f0365a9b9e9ecd79cf17e89fe09d11c857c2f374369c77f4a0b1fa5a7b0ce"
 
 
 def fingerprint(result, tmp_path) -> str:
@@ -85,6 +91,32 @@ def test_ladder_1000_fingerprint(tmp_path):
     res = run(inst, Config(), (), 0)
     assert res.status is RunStatus.FEASIBLE
     assert fingerprint(res, tmp_path) == LADDER_1000_FINGERPRINT
+
+
+def starved(seed: int, r_comm: float, r_max: float) -> Instance:
+    ws = Workspace(0.0, 100.0, 0.0, 100.0)
+    return Instance(ws, tuple(generate_uniform(200, ws, (1, 2, 3), seed)), 50, r_comm, r_max)
+
+
+def test_starved_comm_fingerprint(monkeypatch, tmp_path):
+    fallback, fired = protocol.fallback_assign, 0
+
+    def counting_fallback(*args):
+        nonlocal fired
+        plan, progress = fallback(*args)
+        fired += progress
+        return plan, progress
+
+    monkeypatch.setattr(protocol, "fallback_assign", counting_fallback)
+    res = run(starved(101, 10.0, 40.0), Config(max_iters_phase2=30))
+    assert (res.status, res.snapshot.round, fired) == (RunStatus.ITERATION_CAP, 36, 16)
+    assert fingerprint(res, tmp_path) == STARVED_COMM_FINGERPRINT
+
+
+def test_starved_sense_fingerprint(tmp_path):
+    res = run(starved(100, 55.0, 10.0))
+    assert (res.status, res.snapshot.round) == (RunStatus.INFEASIBLE, 12)
+    assert fingerprint(res, tmp_path) == STARVED_SENSE_FINGERPRINT
 
 
 def test_ladder_250_auctions_price_lazily(monkeypatch):

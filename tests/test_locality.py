@@ -6,8 +6,10 @@ counts of `summarize` scan squared distances in the blocks of
 `geometry.sq_dist_blocks`, at any block size; those cover counts are
 carried from round to round in a `metrics.CoverTally`; each robot's
 knowledge, cover counts and deficits come from the round's view alone, as
-robot x asset matrices whose count dtype must not wrap, and the completion
-certificate reuses its cover counts; the swap sweep reads memoized disks
+robot x asset matrices whose count dtype must not wrap; the completion
+test (`coverage_satisfied`, against the holder `Counter` and sensing scan
+of `reference.coverage_satisfied`) and certificate read those matrices,
+and each robot's releasable assets its counts against kappa; the swap sweep reads memoized disks
 and candidate lists from that view, and the auctions list their
 auctioneers and candidates from its matrices and decide every
 auctioneer's deficit from
@@ -18,8 +20,9 @@ exactly the threshold distance, at negative coordinates, with zero radii,
 dead robots, no alive robot or no asset, with ties, and when r_comm equals
 r_max.
 The view `run` carries from round to round must equal a fresh view of each
-round, memos and neighbor map included, and the carried tally must give the
-counts of a recount of each round.
+round, memos and neighbor map included, and classify completion as the
+reference does, and the carried tally must give the counts of a recount of
+each round.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from swarmcover.protocol import (
     _swap_candidates,
     _View,
     consolidate,
+    coverage_satisfied,
     has_undercovered_views,
     holders_certified,
     lloyd_round,
@@ -606,6 +610,48 @@ def test_holders_certified_matches_brute_force(snap):
     assert holders_certified(snap, _View(snap)) == certificate_reference(snap)
 
 
+def completion_case(robots, assets) -> WorldSnapshot:
+    return WorldSnapshot(3, Phase.OPTIMIZE, tuple(robots), tuple(assets), Params(WS, len(robots), 55.0, 40.0))
+
+
+# Robot 0 holds asset 0 and is the only observer of asset 1, which nobody
+# holds, at exactly r_max (24^2 + 32^2 = 40^2, exact in binary).
+RIM_OBSERVER = completion_case(
+    [RobotState(0, Point(0.0, 0.0), 0.0, frozenset({0}), True)],
+    [Asset(0, Point(0.0, 0.0), 1), Asset(1, Point(-24.0, 32.0), 1)],
+)
+# Two holders of an asset whose kappa, 4, is above m + 1; both also hold
+# a kappa-1 asset, which either could release.
+KAPPA_ABOVE_M = completion_case(
+    [RobotState(i, Point(float(i), 0.0), 1.0, frozenset({0, 1}), True) for i in range(2)],
+    [Asset(0, Point(0.0, 0.0), 4), Asset(1, Point(1.0, 0.0), 1)],
+)
+# A dead robot sits on asset 0; the one alive robot is beyond r_max of it.
+DEAD_OBSERVER = completion_case(
+    [RobotState(0, Point(0.0, 0.0), 0.0, frozenset(), False), RobotState(1, Point(100.0, 0.0), 0.0, frozenset({1}), True)],
+    [Asset(0, Point(0.0, 0.0), 1), Asset(1, Point(100.0, 0.0), 1)],
+)
+
+
+def test_completion_fixtures():
+    assert [reference.coverage_satisfied(s) for s in (RIM_OBSERVER, KAPPA_ABOVE_M, DEAD_OBSERVER)] == [False, False, True]
+    assert reference.releasable(_View(KAPPA_ABOVE_M), 0) == [1]
+
+
+@given(st.one_of(worlds(), holding_worlds()))
+@example(RIM_OBSERVER)
+@example(KAPPA_ABOVE_M)
+@example(DEAD_OBSERVER)
+@example(NO_ALIVE)
+@example(NO_ASSETS)
+@settings(max_examples=200, deadline=None)
+def test_completion_and_release_read_the_view(snap):
+    view = _View(snap)
+    assert coverage_satisfied(snap, view) == reference.coverage_satisfied(snap)
+    for rid in view.alive_ids:
+        assert view.releasable(rid) == reference.releasable(view, rid)
+
+
 # -- auctions -----------------------------------------------------------------
 
 
@@ -904,6 +950,7 @@ def test_carried_view_matches_fresh_view(snap, data):
         assert swaps == outcome(lambda: swap_round(snap, cfg, _View(snap)))
         assert outcome(lambda: phase2_round(snap, cfg, view)) == outcome(lambda: phase2_round(snap, cfg, _View(snap)))
         assert holders_certified(snap, view) == holders_certified(snap, _View(snap))
+        assert coverage_satisfied(snap, view) == reference.coverage_satisfied(snap)
         for rid in view.alive_ids:
             for asset_id in view.robot[rid].assigned:
                 view.donor_disk(rid, asset_id)
@@ -940,6 +987,7 @@ def test_run_carries_a_fresh_view_through_every_round(monkeypatch, mission):
         if snapshot.round not in checked:
             checked.add(snapshot.round)
             assert_view_is_fresh(self)
+            assert coverage_satisfied(snapshot, self) == reference.coverage_satisfied(snapshot)
 
     monkeypatch.setattr(_View, "_build", counted_build)
     monkeypatch.setattr(_View, "update", checked_update)

@@ -853,24 +853,24 @@ def test_coverage_satisfied_cases():
     assets = mkassets([(0, 0, 2)])
     two = wide_snap([mkrobot(0, 0, 0, {0}), mkrobot(1, 1, 0, {0})], assets)
     one = wide_snap([mkrobot(0, 0, 0, {0}), mkrobot(1, 1, 0)], assets)
-    assert coverage_satisfied(two)
-    assert not coverage_satisfied(one)
+    assert coverage_satisfied(two, _View(two))
+    assert not coverage_satisfied(one, _View(one))
 
 
 def test_coverage_satisfied_ignores_undiscovered():
     # nobody holds or senses the far asset: it does not block completion
     assets = mkassets([(0, 0, 1), (150, 0, 1)])
     snap = wide_snap([mkrobot(0, 0, 0, {0})], assets, r_max=40.0)
-    assert coverage_satisfied(snap)
+    assert coverage_satisfied(snap, _View(snap))
     # a robot that could sense it makes the deficit real
     near = wide_snap([mkrobot(0, 0, 0, {0}), mkrobot(1, 140, 0)], assets, r_max=40.0)
-    assert not coverage_satisfied(near)
+    assert not coverage_satisfied(near, _View(near))
 
 
 def test_holders_certified_detects_blind_custodian():
     assets = mkassets([(0, 0, 2)])
     split = wide_snap([mkrobot(0, 0, 0, {0}), mkrobot(1, 100, 0, {0})], assets, r_comm=55.0)
-    assert coverage_satisfied(split)  # omnisciently fine
+    assert coverage_satisfied(split, _View(split))  # omnisciently fine
     assert not holders_certified(split, _View(split))  # neither holder can verify it
     joined = wide_snap([mkrobot(0, 0, 0, {0}), mkrobot(1, 50, 0, {0})], assets, r_comm=55.0)
     assert holders_certified(joined, _View(joined))

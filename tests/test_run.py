@@ -268,9 +268,10 @@ def test_full_connectivity_missions_feasible(n, m, seed):
     square's diagonal), every kappa<=m mission must finish feasible and
     respect the safety invariants.  r_max 45 m does not reach the far corner
     from everywhere, so an asset no robot ever senses can stay undiscovered;
-    that does not block completion (see coverage_satisfied).  Every asset
-    some alive robot senses or holds must have kappa holders, and the rest
-    must show up as undiscovered."""
+    that does not block completion (see protocol.coverage_satisfied, which
+    reads the run's carried view).  Every asset some alive robot senses or
+    holds must have kappa holders, and the rest must show up as
+    undiscovered."""
     inst = uniform_instance(n, m, seed, kappa=(1, 2), r_comm=85.0, r_max=45.0)
     res = run(inst)
     assert res.status is RunStatus.FEASIBLE
