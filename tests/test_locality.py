@@ -9,19 +9,18 @@ knowledge, cover counts and deficits come from the round's view alone, as
 robot x asset matrices whose count dtype must not wrap; the completion
 test (`coverage_satisfied`, against the holder `Counter` and sensing scan
 of `reference.coverage_satisfied`) and certificate read those matrices,
-and each robot's releasable assets its counts against kappa; the swap sweep reads memoized disks
-and candidate lists from that view, and the auctions list their
-auctioneers and candidates from its matrices and decide every
-auctioneer's deficit from
-one sorted list of bids per asset, ranked by bounds that one vectorized
-pass computes for the whole round.  Each must give exactly what the
-all-pairs or scalar definition gives, including at
-exactly the threshold distance, at negative coordinates, with zero radii,
-dead robots, no alive robot or no asset, with ties, and when r_comm equals
-r_max.
+and each robot's releasable assets its counts against kappa; the swap
+sweep reads memoized disks and candidate lists from that view, and the
+auctions list their auctioneers and candidates from its matrices and
+decide every auctioneer's deficit from one sorted list of bids per asset,
+ranked by bounds that one vectorized pass computes for the whole round.
+Each must give exactly what the all-pairs or scalar definition gives,
+including at exactly the threshold distance, at negative coordinates, with
+zero radii, dead robots, no alive robot or no asset, with ties, and when
+r_comm equals r_max.
 The view `run` carries from round to round must equal a fresh view of each
 round, memos and neighbor map included, and classify completion as the
-reference does, and the carried tally must give the counts of a recount of
+reference does; the carried tally must give the counts of a recount of
 each round.
 """
 
@@ -987,6 +986,8 @@ def test_run_carries_a_fresh_view_through_every_round(monkeypatch, mission):
         if snapshot.round not in checked:
             checked.add(snapshot.round)
             assert_view_is_fresh(self)
+            # This updates the view again, which returns at once: the view
+            # is at snapshot and its round is checked.
             assert coverage_satisfied(snapshot, self) == reference.coverage_satisfied(snapshot)
 
     monkeypatch.setattr(_View, "_build", counted_build)
