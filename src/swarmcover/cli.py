@@ -6,10 +6,10 @@ Subcommands:
 * ``run``       — execute a scenario, write trace + snapshots + result,
   whose ``phases`` list digests each contiguous stretch of one phase
 * ``sweep``     — sensitivity sweep over one parameter, emit summary CSV
-* ``compare``   — distributed cost vs the exact solver on a tiny instance
+* ``compare``   — distributed cost vs the exact solver, tiny instance, no events
 * ``dynamic``   — ``run``, plus one adaptation record per round at which
   events fired: the robots changed and the cost from there to the end
-* ``oracle``    — exact solver only, emit the placement as JSON
+* ``oracle``    — exact solver only, no events, emit the placement as JSON
 
 Exit codes: 0 feasible, 2 infeasible (or iteration cap), 1 I/O or
 validation error, a bad command-line argument included.  The seed drives
@@ -390,15 +390,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _load_static(args: argparse.Namespace) -> Scenario:
     scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
+    if scenario.events:
+        raise ScenarioError(f"{args.command} takes no events: the exact solver sees only the initial assets")
+    return scenario
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    scenario = _load_static(args)
     inst = scenario.instance
     if inst.n > SOLVE_MAX_ASSETS or inst.m > SOLVE_MAX_ROBOTS:
         raise ScenarioError(
             f"refusing: exact solver is limited to {SOLVE_MAX_ASSETS} assets "
             f"and {SOLVE_MAX_ROBOTS} robots (got n={inst.n}, m={inst.m})"
         )
-    result = run(inst, scenario.config, scenario.events)
+    result = run(inst, scenario.config)
     sm = result.trace[-1]
     placement = solve_exact(inst.assets, inst.m, inst.r_max)
     dist_ok = result.status is RunStatus.FEASIBLE and sm.undercovered_count == 0
@@ -457,7 +464,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    scenario = load_scenario(Path(args.scenario), args.seed, _opt_path(args.config))
+    scenario = _load_static(args)
     inst = scenario.instance
     placement = solve_exact(inst.assets, inst.m, inst.r_max)
     payload = {

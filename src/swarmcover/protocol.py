@@ -13,13 +13,14 @@ so runs are deterministic end to end.  Nothing in the protocol is random:
 each enclosing disk is a function of the sequence of points it is solved
 over (see `geometry`), and that sequence comes from the snapshot alone.
 
-The robots' local knowledge lives in one `_View`, which `run` builds once
+The robots' local knowledge lives in one `_View`, which `run` creates once
 and carries from round to round (see `_View.update`).  It keeps what each
 robot senses, holds and counts as robot x asset NumPy matrices, the counts
 in the smallest unsigned dtype that holds m + 1, and derives knowledge and
 deficits from them.  Each phase function takes it as its last argument and
-carries it to the snapshot it decides on; the carried view always equals a
-fresh `_View(snapshot)`, so the decisions are those of a view built for
+carries it to the snapshot it decides on.  A new view is an empty one
+carried to its snapshot the same way, so the carried view always equals a
+fresh `_View(snapshot)`, and the decisions are those of a view made for
 that snapshot alone.
 """
 
@@ -172,8 +173,8 @@ class _View:
     * `sensed`, bool: the assets within r_max, each row straight from the
       test of `geometry.sq_dist_blocks`;
     * `held`, bool: each robot's assigned set;
-    * `cover`, unsigned: the membership cover counts (see `_cover_counts`),
-      in the smallest unsigned dtype that holds m + 1 (`_count_dtype`).
+    * `cover`, unsigned: the holders of the asset among the robot and its
+      neighbors, in the smallest unsigned dtype that holds m + 1 (`_count_dtype`).
 
     `need` is each asset's kappa capped at m + 1 in that dtype: a count is
     at most m, so `cover < need` is the test `cover < kappa`, and it makes
@@ -209,30 +210,34 @@ class _View:
       count of an asset it does not hold is read by neither (see
       `swap_round`).
 
-    An event (new assets, a robot killed) rebuilds the whole view.  So the
-    view always equals a fresh `_View(snapshot)`, and per-robot decisions
-    that consult it stay pure functions of the snapshot.
+    This is the only path to a snapshot.  A new view, or an event (new
+    assets, a robot killed), first empties the view (`_reset`): every robot
+    is dead, holds nothing and stands nowhere, so each alive one moves and
+    gains its whole assigned set.  So the view always equals a fresh
+    `_View(snapshot)`, and decisions that consult it stay pure functions of
+    the snapshot.
     """
 
     def __init__(self, snapshot: WorldSnapshot):
-        self._build(snapshot)
+        self.snapshot: Optional[WorldSnapshot] = None
+        self.update(snapshot)
 
-    def _build(self, snapshot: WorldSnapshot) -> None:
-        self.snapshot = snapshot
+    def _reset(self, snapshot: WorldSnapshot) -> None:
+        # Empty the view for snapshot's assets, params and alive robots;
+        # `update` goes on to carry it to snapshot.
         self.params = snapshot.params
         self.assets = snapshot.assets
         self.asset_x = np.array([a.pos.x for a in self.assets], dtype=np.float64)
         self.asset_y = np.array([a.pos.y for a in self.assets], dtype=np.float64)
-        self.robot = snapshot.robots  # robot ids are dense
+        nobody = RobotState(-1, None, 0.0, frozenset(), False)  # type: ignore[arg-type]
+        self.robot = (nobody,) * len(snapshot.robots)  # robot ids are dense
         self.alive_ids = [r.id for r in snapshot.robots if r.alive]
-        self.nbrs = neighbor_map(snapshot)
+        self.nbrs: dict[int, tuple[int, ...]] = {}
         shape = (len(self.robot), len(self.assets))
         self.need = np.minimum([a.kappa for a in self.assets], shape[0] + 1).astype(_count_dtype(shape[0]))
         self.held = np.zeros(shape, dtype=bool)
-        self._hold([self.robot[rid] for rid in self.alive_ids])
         self.sensed = np.zeros(shape, dtype=bool)
-        self._sense(self.alive_ids)
-        self.cover = _cover_counts(snapshot, self.nbrs)
+        self.cover = np.zeros(shape, dtype=self.need.dtype)
         self._donor_disks: dict[int, dict[int, Disk]] = {}
         self._donor_bounds: dict[int, dict[int, float]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
@@ -260,17 +265,16 @@ class _View:
         """Carry the view to `snapshot` (see the class docstring)."""
         if snapshot is self.snapshot:
             return
-        prev = self.robot
-        changed = [r for r, old in zip(snapshot.robots, prev) if r is not old]
         if (
-            snapshot.assets is not self.assets
+            self.snapshot is None
+            or snapshot.assets is not self.assets
             or snapshot.params != self.params
-            or any(r.alive != prev[r.id].alive for r in changed)
+            or any(r.alive != old.alive for r, old in zip(snapshot.robots, self.robot) if r is not old)
         ):
-            self._build(snapshot)
-            return
+            self._reset(snapshot)
         self.snapshot = snapshot
-        self.robot = snapshot.robots
+        prev, self.robot = self.robot, snapshot.robots
+        changed = [r for r, old in zip(snapshot.robots, prev) if r is not old and r.alive]
         old_nbrs = self.nbrs
         moved = [r.id for r in changed if r.pos != prev[r.id].pos]
         # (rows, gained, lost) blocks of cover count changes.  The neighbor
@@ -281,14 +285,14 @@ class _View:
             self._sense(moved)
             self.nbrs = neighbor_map(snapshot)
             for j in self.alive_ids:
-                if self.nbrs[j] != old_nbrs[j]:
-                    was, now = set(old_nbrs[j]), set(self.nbrs[j])
+                if self.nbrs[j] != old_nbrs.get(j, ()):
+                    was, now = set(old_nbrs.get(j, ())), set(self.nbrs[j])
                     patches.append((now - was, self.robot[j].assigned, ()))
                     patches.append((was - now, (), prev[j].assigned))
         reassigned = [r for r in changed if r.assigned != prev[r.id].assigned]
         for r in reassigned:
             old = prev[r.id].assigned
-            kept = set(old_nbrs[r.id]).intersection(self.nbrs[r.id])
+            kept = set(old_nbrs.get(r.id, ())).intersection(self.nbrs[r.id])
             kept.add(r.id)
             patches.append((kept, r.assigned - old, old - r.assigned))
         self._hold(reassigned)
@@ -420,21 +424,6 @@ def _cells(rows: Sequence[Collection[int]], cols: Sequence[Collection[int]], n: 
     row = row_ids[(np.cumsum(r) - r)[block] + k // width]
     col = col_ids[(np.cumsum(c) - c)[block] + k % width]
     return row * n + col
-
-
-def _cover_counts(snapshot: WorldSnapshot, nbrs: Mapping[int, Sequence[int]]) -> np.ndarray:
-    """The membership cover counts, a row per robot id and a column per
-    asset id: the number of holders of the asset among the robot and its
-    neighbors (0 in a dead robot's row).  Since the neighbor relation is
-    symmetric, each alive robot adds 1 at the rows of itself and its
-    neighbors and the columns of its assets, in one `np.ix_` block."""
-    robots = snapshot.robots
-    cover = np.zeros((len(robots), len(snapshot.assets)), dtype=_count_dtype(len(robots)))
-    for rid, near in nbrs.items():
-        held = robots[rid].assigned
-        if held:
-            cover[np.ix_([rid, *near], _ids(held))] += 1
-    return cover
 
 
 def _finalize_radius(radius: float, r_max: float) -> float:
@@ -828,7 +817,8 @@ def has_undercovered_views(snapshot: WorldSnapshot) -> bool:
     holder cannot add its own asset (a neighbor who could will see the same
     deficit through the holder's published list).  Diagnostic: views lag the
     true state, so this can stay true forever on assets whose covers sit
-    outside the observer's communication range."""
+    outside the observer's communication range.  No program code calls it:
+    `perfbench/spans.py` times it before every phase call (ROADMAP item 3)."""
     view = _View(snapshot)
     return any(view.deficit_mask(rows).any() for rows in _row_blocks(*view.held.shape))
 
@@ -1301,10 +1291,10 @@ def run(
     records, and wall-clock milestones.  An event that cannot apply to the
     instance raises ValueError (see `engine.check_events`).
 
-    `seed` is a no-op, kept so that callers which pass it by position keep
-    working: the protocol has no randomness, and every enclosing disk is a
-    function of the sequence of points it is solved over (see
-    `geometry.min_enclosing_disk`).
+    `seed` is a no-op: the protocol has no randomness, and every enclosing
+    disk is a function of the sequence of points it is solved over (see
+    `geometry.min_enclosing_disk`).  It is kept because `perfbench/run.py`
+    passes it by position (ROADMAP item 3).
     """
     cfg = config if config is not None else Config()
     check_events(events, instance)

@@ -4,15 +4,16 @@ Each one answers a question the program answers through a blocked NumPy
 distance scan, the round's carried view, the carried cover tally or a
 vectorized pass, but from its definition: a scalar loop over every pair,
 a fresh `_View` built for a single query, or a recount of a whole
-snapshot.  No
-program code calls them.
+snapshot.  No program code calls them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from swarmcover.engine import RobotState, WorldSnapshot
 from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, dist, dist2
@@ -23,8 +24,10 @@ from swarmcover.protocol import (
     Config,
     SwapDecision,
     _bid,
+    _count_dtype,
     _finalize_radius,
     _grow_disk,
+    _ids,
     _View,
     consolidate,
 )
@@ -118,6 +121,22 @@ def coverage_satisfied(snapshot: WorldSnapshot) -> bool:
         if any(dist2(r.pos, a.pos) <= r_max2 for r in alive):
             return False
     return True
+
+
+def cover_counts(snapshot: WorldSnapshot, nbrs: Mapping[int, Sequence[int]]) -> np.ndarray:
+    """The membership cover counts, a row per robot id and a column per
+    asset id: the number of holders of the asset among the robot and its
+    neighbors (0 in a dead robot's row).  Since the neighbor relation is
+    symmetric, each alive robot adds 1 at the rows of itself and its
+    neighbors and the columns of its assets, in one `np.ix_` block; what
+    `_View.update` patches by deltas."""
+    robots = snapshot.robots
+    cover = np.zeros((len(robots), len(snapshot.assets)), dtype=_count_dtype(len(robots)))
+    for rid, near in nbrs.items():
+        held = robots[rid].assigned
+        if held:
+            cover[np.ix_([rid, *near], _ids(held))] += 1
+    return cover
 
 
 def releasable(view: _View, rid: int) -> list[int]:

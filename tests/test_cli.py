@@ -429,6 +429,18 @@ def test_oracle_infeasible_exit(pigeonhole_scenario):
     assert main(["oracle", str(pigeonhole_scenario)]) == 2
 
 
+@pytest.mark.parametrize("command", ["compare", "oracle"])
+def test_exact_solver_refuses_events(tiny_scenario, capsys, command):
+    """The exact solver sees only the initial assets, so a scenario with
+    events gets an error, not the gap or placement of another instance."""
+    data = json.loads(tiny_scenario.read_text())
+    data["events"] = [add_assets(at_round=2, x=10.0, y=20.0, kappa=2)]
+    assert main([command, str(write_json(tiny_scenario, data))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {command} takes no events")
+
+
 # -- dynamic ----------------------------------------------------------------------
 
 

@@ -160,14 +160,14 @@ def test_ladder_250_carries_one_view(monkeypatch):
     # bounding the receiver's grown disk too, before either disk is solved,
     # and a donor bound that sees the rim cut them to 37 and the receiver
     # solves from 25 to 16.
-    recount, evaluate = protocol._cover_counts, protocol._evaluate_swap
+    reset, evaluate = protocol._View._reset, protocol._evaluate_swap
     solve, grow, sweep = protocol.min_enclosing_disk, protocol.enclose_with_anchor, protocol.swap_round
-    recounts, evaluations, solves, grows, inside = 0, 0, 0, 0, False
+    resets, evaluations, solves, grows, inside = 0, 0, 0, 0, False
 
-    def counting_recount(*args):
-        nonlocal recounts
-        recounts += 1
-        return recount(*args)
+    def counting_reset(*args):
+        nonlocal resets
+        resets += 1
+        return reset(*args)
 
     def counting_evaluate(*args):
         nonlocal evaluations
@@ -192,14 +192,14 @@ def test_ladder_250_carries_one_view(monkeypatch):
         finally:
             inside = False
 
-    monkeypatch.setattr(protocol, "_cover_counts", counting_recount)
+    monkeypatch.setattr(protocol._View, "_reset", counting_reset)
     monkeypatch.setattr(protocol, "_evaluate_swap", counting_evaluate)
     monkeypatch.setattr(protocol, "min_enclosing_disk", counting_solve)
     monkeypatch.setattr(protocol, "enclose_with_anchor", counting_grow)
     monkeypatch.setattr(protocol, "swap_round", flagged_sweep)
     res = run(ladder_250(), Config(), (), 0)
     assert res.status is RunStatus.FEASIBLE
-    assert 0 < recounts <= 2, recounts
+    assert 0 < resets <= 2, resets
     assert 0 < evaluations <= 1_845, evaluations
     assert 0 < solves <= 37, solves
     assert 0 < grows <= 16, grows

@@ -20,8 +20,10 @@ zero radii, dead robots, no alive robot or no asset, with ties, and when
 r_comm equals r_max.
 The view `run` carries from round to round must equal a fresh view of each
 round, memos and neighbor map included, and classify completion as the
-reference does; the carried tally must give the counts of a recount of
-each round.
+reference does.  A fresh view comes out of the same update, so the carried
+view's alive robots, neighbor map and cover counts are also checked against
+the snapshot's own: `engine.neighbor_map` and `reference.cover_counts`.
+The carried tally must give the counts of a recount of each round.
 """
 
 from __future__ import annotations
@@ -853,11 +855,15 @@ def test_round_bounds_are_the_scalar_loop(snap, hold_nothing):
 
 def assert_view_is_fresh(view: _View) -> None:
     """The carried view equals a fresh view of its snapshot, and every memo
-    entry it carries equals a fresh solve."""
+    entry it carries equals a fresh solve.  A fresh view comes out of the
+    same `_View.update`, so its alive robots, neighbor map and cover counts
+    are also checked against references made from the snapshot alone."""
     snap = view.snapshot
     fresh = _View(snap)
-    assert view.alive_ids == fresh.alive_ids
-    assert view.nbrs == fresh.nbrs
+    nbrs = neighbor_map(snap)
+    assert view.alive_ids == fresh.alive_ids == [r.id for r in snap.robots if r.alive]
+    assert view.nbrs == fresh.nbrs == nbrs
+    assert_same_array(view.cover, reference.cover_counts(snap, nbrs))
     for name in ("sensed", "held", "cover", "need"):
         assert_same_array(getattr(view, name), getattr(fresh, name))
     for donor, memo in view._donor_disks.items():
@@ -973,14 +979,17 @@ def test_carried_view_matches_fresh_view(snap, data):
 
 @pytest.mark.parametrize("mission", ["ladder-250", "event-mission"])
 def test_run_carries_a_fresh_view_through_every_round(monkeypatch, mission):
-    build, update = _View._build, _View.update
-    builds, carried, checked = [], set(), set()
+    reset, update = _View._reset, _View.update
+    resets, carried, checked = [], set(), set()
 
-    def counted_build(self, snapshot):
-        builds.append((self, snapshot.round))
-        build(self, snapshot)
+    def counted_reset(self, snapshot):
+        resets.append((self, snapshot.round))
+        reset(self, snapshot)
 
     def checked_update(self, snapshot):
+        if self.snapshot is None:  # the view's own construction
+            update(self, snapshot)
+            return
         carried.add(self)
         update(self, snapshot)
         if snapshot.round not in checked:
@@ -990,18 +999,18 @@ def test_run_carries_a_fresh_view_through_every_round(monkeypatch, mission):
             # is at snapshot and its round is checked.
             assert coverage_satisfied(snapshot, self) == reference.coverage_satisfied(snapshot)
 
-    monkeypatch.setattr(_View, "_build", counted_build)
+    monkeypatch.setattr(_View, "_reset", counted_reset)
     monkeypatch.setattr(_View, "update", checked_update)
     if mission == "ladder-250":
         res = run(ladder_250(), Config(), (), 0)
-        rebuilt_at = []
+        reset_at = []
     else:
         inst, events = event_mission()
         res = run(inst, events=events, seed=1)
-        rebuilt_at = [40, 60]  # the new assets, then the kill
+        reset_at = [40, 60]  # the new assets, then the kill
     assert res.status is RunStatus.FEASIBLE
     assert len(carried) == 1
-    assert [rnd for view, rnd in builds if view in carried][1:] == rebuilt_at
+    assert [rnd for view, rnd in resets if view in carried][1:] == reset_at
     assert len(checked) > 5
 
 
