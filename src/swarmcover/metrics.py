@@ -63,10 +63,13 @@ class CoverTally:
     be advanced to any snapshot.
 
     The disks are matched against every asset with the squared distances
-    of `geometry.sq_dist_blocks` and the test `d2 <= (r + CONTAINMENT_TOL)**2`.
-    Each operation is an elementwise IEEE double operation, rounded once as
-    in a scalar loop, whichever disks share a block, so the counts are exact
-    for any radius and a state counted off takes back what it counted on.
+    of `geometry.sq_dist_blocks` and the test `d2 <= t * t`, where
+    t = r + CONTAINMENT_TOL.  Each operation is an elementwise IEEE double
+    operation, rounded once as in a scalar loop, whichever disks share a
+    block, so the counts are exact for any radius and a state counted off
+    takes back what it counted on.  The square is a product, as in the
+    scalar recount: `t ** 2` goes through the C library's `pow`, which may
+    be an ulp off it.
     """
 
     def __init__(self) -> None:
@@ -117,9 +120,8 @@ class CoverTally:
         rx = np.array([r.pos.x for r in robots], dtype=np.float64)
         ry = np.array([r.pos.y for r in robots], dtype=np.float64)
         # A dead robot covers nothing: no squared distance is negative.
-        thr2 = np.array(
-            [(r.radius + CONTAINMENT_TOL) ** 2 if r.alive else -1.0 for r in robots], dtype=np.float64
-        )
+        thr = np.array([r.radius for r in robots], dtype=np.float64) + CONTAINMENT_TOL
+        thr2 = np.where(np.array([r.alive for r in robots], dtype=bool), thr * thr, -1.0)
         for start, d2 in sq_dist_blocks(rx, ry, self._xs, self._ys):
             self.cover += sign * np.count_nonzero(d2 <= thr2[start : start + len(d2), None], axis=0)
 

@@ -187,7 +187,8 @@ class _View:
       asset, and `donor_bound`, a lower bound on that disk's radius;
     * `grown_disk`: a receiver's disk grown by one asset, per asset;
     * `clean`: the neighbor pairs whose last swap sweep, under the config
-      in `clean_for`, rejected every candidate (see `swap_round`);
+      in `clean_for`, rejected every candidate (see `swap_round`), and
+      `work`, every other neighbor pair: the pairs a sweep visits;
     * `candidates`: a donor's swap candidates under the config in
       `clean_for`, as (asset, distance to the donor's center) pairs (see
       `_swap_candidates`).
@@ -199,23 +200,26 @@ class _View:
     and their neighbors:
 
     * the rows of the robots that moved are re-sensed, and the neighbor map
-      is rebuilt (`engine.neighbor_map`) when one moved;
+      is rebuilt (`engine.neighbor_map`) when one moved; a pair that became
+      neighbors joins `work`, and one that ceased to leaves `work` or
+      `clean`;
     * cover counts are patched by deltas (`_patch`): +1 or -1 at a
       robot's assets gained or lost, in the rows of the robot and of each
       neighbor it kept, and a whole assigned set in the rows of the
       neighbors that came into or went out of its range;
     * a changed robot loses its memo entries;
-    * a robot loses its swap candidates and its clean pairs when its
-      `RobotState` changed or its cover count of an asset it holds did.  A
-      count of an asset it does not hold is read by neither (see
-      `swap_round`).
+    * a robot loses its swap candidates, and its clean pairs go back to
+      `work`, when its `RobotState` changed or its cover count of an asset
+      it holds did.  A count of an asset it does not hold is read by
+      neither (see `swap_round`).  Only those robots' pairs are looked
+      up, through the neighbor map.
 
     This is the only path to a snapshot.  A new view, or an event (new
     assets, a robot killed), first empties the view (`_reset`): every robot
     is dead, holds nothing and stands nowhere, so each alive one moves and
-    gains its whole assigned set.  So the view always equals a fresh
-    `_View(snapshot)`, and decisions that consult it stay pure functions of
-    the snapshot.
+    gains its whole assigned set, and every neighbor pair is new to `work`.
+    So the view always equals a fresh `_View(snapshot)`, and decisions that
+    consult it stay pure functions of the snapshot.
     """
 
     def __init__(self, snapshot: WorldSnapshot):
@@ -242,6 +246,7 @@ class _View:
         self._donor_bounds: dict[int, dict[int, float]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
         self.clean: set[tuple[int, int]] = set()
+        self.work: set[tuple[int, int]] = set()
         self.clean_for: Optional[Config] = None
         self.candidates: dict[int, list[tuple[int, float]]] = {}
 
@@ -289,6 +294,10 @@ class _View:
                     was, now = set(old_nbrs.get(j, ())), set(self.nbrs[j])
                     patches.append((now - was, self.robot[j].assigned, ()))
                     patches.append((was - now, (), prev[j].assigned))
+                    self.work.update((j, k) for k in now - was if j < k)
+                    gone = {(j, k) for k in was - now if j < k}
+                    self.work -= gone
+                    self.clean -= gone
         reassigned = [r for r in changed if r.assigned != prev[r.id].assigned]
         for r in reassigned:
             old = prev[r.id].assigned
@@ -305,7 +314,11 @@ class _View:
             self._grown_disks.pop(r.id, None)
         for k in swap_dirty:
             self.candidates.pop(k, None)
-        self.clean = {p for p in self.clean if p[0] not in swap_dirty and p[1] not in swap_dirty}
+            for j in self.nbrs[k]:
+                pair = (k, j) if k < j else (j, k)
+                if pair in self.clean:
+                    self.clean.remove(pair)
+                    self.work.add(pair)
 
     def _patch(self, patches: Sequence[tuple[Collection[int], ...]], swap_dirty: set[int]) -> None:
         # Add 1 at every cell of each block rows x gained of the cover
@@ -714,13 +727,17 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
        disk, all in one pass over the round grouped by robot
        (`_bid_bounds`);
     3. each asset's candidates are sorted once by (bound, id), and each of
-       its auctioneers walks that list over its group:
+       its auctioneers finds its group's best bid:
 
-       * it prices bids in bound order until the next bound exceeds the
-         best exact bid, which is then the group's best, since no later
-         bid can undercut it; an infeasible best means no winner;
-       * it loses at once if its own bound, or its own exact bid, is above
-         the tie cut of the best (`_tie_cut`);
+       * a walk prices bids in bound order until the next bound exceeds
+         the best exact bid, which is then the best, since no later bid
+         can undercut it; an infeasible best means no winner;
+       * the list is first walked over every candidate, which gives the
+         asset's best and a robot that bid it: a group that holds that
+         robot has that best, and only the other groups walk the list
+         over their own members;
+       * an auctioneer loses at once if its own bound, or its own exact
+         bid, is above the tie cut of its group's best (`_tie_cut`);
        * otherwise the group's exact bids up to the cut, priced among the
          entries whose bound is up to the cut, are exactly the bids
          `select_winner` would keep from the group's full bid dict, and
@@ -728,6 +745,11 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
 
     So `select_winner` stays the one winner rule, sees the same best bid,
     cut and tie set as with every bid priced, and names the same winner.
+    The first walk prices the candidates whose bound is at most the
+    asset's best.  Each of them is in some auctioneer's group, whose best
+    is no lower, so that group's own walk would price it too: the bids
+    priced are those of one walk per group (tests/reference.py).
+
     The auctioneers of one asset share one dict of tie keys, robot id to
     (h64, id), which `select_winner` fills: each key is hashed at most once
     per round.  The dict lives for its asset's walks only, so no key
@@ -772,19 +794,33 @@ def phase2_round(snapshot: WorldSnapshot, cfg: Config, view: _View) -> tuple[dic
                 got = priced[j] = _bid(view, view.robot[j], asset_id)
             return got[0]
 
+        top, top_j = INFEASIBLE, -1  # the best bid over every candidate, and its bidder
+        for b, j in ranked:
+            if b > top:
+                break
+            got = exact(j)
+            if got < top:
+                top, top_j = got, j
+        if top == INFEASIBLE:
+            continue  # so is every group's best
+        top_cut = _tie_cut(top, cfg.eps)
+
         for rid in auct_robot[auct_at[i] : auct_at[i + 1]].tolist():
             group = groups.get(rid)
             if group is None:
                 group = groups[rid] = {rid, *view.nbrs[rid]}
-            best = INFEASIBLE
-            for b, j in ranked:
-                if b > best:
-                    break
-                if j in group:
-                    best = min(best, exact(j))
-            if best == INFEASIBLE:
-                continue
-            cut = _tie_cut(best, cfg.eps)
+            if top_j in group:
+                cut = top_cut
+            else:
+                best = INFEASIBLE
+                for b, j in ranked:
+                    if b > best:
+                        break
+                    if j in group:
+                        best = min(best, exact(j))
+                if best == INFEASIBLE:
+                    continue
+                cut = _tie_cut(best, cfg.eps)
             if bound[rid] > cut or exact(rid) > cut:
                 continue
             tie: dict[int, float] = {}
@@ -1157,7 +1193,8 @@ def swap_round(
     A pruned candidate counts as rejected, even one already moved this
     sweep.
 
-    A pair is skipped while it is clean (`_View.clean`): its last sweep
+    The sweep visits only the pairs that are not clean (`_View.work`, in
+    sorted order).  A clean pair (`_View.clean`) is one whose last sweep
     rejected every candidate in both orientations and skipped none as
     already moved, and since then neither robot has changed and neither
     robot's cover count of an asset it holds has changed.  A robot's cover
@@ -1165,7 +1202,9 @@ def swap_round(
     kappa test and `_evaluate_swap`'s coverage test), and it holds every
     such candidate; the other inputs of `_evaluate_swap` and of the
     candidate lists are the two robots, the assets (an event rebuilds the
-    view) and the config.  So the pair would be rejected again.  The prune
+    view) and the config (a new one empties the clean set).  So the pair
+    would be rejected again, with no side effect: no robot or asset marked
+    used and no record made, and skipping it changes nothing.  The prune
     reads only the two centers and the candidates' distances, so it repeats
     too; a candidate skipped as moved inside the pruned tail would fail the
     closer test when not moved, so it does not keep a pair from becoming
@@ -1174,17 +1213,16 @@ def swap_round(
     view.update(snapshot)
     if view.clean_for != cfg:
         view.clean_for = cfg
+        view.work |= view.clean
         view.clean.clear()
         view.candidates.clear()
-    # Ascending ids and sorted neighbor tuples give the pairs in order.
-    pairs = [(i, j) for i in view.alive_ids for j in view.nbrs[i] if i < j]
 
     used_robots: set[int] = set()
     used_assets: set[int] = set()
     proposals: dict[int, Proposal] = {}
     records: list[SwapRecord] = []
-    for i, j in pairs:
-        if i in used_robots or j in used_robots or (i, j) in view.clean:
+    for i, j in sorted(view.work):
+        if i in used_robots or j in used_robots:
             continue
         best: tuple[float, int, int, int, SwapDecision] | None = None
         skipped = False
@@ -1203,6 +1241,7 @@ def swap_round(
                     break
         if best is None:
             if not skipped:
+                view.work.remove((i, j))
                 view.clean.add((i, j))
             continue
         _, donor, receiver, asset_id, dec = best

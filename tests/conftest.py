@@ -5,10 +5,17 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import pytest
+from hypothesis import settings
 
 from swarmcover.engine import Params, Phase, RobotState, WorldSnapshot
 from swarmcover.geometry import Point
 from swarmcover.instances import Asset, Instance, Workspace
+
+# CI keeps no example database (`.hypothesis/`) between runs, so a failure
+# prints the blob that `@reproduce_failure` replays: the one record of a
+# counterexample that a random run found.
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 
 def P(x: float, y: float) -> Point:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from swarmcover.engine import RobotState, WorldSnapshot
+from swarmcover.engine import Proposal, RobotState, WorldSnapshot
 from swarmcover.geometry import CONTAINMENT_TOL, Disk, Point, dist, dist2
 from swarmcover.instances import Asset
 from swarmcover.metrics import RoundMetrics, total_cost
@@ -23,13 +24,17 @@ from swarmcover.protocol import (
     INFEASIBLE,
     Config,
     SwapDecision,
+    _auction_candidates,
     _bid,
+    _bid_bounds,
     _count_dtype,
     _finalize_radius,
     _grow_disk,
     _ids,
+    _tie_cut,
     _View,
     consolidate,
+    select_winner,
 )
 
 
@@ -175,6 +180,63 @@ def auction_candidates(snapshot: WorldSnapshot) -> tuple[dict[int, list[int]], d
             j for j in near if view.known(j)[asset_id] and asset_id not in view.robot[j].assigned
         }
     return auctioneers, candidates
+
+
+def auction_walks(snapshot: WorldSnapshot, cfg: Config) -> tuple[dict[int, Proposal], bool]:
+    """The auction round with one walk per auctioneer over its own group:
+    each auctioneer walks its asset's candidates, ranked by (bid bound, id),
+    pricing its group's bids until the next bound exceeds the best exact
+    bid, then loses by its bound or bid above the tie cut, or walks again to
+    the cut for the tie set.  `protocol.phase2_round` first walks every
+    candidate, and a group that holds the asset's best bidder skips its own
+    walk; it must name the same winners and price the same bids."""
+    view = _View(snapshot)
+    r_max = snapshot.params.r_max
+    (auct_asset, auct_robot), (pair_robot, pair_asset) = _auction_candidates(view)
+    bounds = _bid_bounds(view, pair_robot, pair_asset)
+    wins: dict[int, list[tuple[int, Disk]]] = {}
+    for asset_id in sorted(set(auct_asset.tolist())):
+        bound = {j: b for j, a, b in zip(pair_robot.tolist(), pair_asset.tolist(), bounds.tolist()) if a == asset_id}
+        ranked = sorted((b, j) for j, b in bound.items() if b != INFEASIBLE)
+        priced: dict[int, tuple[float, Disk]] = {}
+
+        def exact(j: int) -> float:
+            if j not in priced:
+                priced[j] = _bid(view, view.robot[j], asset_id)
+            return priced[j][0]
+
+        for rid in auct_robot[auct_asset == asset_id].tolist():
+            group = {rid, *view.nbrs[rid]}
+            best = INFEASIBLE
+            for b, j in ranked:
+                if b > best:
+                    break
+                if j in group:
+                    best = min(best, exact(j))
+            if best == INFEASIBLE:
+                continue
+            cut = _tie_cut(best, cfg.eps)
+            if bound[rid] > cut or exact(rid) > cut:
+                continue
+            tie = {}
+            for b, j in ranked:
+                if b > cut:
+                    break
+                if j in group and exact(j) <= cut:
+                    tie[j] = exact(j)
+            if select_winner(asset_id, tie, snapshot.round, cfg.eps) == rid:
+                wins.setdefault(rid, []).append((asset_id, priced[rid][1]))
+    proposals: dict[int, Proposal] = {}
+    for rid in sorted(wins):
+        robot = cur = view.robot[rid]
+        for asset_id, d in wins[rid]:
+            if cur is not robot:
+                d = _grow_disk(view, cur, asset_id)
+            if d.radius <= r_max:
+                cur = replace(cur, pos=d.center, radius=d.radius, assigned=cur.assigned | {asset_id})
+        if cur is not robot:
+            proposals[rid] = Proposal(cur.pos, _finalize_radius(cur.radius, r_max), cur.assigned)
+    return proposals, bool(proposals)
 
 
 def bid_bound(view: _View, robot: RobotState, asset_id: int) -> float:

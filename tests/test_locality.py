@@ -13,22 +13,25 @@ and each robot's releasable assets its counts against kappa; the swap
 sweep reads memoized disks and candidate lists from that view, and the
 auctions list their auctioneers and candidates from its matrices and
 decide every auctioneer's deficit from one sorted list of bids per asset,
-ranked by bounds that one vectorized pass computes for the whole round.
+ranked by bounds that one vectorized pass computes for the whole round,
+pricing the bids that one walk per auctioneer's group prices.
 Each must give exactly what the all-pairs or scalar definition gives,
 including at exactly the threshold distance, at negative coordinates, with
 zero radii, dead robots, no alive robot or no asset, with ties, and when
 r_comm equals r_max.
 The view `run` carries from round to round must equal a fresh view of each
-round, memos and neighbor map included, and classify completion as the
-reference does.  A fresh view comes out of the same update, so the carried
-view's alive robots, neighbor map and cover counts are also checked against
-the snapshot's own: `engine.neighbor_map` and `reference.cover_counts`.
+round, memos and neighbor map included, split the neighbor pairs into clean
+ones and the sweep's work, and classify completion as the reference does.
+A fresh view comes out of the same update, so the carried view's alive
+robots, neighbor map and cover counts are also checked against the
+snapshot's own: `engine.neighbor_map` and `reference.cover_counts`.
 The carried tally must give the counts of a recount of each round.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -719,6 +722,16 @@ RIVAL_GROUPS = holding_snapshot(
     40.0,
 )
 
+# Robots 0, 1 and 2 on a line all auction asset 0, which nobody holds.
+# Robot 1 bids best, but only robots 1 and 2 are neighbors: robot 0 must
+# still win its own auction, and robot 2 loses to robot 1 by its bound.
+BEST_OUTSIDE_A_GROUP = holding_snapshot(
+    [(0.0, 0.0, 2), (-10.0, 0.0, 1), (5.0, 0.0, 1), (18.0, 0.0, 1)],
+    [(Point(-10.0, 0.0), {1}), (Point(5.0, 0.0), {2}), (Point(18.0, 0.0), {3})],
+    14.0,
+    40.0,
+)
+
 # Robot 0 wins both assets 1 and 2, which it knows through their holders;
 # either fits alone but not both, so the fold keeps the lower id.
 STACKED_WINS = holding_snapshot(
@@ -759,6 +772,9 @@ def test_auction_fixtures():
     plan, _ = phase2_round(RIVAL_GROUPS, cfg, _View(RIVAL_GROUPS))
     assert plan.keys() == {0, 2}
     assert (plan[0].assigned, plan[2].assigned) == ({0, 1, 2}, {0})
+    assert neighbor_map(BEST_OUTSIDE_A_GROUP) == {0: (), 1: (2,), 2: (1,)}
+    plan, _ = phase2_round(BEST_OUTSIDE_A_GROUP, cfg, _View(BEST_OUTSIDE_A_GROUP))
+    assert {rid for rid, prop in plan.items() if 0 in prop.assigned} == {0, 1}
     plan, _ = phase2_round(STACKED_WINS, cfg, _View(STACKED_WINS))
     assert plan.keys() == {0}
     assert (plan[0].pos, plan[0].radius, plan[0].assigned) == (Point(-10.0, 0.0), 10.0, {0, 1})
@@ -792,6 +808,33 @@ def test_phase2_round_matches_per_auction_reference(snap, eps, rnd):
     snap = replace(snap, round=rnd)
     cfg = Config(eps=eps)
     assert phase2_round(snap, cfg, _View(snap)) == auction_reference(snap, cfg)
+
+
+@given(st.one_of(worlds(), holding_worlds()), st.sampled_from([0.01, 0.5, 5.0]), st.integers(0, 60))
+@example(TIED_BIDDERS, 0.01, 0)
+@example(RIVAL_GROUPS, 0.01, 0)
+@example(BEST_OUTSIDE_A_GROUP, 0.01, 0)
+@settings(max_examples=250, deadline=None)
+def test_phase2_round_prices_the_bids_of_one_walk_per_group(snap, eps, rnd):
+    # The round's first walk over every candidate settles the groups that
+    # hold the asset's best bidder; the reference walks every group.  Both
+    # name the same winners, and price each bid of the same set once.
+    snap = replace(snap, round=rnd)
+    cfg = Config(eps=eps)
+    priced = []
+
+    def counted(view, robot, asset_id):
+        priced[-1][robot.id, asset_id] += 1
+        return _bid(view, robot, asset_id)
+
+    with mock.patch("swarmcover.protocol._bid", counted), mock.patch.object(reference, "_bid", counted):
+        priced.append(Counter())
+        got = outcome(lambda: phase2_round(snap, cfg, _View(snap)))
+        priced.append(Counter())
+        want = outcome(lambda: reference.auction_walks(snap, cfg))
+    assert got == want
+    assert priced[0] == priced[1]
+    assert set(priced[0].values()) <= {1}
 
 
 def assert_bounds_are_the_scalar_loop(view: _View, robots, assets) -> None:
@@ -977,6 +1020,33 @@ def test_carried_view_matches_fresh_view(snap, data):
             assert pair_inputs(view, pair) == inputs
 
 
+def assert_pairs_are_split(view: _View) -> None:
+    """The neighbor pairs, each as (lower id, higher id), split into the
+    clean ones and the sweep's work."""
+    pairs = {(i, j) for i in view.alive_ids for j in view.nbrs[i] if i < j}
+    assert view.work | view.clean == pairs
+    assert not view.work & view.clean
+
+
+@given(st.one_of(worlds(), holding_worlds()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_carried_view_splits_pairs_into_work_and_clean(snap, data):
+    # Sweeps under two configs, the second of which leaves every pair
+    # clean, on a view carried through random rounds and events.
+    configs = [Config(), Config(tau=10.0)]
+    view = _View(snap)
+    assert_pairs_are_split(view)
+    for _ in range(data.draw(st.integers(1, 6))):
+        for _ in range(data.draw(st.integers(0, 2))):
+            cfg = data.draw(st.sampled_from(configs))
+            outcome(lambda: swap_round(snap, cfg, view))
+            assert_pairs_are_split(view)
+        plan, events = data.draw(next_round(snap))
+        snap, _ = step(snap, plan, events)
+        view.update(snap)
+        assert_pairs_are_split(view)
+
+
 @pytest.mark.parametrize("mission", ["ladder-250", "event-mission"])
 def test_run_carries_a_fresh_view_through_every_round(monkeypatch, mission):
     reset, update = _View._reset, _View.update
@@ -1074,10 +1144,36 @@ LINE = WorldSnapshot(
 EVERY_ROBOT_MOVES = [({r.id: Proposal(Point(r.pos.x + 1.0, 0.0), 2.0, r.assigned) for r in LINE.robots}, [])]
 ONE_ROBOT_MOVES = [({2: Proposal(Point(28.0, 0.0), 5.0, frozenset({2, 3}))}, [])]
 
+# Robot 2 keeps its disk of radius 20 at (0, 10) while robot 0 dies and two
+# assets arrive, the second at 20 + 1e-9 from robot 2's center: on its rim
+# by the recount's threshold, t * t with t = 20 + 1e-9, but outside the
+# rounded `t ** 2`, which is an ulp lower.
+RIM_AT_REBUILD = WorldSnapshot(
+    5,
+    Phase.OPTIMIZE,
+    (
+        RobotState(0, Point(0.0, 25.0), 5.0, frozenset({0}), True),
+        RobotState(1, Point(0.0, -20.0), 20.0, frozenset({1}), True),
+        RobotState(2, Point(0.0, 10.0), 20.0, frozenset({0}), True),
+    ),
+    (Asset(0, Point(0.0, 25.0), 1), Asset(1, Point(0.0, -25.0), 1)),
+    Params(WS, 3, 55.0, 40.0),
+)
+KILL_AND_RIM_ASSET = [
+    (
+        {},
+        [
+            Event(6, KillRobot(0)),
+            Event(6, AddAssets((AssetSpec(Point(0.0, 0.0), 1), AssetSpec(Point(20.000000001, 10.0), 1)))),
+        ],
+    )
+]
+
 
 @given(tally_missions(), blocks)
 @example((LINE, EVERY_ROBOT_MOVES), 1)
 @example((LINE, ONE_ROBOT_MOVES), 1)
+@example((RIM_AT_REBUILD, KILL_AND_RIM_ASSET), geometry._BLOCK)
 @settings(max_examples=200, deadline=None)
 def test_carried_tally_matches_a_recount(mission, block):
     snap, rounds = mission
