@@ -12,12 +12,13 @@ Subcommands:
 * ``oracle``    — exact solver only, no events, emit the placement as JSON
 
 Exit codes: 0 feasible, 2 infeasible (or iteration cap), 1 I/O or
-validation error, a bad command-line argument included.  The seed drives
-only the instance generators (the protocol itself has no randomness):
-``--seed`` wins, else the scenario config seed, else 0.  Of a scenario,
-only a generator without its own ``seed`` reads it, so for assets from an
-``assets_file`` or a seeded generator the seed is accepted and changes
-nothing.
+validation error, a bad command-line argument or a flag the subcommand
+does not read included (README lists the flags each one reads).  The
+seed drives only the instance generators (the protocol itself has no
+randomness): ``--seed`` wins, else the scenario config seed, else 0.  Of
+a scenario, only a generator without its own ``seed`` reads it, so for
+assets from an ``assets_file`` or a seeded generator the seed is
+accepted and changes nothing.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ def _parse_config(data: dict[str, Any]) -> tuple[Config, Optional[int]]:
     return Config(**kwargs), seed
 
 
+def _config_data(data: Any, what: str, config_path: Optional[Path]) -> dict[str, Any]:
+    """The config object `data`, with the overrides of the `--config` file
+    at config_path, if any, on top."""
+    merged = dict(_object(data, what))
+    if config_path is not None:
+        with open(config_path) as fh:
+            merged.update(_object(json.load(fh), f"{config_path}: config"))
+    return merged
+
+
 def _parse_events(items: Any, instance: Instance) -> tuple[Event, ...]:
     """Events of a scenario; `load_scenario` checks them against its
     instance (see `engine.check_events`)."""
@@ -137,11 +148,7 @@ def load_scenario(
     if "instance" in data and "instance_file" in data:
         raise ScenarioError(f"{path}: scenario has both 'instance' and 'instance_file': give exactly one of them")
 
-    cfg_data = dict(_object(data.get("config", {}), "scenario config"))
-    if config_path is not None:
-        with open(config_path) as fh:
-            cfg_data.update(_object(json.load(fh), f"{config_path}: config"))
-    config, cfg_seed = _parse_config(cfg_data)
+    config, cfg_seed = _parse_config(_config_data(data.get("config", {}), "scenario config", config_path))
     seed = cli_seed if cli_seed is not None else (cfg_seed if cfg_seed is not None else 0)
 
     base_dir = path.parent
@@ -249,17 +256,28 @@ def _run_and_write(scenario: Scenario, out: Path) -> RunResult:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.config is not None:
+        raise ScenarioError("generate takes no --config: an instance has no protocol config")
     seed = args.seed if args.seed is not None else 0
+    shape = {"--n": args.n, "--m": args.m, "--r-comm": args.r_comm, "--r-max": args.r_max,
+             "--kappa": args.kappa, "--workspace": args.workspace}
     if args.preset:
         if args.param is None:
             raise ScenarioError("--param is required with --preset")
+        given = [flag for flag, value in shape.items() if value is not None]
+        if given:
+            raise ScenarioError(f"--preset {args.preset} sets the whole instance, so it takes no {', '.join(given)}")
         inst = preset(args.preset, args.param, seed)
     else:
+        if args.param is not None:
+            raise ScenarioError("--param is read only with --preset")
         if args.n is None or args.m is None:
             raise ScenarioError("either --preset/--param or --n/--m must be given")
-        ws = Workspace(*args.workspace)
-        assets = generate_uniform(args.n, ws, tuple(args.kappa), seed)
-        inst = Instance(ws, assets, args.m, args.r_comm, args.r_max)
+        ws = Workspace(*(args.workspace or (0.0, 100.0, 0.0, 100.0)))
+        assets = generate_uniform(args.n, ws, tuple(args.kappa or KAPPA_DEFAULT_CHOICES), seed)
+        r_comm = DEFAULT_R_COMM if args.r_comm is None else args.r_comm
+        r_max = DEFAULT_R_MAX if args.r_max is None else args.r_max
+        inst = Instance(ws, assets, args.m, r_comm, r_max)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     save_instance(out / "instance.json", inst)
@@ -279,10 +297,11 @@ _SWEEP_KEYS = {"parameter", "values", "trials", "seeds", "base", "config"}
 _SWEEP_BASE_KEYS = {*_SWEEP_PARAMS, "workspace", "kappa_choices"}
 
 
-def sweep(spec: dict[str, Any], seed: int, out: Path) -> None:
+def sweep(spec: dict[str, Any], seed: int, out: Path, config_path: Optional[Path] = None) -> None:
     """Run a sensitivity sweep spec (see README) and write runs.csv and
     summary.csv into `out`.  Trial t uses seed + t unless the spec lists
-    its own seeds."""
+    its own seeds.  The overrides of a `--config` file at config_path go on
+    top of the spec's config, which takes no seed."""
     _known_keys(_object(spec, "sweep spec"), _SWEEP_KEYS, "sweep spec")
     parameter = spec.get("parameter")
     if parameter not in _SWEEP_PARAMS:
@@ -307,7 +326,9 @@ def sweep(spec: dict[str, Any], seed: int, out: Path) -> None:
         raise ScenarioError("sweep base workspace must be [x_min, x_max, y_min, y_max]")
     ws = Workspace(*(_number(v, "sweep base workspace bound") for v in ws_vals))
     kappa = _int_list(base.get("kappa_choices", list(KAPPA_DEFAULT_CHOICES)), "sweep base kappa_choices")
-    config, _ = _parse_config(_object(spec.get("config", {}), "sweep config"))
+    config, cfg_seed = _parse_config(_config_data(spec.get("config", {}), "sweep config", config_path))
+    if cfg_seed is not None:
+        raise ScenarioError("sweep config takes no seed: give --seed or the spec's seeds")
 
     # Every instance is built before the first run, so a bad value fails
     # the sweep up front instead of after the runs before it.
@@ -386,7 +407,7 @@ def sweep(spec: dict[str, Any], seed: int, out: Path) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.sweep) as fh:
         spec = json.load(fh)
-    sweep(spec, args.seed if args.seed is not None else 0, Path(args.out or "."))
+    sweep(spec, args.seed if args.seed is not None else 0, Path(args.out or "."), _opt_path(args.config))
     return 0
 
 
@@ -398,6 +419,8 @@ def _load_static(args: argparse.Namespace) -> Scenario:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        raise ScenarioError("compare writes no files, so it takes no --out")
     scenario = _load_static(args)
     inst = scenario.instance
     if inst.n > SOLVE_MAX_ASSETS or inst.m > SOLVE_MAX_ROBOTS:
@@ -538,10 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--param", type=int, default=None, help="preset parameter (n or m)")
     g.add_argument("--n", type=int, default=None)
     g.add_argument("--m", type=int, default=None)
-    g.add_argument("--r-comm", type=float, default=DEFAULT_R_COMM)
-    g.add_argument("--r-max", type=float, default=DEFAULT_R_MAX)
-    g.add_argument("--kappa", type=_kappa_arg, default=list(KAPPA_DEFAULT_CHOICES))
-    g.add_argument("--workspace", type=_workspace_arg, default=(0.0, 100.0, 0.0, 100.0))
+    # The uniform instance's shape; a preset sets all of it.  The defaults
+    # are filled in by cmd_generate, so that a given flag can be told apart.
+    g.add_argument("--r-comm", type=float, default=None, help=f"default {DEFAULT_R_COMM}")
+    g.add_argument("--r-max", type=float, default=None, help=f"default {DEFAULT_R_MAX}")
+    g.add_argument("--kappa", type=_kappa_arg, default=None, help=f"default {KAPPA_DEFAULT_CHOICES}")
+    g.add_argument("--workspace", type=_workspace_arg, default=None, help="x_min,x_max,y_min,y_max, default 0,100,0,100")
     g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("run", help="execute a scenario", parents=[common])

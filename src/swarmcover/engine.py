@@ -9,6 +9,7 @@ publishes the next snapshot together with its metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -181,14 +182,22 @@ def step(
     published with its metrics (see `metrics.summarize`).  A carried
     `tally` is advanced to the new snapshot; without one the metrics are
     counted from scratch, with the same result.  An entry for a dead or
-    unknown robot raises ValueError.
+    unknown robot, with a radius that is negative or not finite, or with
+    an asset id outside 0..n-1 raises ValueError.
     """
     robots = list(snapshot.robots)
+    n = len(snapshot.assets)
     max_disp = 0.0
     for rid in sorted(plan):
         if not (0 <= rid < len(robots) and robots[rid].alive):
             raise ValueError(f"plan has an entry for robot {rid}, which is not alive")
         prop = plan[rid]
+        if not 0.0 <= prop.radius < math.inf:
+            raise ValueError(f"plan gives robot {rid} radius {prop.radius}, which is not a finite radius >= 0")
+        if prop.assigned:
+            lo, hi = min(prop.assigned), max(prop.assigned)
+            if lo < 0 or hi >= n:
+                raise ValueError(f"plan assigns robot {rid} asset {lo if lo < 0 else hi}, which is not in 0..{n - 1}")
         old = robots[rid]
         max_disp = max(max_disp, dist(old.pos, prop.pos))
         robots[rid] = replace(old, pos=prop.pos, radius=prop.radius, assigned=prop.assigned)

@@ -186,9 +186,8 @@ class _View:
     * `donor_disk`: a donor's enclosing disk without one of its assets, per
       asset, and `donor_bound`, a lower bound on that disk's radius;
     * `grown_disk`: a receiver's disk grown by one asset, per asset;
-    * `clean`: the neighbor pairs whose last swap sweep, under the config
-      in `clean_for`, rejected every candidate (see `swap_round`), and
-      `work`, every other neighbor pair: the pairs a sweep visits;
+    * `work`: the neighbor pairs, as (lower id, higher id), that a swap
+      sweep visits; the other neighbor pairs are clean (see `swap_round`);
     * `candidates`: a donor's swap candidates under the config in
       `clean_for`, as (asset, distance to the donor's center) pairs (see
       `_swap_candidates`).
@@ -200,24 +199,22 @@ class _View:
     and their neighbors:
 
     * the rows of the robots that moved are re-sensed, and the neighbor map
-      is rebuilt (`engine.neighbor_map`) when one moved; a pair that became
-      neighbors joins `work`, and one that ceased to leaves `work` or
-      `clean`;
+      is rebuilt (`engine.neighbor_map`) when one moved;
     * cover counts are patched by deltas (`_patch`): +1 or -1 at a
       robot's assets gained or lost, in the rows of the robot and of each
       neighbor it kept, and a whole assigned set in the rows of the
       neighbors that came into or went out of its range;
     * a changed robot loses its memo entries;
-    * a robot loses its swap candidates, and its clean pairs go back to
-      `work`, when its `RobotState` changed or its cover count of an asset
-      it holds did.  A count of an asset it does not hold is read by
-      neither (see `swap_round`).  Only those robots' pairs are looked
-      up, through the neighbor map.
+    * a robot is swap-dirty when its `RobotState` changed or its cover
+      count of an asset it holds did (a count of an asset it does not hold
+      is read by neither, see `swap_round`): it loses its swap candidates,
+      and every pair of it is work.  Only such a robot's pairs can come or
+      go, since a pair that did has a robot that moved.
 
     This is the only path to a snapshot.  A new view, or an event (new
     assets, a robot killed), first empties the view (`_reset`): every robot
     is dead, holds nothing and stands nowhere, so each alive one moves and
-    gains its whole assigned set, and every neighbor pair is new to `work`.
+    gains its whole assigned set, and every neighbor pair is work.
     So the view always equals a fresh `_View(snapshot)`, and decisions that
     consult it stay pure functions of the snapshot.
     """
@@ -227,8 +224,8 @@ class _View:
         self.update(snapshot)
 
     def _reset(self, snapshot: WorldSnapshot) -> None:
-        # Empty the view for snapshot's assets, params and alive robots;
-        # `update` goes on to carry it to snapshot.
+        # Empty the view for snapshot's assets, params and alive robots,
+        # with no work; `update` goes on to carry it to snapshot.
         self.params = snapshot.params
         self.assets = snapshot.assets
         self.asset_x = np.array([a.pos.x for a in self.assets], dtype=np.float64)
@@ -245,7 +242,6 @@ class _View:
         self._donor_disks: dict[int, dict[int, Disk]] = {}
         self._donor_bounds: dict[int, dict[int, float]] = {}
         self._grown_disks: dict[int, dict[int, Disk]] = {}
-        self.clean: set[tuple[int, int]] = set()
         self.work: set[tuple[int, int]] = set()
         self.clean_for: Optional[Config] = None
         self.candidates: dict[int, list[tuple[int, float]]] = {}
@@ -294,10 +290,6 @@ class _View:
                     was, now = set(old_nbrs.get(j, ())), set(self.nbrs[j])
                     patches.append((now - was, self.robot[j].assigned, ()))
                     patches.append((was - now, (), prev[j].assigned))
-                    self.work.update((j, k) for k in now - was if j < k)
-                    gone = {(j, k) for k in was - now if j < k}
-                    self.work -= gone
-                    self.clean -= gone
         reassigned = [r for r in changed if r.assigned != prev[r.id].assigned]
         for r in reassigned:
             old = prev[r.id].assigned
@@ -305,20 +297,21 @@ class _View:
             kept.add(r.id)
             patches.append((kept, r.assigned - old, old - r.assigned))
         self._hold(reassigned)
-        swap_dirty = {r.id for r in changed}  # candidates and clean pairs to drop
+        swap_dirty = {r.id for r in changed}  # candidates to drop, pairs to sweep
         if patches:
             self._patch(patches, swap_dirty)
         for r in changed:
             self._donor_disks.pop(r.id, None)
             self._donor_bounds.pop(r.id, None)
             self._grown_disks.pop(r.id, None)
+        # Every pair of a swap-dirty robot is work.  A robot whose neighbors
+        # changed first drops its old pairs: a pair that ceased to be
+        # neighbors has such a robot, and a kept pair is added back at once.
         for k in swap_dirty:
             self.candidates.pop(k, None)
-            for j in self.nbrs[k]:
-                pair = (k, j) if k < j else (j, k)
-                if pair in self.clean:
-                    self.clean.remove(pair)
-                    self.work.add(pair)
+            if old_nbrs.get(k, ()) != self.nbrs[k]:
+                self.work.difference_update((k, j) if k < j else (j, k) for j in old_nbrs.get(k, ()))
+            self.work.update((k, j) if k < j else (j, k) for j in self.nbrs[k])
 
     def _patch(self, patches: Sequence[tuple[Collection[int], ...]], swap_dirty: set[int]) -> None:
         # Add 1 at every cell of each block rows x gained of the cover
@@ -1193,28 +1186,27 @@ def swap_round(
     A pruned candidate counts as rejected, even one already moved this
     sweep.
 
-    The sweep visits only the pairs that are not clean (`_View.work`, in
-    sorted order).  A clean pair (`_View.clean`) is one whose last sweep
-    rejected every candidate in both orientations and skipped none as
-    already moved, and since then neither robot has changed and neither
-    robot's cover count of an asset it holds has changed.  A robot's cover
-    count is read only for a candidate it donates (the candidate list's
-    kappa test and `_evaluate_swap`'s coverage test), and it holds every
-    such candidate; the other inputs of `_evaluate_swap` and of the
-    candidate lists are the two robots, the assets (an event rebuilds the
-    view) and the config (a new one empties the clean set).  So the pair
-    would be rejected again, with no side effect: no robot or asset marked
-    used and no record made, and skipping it changes nothing.  The prune
-    reads only the two centers and the candidates' distances, so it repeats
-    too; a candidate skipped as moved inside the pruned tail would fail the
-    closer test when not moved, so it does not keep a pair from becoming
-    clean.
+    The sweep visits only the pairs in `_View.work`, in sorted order, and
+    drops from it each pair that becomes clean; a new config refills it
+    with every neighbor pair.  A clean pair, a neighbor pair not in `work`,
+    is one whose last sweep rejected every candidate in both orientations
+    and skipped none as already moved, and since then neither robot has
+    changed and neither robot's cover count of an asset it holds has
+    changed.  A robot's cover count is read only for a candidate it donates
+    (the candidate list's kappa test and `_evaluate_swap`'s coverage test),
+    and it holds every such candidate; the other inputs of `_evaluate_swap`
+    and of the candidate lists are the two robots, the assets (an event
+    rebuilds the view) and the config.  So the pair would be rejected
+    again, with no side effect: no robot or asset marked used and no record
+    made, and skipping it changes nothing.  The prune reads only the two
+    centers and the candidates' distances, so it repeats too; a candidate
+    skipped as moved inside the pruned tail would fail the closer test when
+    not moved, so it does not keep a pair from becoming clean.
     """
     view.update(snapshot)
     if view.clean_for != cfg:
         view.clean_for = cfg
-        view.work |= view.clean
-        view.clean.clear()
+        view.work = {(i, j) for i, nbrs in view.nbrs.items() for j in nbrs if i < j}
         view.candidates.clear()
 
     used_robots: set[int] = set()
@@ -1242,7 +1234,6 @@ def swap_round(
         if best is None:
             if not skipped:
                 view.work.remove((i, j))
-                view.clean.add((i, j))
             continue
         _, donor, receiver, asset_id, dec = best
         dr = view.robot[donor]

@@ -15,6 +15,7 @@ from swarmcover.cli import load_scenario, main
 from swarmcover.geometry import Point
 from swarmcover.instances import Asset, load_instance, save_assets
 from swarmcover.oracle import solve_exact
+from swarmcover.protocol import Config
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -89,6 +90,29 @@ def test_generate_uniform_args(tmp_path):
 def test_generate_requires_shape(tmp_path, capsys):
     assert main(["generate", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        # A preset sets the whole instance.
+        (["--preset", "uni_sm", "--param", "5", "--n", "3"], "takes no --n"),
+        (["--preset", "uni_sm", "--param", "5", "--m", "3"], "takes no --m"),
+        (["--preset", "uni_fix_n", "--param", "5", "--r-comm", "60"], "takes no --r-comm"),
+        (["--preset", "uni_sm", "--param", "5", "--r-max", "30"], "takes no --r-max"),
+        (["--preset", "uni_sm", "--param", "5", "--kappa", "1"], "takes no --kappa"),
+        (["--preset", "uni_sm", "--param", "5", "--workspace", "0,50,0,50"], "takes no --workspace"),
+        (["--n", "4", "--m", "2", "--param", "5"], "--param is read only with --preset"),
+        (["--n", "4", "--m", "2", "--config", "cfg.json"], "generate takes no --config"),
+        (["--preset", "uni_sm", "--param", "5", "--config", "cfg.json"], "generate takes no --config"),
+    ],
+)
+def test_generate_rejects_flags_it_would_ignore(tmp_path, capsys, argv, needle):
+    out = tmp_path / "o"
+    assert main(["generate", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -356,6 +380,45 @@ def test_sweep_spec_types_are_errors(tmp_path, capsys, spec, needle):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_config_file_goes_on_top_of_the_spec_config(tmp_path, monkeypatch, capsys):
+    import swarmcover.cli as cli
+
+    configs = []
+    real_run = cli.run
+
+    def recording_run(inst, config, *args):
+        configs.append(config)
+        return real_run(inst, config, *args)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    spec = {"parameter": "n", "values": [4], "base": {"m": 2}, "config": {"tau": 0.5, "max_swap_sweeps": 3}}
+    sweep = write_json(tmp_path / "s.json", spec)
+    cfg = write_json(tmp_path / "cfg.json", {"tau": 0.25, "eps": 0.02})
+    assert main(["sweep", str(sweep), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert configs == [Config(tau=0.25, max_swap_sweeps=3, eps=0.02)]
+    bad = write_json(tmp_path / "bad.json", {"not_a_knob": 1})
+    assert main(["sweep", str(sweep), "--config", str(bad), "--out", str(tmp_path / "o2")]) == 1
+    assert "unknown config key: 'not_a_knob'" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
+
+
+@pytest.mark.parametrize("where", ["spec", "file"])
+def test_sweep_config_seed_is_an_error(tmp_path, capsys, where):
+    # The trials' seeds come from --seed or the spec's seeds; a config seed
+    # would be dropped.
+    spec = {"parameter": "n", "values": [4], "base": {"m": 2}}
+    argv = []
+    if where == "spec":
+        spec["config"] = {"seed": 7}
+    else:
+        argv = ["--config", str(write_json(tmp_path / "cfg.json", {"seed": 7}))]
+    sweep = write_json(tmp_path / "s.json", spec)
+    assert main(["sweep", str(sweep), *argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sweep config takes no seed" in err
+    assert not (tmp_path / "o").exists()
+
+
 # -- compare / oracle -----------------------------------------------------------
 
 
@@ -365,6 +428,17 @@ def test_compare_reports_gap(tiny_scenario, capsys):
     assert "distributed: status=feasible" in out
     assert "exact:       feasible=True" in out
     assert "gap:" in out
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_compare_rejects_out(tiny_scenario, tmp_path, capsys, before):
+    # compare writes no files, wherever --out stands.
+    flag = ["--out", str(tmp_path / "o")]
+    argv = [*flag, "compare", str(tiny_scenario)] if before else ["compare", str(tiny_scenario), *flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "compare writes no files" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_generate_then_compare_reports_gap(tmp_path, capsys):

@@ -165,6 +165,25 @@ def test_step_rejects_plan_for_dead_or_unknown_robot():
             step(snap, {rid: Proposal(P(5, 5), 0.0, frozenset())})
 
 
+@pytest.mark.parametrize("radius", [-1.0, -0.0 - 1e-300, float("nan"), float("inf"), float("-inf")])
+def test_step_rejects_a_radius_that_is_negative_or_not_finite(radius):
+    # A negative radius r would count an asset within |r| + tol as covered,
+    # since the tally squares r + tol.
+    snap = mksnapshot([mkrobot(0, 0, 0), mkrobot(1, 1, 1)], mkassets([(1, 1, 1), (0.5, 0, 1)]))
+    with pytest.raises(ValueError, match=f"robot 1 radius {radius}"):
+        step(snap, {1: Proposal(P(0, 0), radius, frozenset())})
+
+
+@pytest.mark.parametrize("asset_id", [2, 7, -1])
+def test_step_rejects_an_assigned_id_outside_the_assets(asset_id):
+    # Id 2 of 2 assets would land in the next robot's row of a view's
+    # robot x asset matrices, and -1 in the last column.
+    snap = mksnapshot([mkrobot(0, 0, 0), mkrobot(1, 1, 1)], mkassets([(1, 1, 1), (2, 2, 1)]))
+    with pytest.raises(ValueError, match=rf"robot 0 asset {asset_id}, which is not in 0\.\.1"):
+        step(snap, {0: Proposal(P(0, 0), 0.0, frozenset({0, asset_id}))})
+    step(snap, {0: Proposal(P(0, 0), 0.0, frozenset({0, 1}))})
+
+
 def test_step_applies_events_after_merge():
     """An asset arriving this round is part of the published snapshot and its
     metrics, but robots decided without seeing it."""

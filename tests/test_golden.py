@@ -205,6 +205,25 @@ def test_ladder_250_carries_one_view(monkeypatch):
     assert 0 < grows <= 16, grows
 
 
+def test_ladder_250_sweeps_skip_clean_pairs(monkeypatch):
+    # The size of each sweep's work as it starts: the first sweep, under a
+    # new config, visits every neighbor pair; after that only the pairs of
+    # robots that changed, or whose count of an asset they hold changed,
+    # come back.  This pins how many pairs the sweeps skip.
+    sweep, sizes = protocol.swap_round, []
+
+    def sized_sweep(snapshot, cfg, view):
+        view.update(snapshot)
+        pairs = sum(map(len, view.nbrs.values())) // 2
+        sizes.append(len(view.work) if view.clean_for == cfg else pairs)
+        return sweep(snapshot, cfg, view)
+
+    monkeypatch.setattr(protocol, "swap_round", sized_sweep)
+    res = run(ladder_250(), Config(), (), 0)
+    assert res.status is RunStatus.FEASIBLE
+    assert sizes == [679, 515, 360, 96, 88, 40, 0]
+
+
 def test_glyph_mission_hashes_each_tie_key_once(monkeypatch):
     # The paper's glyph mission: 24 robots, nearly all neighbours, where
     # empty robots bid 0 and most auctions tie.  Each auctioneer of an

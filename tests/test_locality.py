@@ -473,7 +473,7 @@ def test_clean_pairs_hold_for_one_config_and_seed():
     # clean; a sweep with another config must not skip them.
     view = _View(SHARED_DONOR)
     assert swap_round(SHARED_DONOR, Config(tau=10.0), view) == ({}, False, ())
-    assert view.clean
+    assert clean_pairs(view)
     assert swap_round(SHARED_DONOR, Config(), view) == swap_round(SHARED_DONOR, Config(), _View(SHARED_DONOR))
     # The candidate lists hang on the rim test's boundary factor: a rim
     # beyond every asset leaves robot 0 with none.
@@ -579,10 +579,10 @@ def test_clean_pair_is_voided_by_a_neighbor_only_over_held_assets(enters, shares
     cfg = Config(tau=10.0)  # no transfer pays off by 1000%
     view = _View(snap)
     assert swap_round(snap, cfg, view) == ({}, False, ())
-    assert (0, 1) in view.clean
+    assert (0, 1) in clean_pairs(view)
     snap = replace(snap, robots=(*snap.robots[:2], replace(snap.robots[2], pos=then)))
     view.update(snap)
-    assert ((0, 1) in view.clean) is not shares
+    assert ((0, 1) in clean_pairs(view)) is not shares
     assert (0 in view.candidates) is not shares
     assert_view_is_fresh(view)
     assert swap_round(snap, cfg, view) == swap_round(snap, cfg, _View(snap))
@@ -1005,7 +1005,7 @@ def test_carried_view_matches_fresh_view(snap, data):
                 view.donor_bound(rid, asset_id)
             for asset_id in view.deficits(rid):
                 view.grown_disk(rid, asset_id)
-        for pair in view.clean:
+        for pair in clean_pairs(view):
             clean_inputs.setdefault(pair, pair_inputs(view, pair))
         plan, events = data.draw(next_round(snap))
         if isinstance(swaps, tuple) and data.draw(st.booleans()):
@@ -1015,17 +1015,24 @@ def test_carried_view_matches_fresh_view(snap, data):
         assert_view_is_fresh(view)
         # A pair stays clean only while nothing the sweep reads about it
         # has changed.
-        clean_inputs = {pair: clean_inputs[pair] for pair in view.clean}
+        clean_inputs = {pair: clean_inputs[pair] for pair in clean_pairs(view)}
         for pair, inputs in clean_inputs.items():
             assert pair_inputs(view, pair) == inputs
 
 
+def neighbor_pairs(view: _View) -> set[tuple[int, int]]:
+    """The view's neighbor pairs, each as (lower id, higher id)."""
+    return {(i, j) for i in view.alive_ids for j in view.nbrs[i] if i < j}
+
+
+def clean_pairs(view: _View) -> set[tuple[int, int]]:
+    """The pairs a swap sweep skips: the neighbor pairs not in its work."""
+    return neighbor_pairs(view) - view.work
+
+
 def assert_pairs_are_split(view: _View) -> None:
-    """The neighbor pairs, each as (lower id, higher id), split into the
-    clean ones and the sweep's work."""
-    pairs = {(i, j) for i in view.alive_ids for j in view.nbrs[i] if i < j}
-    assert view.work | view.clean == pairs
-    assert not view.work & view.clean
+    """The sweep's work is a set of neighbor pairs; the rest are clean."""
+    assert view.work <= neighbor_pairs(view)
 
 
 @given(st.one_of(worlds(), holding_worlds()), st.data())
