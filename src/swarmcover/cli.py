@@ -256,8 +256,6 @@ def _run_and_write(scenario: Scenario, out: Path) -> RunResult:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        raise ScenarioError("generate takes no --config: an instance has no protocol config")
     seed = args.seed if args.seed is not None else 0
     shape = {"--n": args.n, "--m": args.m, "--r-comm": args.r_comm, "--r-max": args.r_max,
              "--kappa": args.kappa, "--workspace": args.workspace}
@@ -419,8 +417,6 @@ def _load_static(args: argparse.Namespace) -> Scenario:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.out is not None:
-        raise ScenarioError("compare writes no files, so it takes no --out")
     scenario = _load_static(args)
     inst = scenario.instance
     if inst.n > SOLVE_MAX_ASSETS or inst.m > SOLVE_MAX_ROBOTS:
@@ -532,31 +528,48 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
-def _add_global_flags(parser: argparse.ArgumentParser) -> None:
-    # SUPPRESS keeps an unused flag from writing into the namespace, so a
-    # value parsed before the subcommand survives the subparser pass.
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="master seed (overrides scenario config)")
-    parser.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output directory (default: cwd)")
-    parser.add_argument("--config", default=argparse.SUPPRESS,
-                        help="JSON file with config overrides")
+# The flags every subcommand shares.  SUPPRESS keeps an unused flag from
+# writing into the namespace, so a value parsed before the subcommand
+# survives the subparser pass.
+_SHARED_FLAGS = {
+    "--seed": {"type": int, "help": "master seed (overrides scenario config)"},
+    "--out": {"help": "output directory (default: cwd)"},
+    "--config": {"help": "JSON file with config overrides"},
+}
+
+# The shared flag a subcommand does not read, and the error that names it.
+# Its parser lacks the flag, so its --help does not list it; before the
+# subcommand the root parser takes every shared flag, so `main` refuses it
+# in either position.
+_UNREAD_FLAG = {
+    "generate": ("--config", "generate takes no --config: an instance has no protocol config"),
+    "compare": ("--out", "compare writes no files, so it takes no --out"),
+}
+
+
+def _add_shared_flags(parser: argparse.ArgumentParser, command: Optional[str] = None) -> None:
+    unread = _UNREAD_FLAG.get(command, ("",))[0]
+    for flag, kwargs in _SHARED_FLAGS.items():
+        if flag != unread:
+            parser.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The subcommands share one parent so the flags work in either position.
-    # The root gets its own copies: set_defaults rewrites the default on any
-    # action whose dest matches, and with a shared parent that rewrite would
-    # reach the subparsers and make them clobber root-parsed values.
-    common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common)
-
+    # The root and each subcommand take the shared flags, so they work in
+    # either position; each parser has its own copies, since set_defaults on
+    # the root would otherwise reach the subparsers and make them clobber
+    # root-parsed values.
     parser = _Parser(prog="swarmcover", description=__doc__.split("\n")[0])
-    _add_global_flags(parser)
+    _add_shared_flags(parser)
     parser.set_defaults(seed=None, out=None, config=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="build and save an instance", parents=[common])
+    def add(command: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(command, help=help)
+        _add_shared_flags(p, command)
+        return p
+
+    g = add("generate", "build and save an instance")
     g.add_argument("--preset", choices=["uni_sm", "uni_fix_n"], default=None)
     g.add_argument("--param", type=int, default=None, help="preset parameter (n or m)")
     g.add_argument("--n", type=int, default=None)
@@ -569,23 +582,23 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--workspace", type=_workspace_arg, default=None, help="x_min,x_max,y_min,y_max, default 0,100,0,100")
     g.set_defaults(func=cmd_generate)
 
-    r = sub.add_parser("run", help="execute a scenario", parents=[common])
+    r = add("run", "execute a scenario")
     r.add_argument("scenario")
     r.set_defaults(func=cmd_run)
 
-    s = sub.add_parser("sweep", help="sensitivity sweep", parents=[common])
+    s = add("sweep", "sensitivity sweep")
     s.add_argument("sweep")
     s.set_defaults(func=cmd_sweep)
 
-    c = sub.add_parser("compare", help="distributed vs exact solver", parents=[common])
+    c = add("compare", "distributed vs exact solver")
     c.add_argument("scenario")
     c.set_defaults(func=cmd_compare)
 
-    d = sub.add_parser("dynamic", help="scenario with events, adaptation report", parents=[common])
+    d = add("dynamic", "scenario with events, adaptation report")
     d.add_argument("scenario")
     d.set_defaults(func=cmd_dynamic)
 
-    o = sub.add_parser("oracle", help="exact solver only", parents=[common])
+    o = add("oracle", "exact solver only")
     o.add_argument("scenario")
     o.set_defaults(func=cmd_oracle)
     return parser
@@ -593,7 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, extra = parser.parse_known_args(argv)
+        flag, message = _UNREAD_FLAG.get(args.command, ("", ""))
+        if flag and (getattr(args, flag[2:]) is not None or any(a == flag or a.startswith(flag + "=") for a in extra)):
+            raise ScenarioError(message)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

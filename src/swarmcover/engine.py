@@ -123,7 +123,7 @@ def neighbor_map(snapshot: WorldSnapshot) -> dict[int, tuple[int, ...]]:
     ys = np.array([r.pos.y for r in alive], dtype=np.float64)
     thr2 = snapshot.params.r_comm ** 2
     nbrs: dict[int, tuple[int, ...]] = {}
-    for start, d2 in sq_dist_blocks(xs, ys, xs, ys):
+    for start, _, d2 in sq_dist_blocks(xs, ys, xs, ys):
         for i, row in enumerate(d2 <= thr2, start):
             nbrs[ids[i]] = tuple([ids[j] for j in np.flatnonzero(row).tolist() if j != i])
     return nbrs
@@ -200,7 +200,7 @@ def step(
                 raise ValueError(f"plan assigns robot {rid} asset {lo if lo < 0 else hi}, which is not in 0..{n - 1}")
         old = robots[rid]
         max_disp = max(max_disp, dist(old.pos, prop.pos))
-        robots[rid] = replace(old, pos=prop.pos, radius=prop.radius, assigned=prop.assigned)
+        robots[rid] = RobotState(old.id, prop.pos, prop.radius, prop.assigned, old.alive)
     merged = replace(
         snapshot,
         round=snapshot.round + 1,

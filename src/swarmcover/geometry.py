@@ -1,6 +1,7 @@
 """Planar geometry: points, disks, circumcircles, smallest enclosing disks,
 and the blocked squared-distance kernel behind every fixed-radius query
-(`sq_dist_blocks`).
+(`sq_dist_blocks`), which scans every pair or, for points sorted by x, only
+the pairs within an x-window of each query's reach.
 
 The enclosing-disk code is the randomized incremental construction of
 Welzl (1991) in its iterative form, with two choices that matter for
@@ -44,6 +45,10 @@ DEGENERACY_TOL = 1e-9
 # peak memory.
 _BLOCK = 1 << 14
 
+# Relative margin of a `sq_dist_blocks` window over the reach: far above
+# the rounding of the squared test.
+_WINDOW_SLACK = 2.0**-40
+
 # Seed of the fixed shuffle in `min_enclosing_disk`.  Taken in input order,
 # points that arrive in a spatial sweep (an outward spiral, a glyph's stroke
 # order) restart the incremental construction at nearly every point; in a
@@ -82,27 +87,97 @@ class Disk:
 
 
 def sq_dist_blocks(
-    qx: np.ndarray, qy: np.ndarray, xs: np.ndarray, ys: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
+    qx: np.ndarray, qy: np.ndarray, xs: np.ndarray, ys: np.ndarray, reach: Optional[np.ndarray | float] = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """Squared distances from query points to item points, a block of query
-    rows at a time.
+    rows at a time: against every item or, given `reach`, against only the
+    items that can lie within each query's reach.
 
-    Yields (start, d2) in row order, where d2[i, j] is
-    (xs[j] - qx[start + i])**2 + (ys[j] - qy[start + i])**2 for the next
-    rows of queries.  Every element is one IEEE subtraction, square and add
-    in that order, the bits of the scalar loop; and since (-x)**2 == x**2,
-    those of `dist2` with its arguments either way round.  A block holds
-    at most `_BLOCK` distances (at least one row), so a scan of every pair
-    keeps its temporaries small however many pairs there are.
+    Yields (start, lo, d2) in row order, where d2[i, j] is
+    (xs[lo + j] - qx[start + i])**2 + (ys[lo + j] - qy[start + i])**2 for
+    the next rows of queries and a contiguous slice of the items.  Every
+    element is one IEEE subtraction, square and add in that order, the bits
+    of the scalar loop; and since (-x)**2 == x**2, those of `dist2` with its
+    arguments either way round.  A block holds at most `_BLOCK` distances
+    (at least one row), so a scan of every pair keeps its temporaries small
+    however many pairs there are.  Without `reach`, lo is 0 and each row
+    spans every item.
+
+    With `reach` (one value t >= 0 per query, or one for all), the queries
+    and the items must both be sorted by x.  Row i's window is the items
+    whose x lies within w = t (1 + s) + 2**-500 of qx[i], with
+    s = `_WINDOW_SLACK` = 2**-40 (all of them when t * t overflows), and a
+    block spans the union of its rows' windows; a block whose window holds
+    no item is skipped.  An item
+    outside row i's window fails that row's test d2 <= t * t (the product
+    rounded once, as the callers compute it) in the arithmetic of the scan
+    with every item, so the windowed scan passes exactly the pairs the
+    full one does:
+
+    * the window's bounds are qx[i] + w and qx[i] - w rounded to nearest,
+      and a float x beyond a rounded bound is beyond the exact one: the
+      next float past the rounded value lies past the exact value.  So an
+      outside item is more than w from qx[i] exactly, and since rounding
+      is monotone its rounded difference dx has |dx| >= w.  This holds at
+      any coordinates: at |x| = 1e7 a bound's rounding (~1e-9 m) is 2.5e-11
+      of a 40 m reach, which no slack relative to t could absorb, but it
+      cannot bring an outside item nearer than w;
+    * the rounded dx*dx is then at least the rounded w*w, which with w's
+      own roundings is at least t * t (1 + s)**2 (1 - 2**-53)**3: above
+      t * t (1 + 2**-53), the most the rounded t * t can be.  The absolute
+      2**-500 keeps a tiny t from a tie of two squares that underflow:
+      w*w is then at least 2**-1000;
+    * the rounded dx*dx + dy*dy is at least dx*dx, since dy*dy >= 0 and
+      rounding is monotone; a square that overflows is inf and fails the
+      test unless t * t overflows too, when every item is in the window.
+
+    The block shape comes from the windows: each block takes as many rows
+    as keep rows x (its window's width) within `_BLOCK`, so when every
+    window spans every item the blocks are those of the scan without
+    `reach`.  A scan whose every pair fits in one block is taken whole,
+    without windows: they could not save a block, and finding them costs
+    more than the distances they would skip.
     """
-    rows = max(1, _BLOCK // max(1, len(xs)))
-    for start in range(0, len(qx), rows):
-        dx = xs - qx[start : start + rows, None]
-        dy = ys - qy[start : start + rows, None]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        yield start, dx
+    nq, n = len(qx), len(xs)
+    if nq * n <= _BLOCK:
+        reach = None  # one block holds the whole scan: no window can help
+    if reach is not None:
+        w = np.where(reach * reach < np.inf, reach * (1.0 + _WINDOW_SLACK) + 2.0**-500, np.inf)
+        lo = np.searchsorted(xs, qx - w, side="left")
+        hi = np.searchsorted(xs, qx + w, side="right")
+    # No window is wider than n, so every row count up to this one fits.
+    rows = max(1, _BLOCK // max(1, n))
+    a, b = 0, n
+    start = 0
+    while start < nq:
+        if reach is not None:
+            rows, a, b = _block_rows(lo, hi, start, 2 * rows)
+        if b > a:
+            dx = xs[a:b] - qx[start : start + rows, None]
+            dy = ys[a:b] - qy[start : start + rows, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            yield start, a, dx
+        start += rows
+
+
+def _block_rows(lo: np.ndarray, hi: np.ndarray, start: int, k: int) -> tuple[int, int, int]:
+    # The most rows from `start` (at least one) whose union of windows
+    # [lo, hi), counted at least 1 wide, times the rows stays within
+    # `_BLOCK`, and that union.  The product grows with each row, so the
+    # rows that fit are a prefix: the first k rows are tested, and k
+    # doubles while they all fit.
+    nq = len(lo)
+    while True:
+        k = min(k, nq - start)
+        a = np.minimum.accumulate(lo[start : start + k])
+        b = np.maximum.accumulate(hi[start : start + k])
+        fit = int(np.count_nonzero(np.arange(1, k + 1) * np.maximum(b - a, 1) <= _BLOCK))
+        if fit < k or start + k == nq:
+            rows = max(1, fit)
+            return rows, int(a[rows - 1]), int(b[rows - 1])
+        k *= 2
 
 
 def ordered_sum(values: Iterable[float]) -> float:

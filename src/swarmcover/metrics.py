@@ -62,14 +62,19 @@ class CoverTally:
     tally advanced to a snapshot gives the same counts, so a carried one may
     be advanced to any snapshot.
 
-    The disks are matched against every asset with the squared distances
+    The disks are matched against the assets with the squared distances
     of `geometry.sq_dist_blocks` and the test `d2 <= t * t`, where
-    t = r + CONTAINMENT_TOL.  Each operation is an elementwise IEEE double
-    operation, rounded once as in a scalar loop, whichever disks share a
-    block, so the counts are exact for any radius and a state counted off
-    takes back what it counted on.  The square is a product, as in the
-    scalar recount: `t ** 2` goes through the C library's `pow`, which may
-    be an ulp off it.
+    t = r + CONTAINMENT_TOL.  The assets are sorted by x once per assets
+    tuple and the disks by x on each count, and each block of disks is
+    matched only against the x-window of assets its reach t spans: an asset
+    outside it fails the test in the same arithmetic (see
+    `sq_dist_blocks`).  One advance adds its counts in x order and maps
+    them back to asset ids once.  Each operation is an elementwise IEEE
+    double operation, rounded once as in a scalar loop, whichever disks
+    share a block, so the counts are exact for any radius and a state
+    counted off takes back what it counted on.  The square is a product, as
+    in the scalar recount: `t ** 2` goes through the C library's `pow`,
+    which may be an ulp off it.
     """
 
     def __init__(self) -> None:
@@ -95,35 +100,43 @@ class CoverTally:
                 self._count_held(was - now, -1)
                 self._count_held(now - was, 1)
         if 2 * len(after) > len(prev):
-            self.cover[:] = 0
-            self._count_disks(self.robots, 1)
+            self.cover[self._order] = self._disk_counts((self.robots, 1))
         elif after:
-            self._count_disks(before, -1)
-            self._count_disks(after, 1)
+            self.cover[self._order] += self._disk_counts((before, -1), (after, 1))
 
     def _build(self, snapshot: "WorldSnapshot") -> None:
         assets, robots = snapshot.assets, snapshot.robots
         self.assets = assets
         self.robots = robots
-        self._xs = np.array([a.pos.x for a in assets], dtype=np.float64)
-        self._ys = np.array([a.pos.y for a in assets], dtype=np.float64)
+        xs = np.array([a.pos.x for a in assets], dtype=np.float64)
+        ys = np.array([a.pos.y for a in assets], dtype=np.float64)
+        self._order = np.argsort(xs, kind="stable")  # asset ids by x
+        self._xs, self._ys = xs[self._order], ys[self._order]
         self.kappa = np.array([a.kappa for a in assets], dtype=np.int64)
         self.cover = np.zeros(len(assets), dtype=np.int64)
+        self.cover[self._order] = self._disk_counts((robots, 1))
         self.holders = [0] * len(assets)
-        self._count_disks(robots, 1)
         for r in robots:
             self._count_held(_held(r), 1)
 
-    def _count_disks(self, robots: Sequence[RobotState], sign: int) -> None:
-        """Add `sign` to the cover count of every asset each of `robots`'
-        disks contains, a block of robots at a time."""
-        rx = np.array([r.pos.x for r in robots], dtype=np.float64)
-        ry = np.array([r.pos.y for r in robots], dtype=np.float64)
-        # A dead robot covers nothing: no squared distance is negative.
-        thr = np.array([r.radius for r in robots], dtype=np.float64) + CONTAINMENT_TOL
-        thr2 = np.where(np.array([r.alive for r in robots], dtype=bool), thr * thr, -1.0)
-        for start, d2 in sq_dist_blocks(rx, ry, self._xs, self._ys):
-            self.cover += sign * np.count_nonzero(d2 <= thr2[start : start + len(d2), None], axis=0)
+    def _disk_counts(self, *groups: tuple[Sequence[RobotState], int]) -> np.ndarray:
+        """For each (robots, sign) group, `sign` times the number of the
+        robots' disks that contain each asset, summed, in the assets' x
+        order.  The robots are sorted by x, and each block of them is
+        matched only against the x-window of assets within its reach."""
+        counts = np.zeros(len(self._xs), dtype=np.int64)
+        for robots, sign in groups:
+            alive = [r for r in robots if r.alive]  # a dead robot covers nothing
+            rx = np.array([r.pos.x for r in alive], dtype=np.float64)
+            order = np.argsort(rx, kind="stable")
+            rx = rx[order]
+            ry = np.array([r.pos.y for r in alive], dtype=np.float64)[order]
+            thr = np.array([r.radius for r in alive], dtype=np.float64)[order] + CONTAINMENT_TOL
+            thr2 = thr * thr
+            for start, lo, d2 in sq_dist_blocks(rx, ry, self._xs, self._ys, thr):
+                inside = d2 <= thr2[start : start + len(d2), None]
+                counts[lo : lo + d2.shape[1]] += sign * np.count_nonzero(inside, axis=0)
+        return counts
 
     def _count_held(self, ids: frozenset[int], sign: int) -> None:
         holders = self.holders

@@ -252,7 +252,7 @@ class _View:
         qx = np.array([self.robot[rid].pos.x for rid in rids], dtype=np.float64)
         qy = np.array([self.robot[rid].pos.y for rid in rids], dtype=np.float64)
         r_max2 = self.params.r_max ** 2
-        for start, d2 in sq_dist_blocks(qx, qy, self.asset_x, self.asset_y):
+        for start, _, d2 in sq_dist_blocks(qx, qy, self.asset_x, self.asset_y):
             self.sensed[rows[start : start + len(d2)]] = d2 <= r_max2
 
     def _hold(self, robots: Sequence[RobotState]) -> None:
@@ -449,36 +449,51 @@ def lloyd_round(snapshot: WorldSnapshot) -> dict[int, Proposal]:
     robots move to the centroid of their cell, radius capped at r_max.
 
     The nearest robot minimizes (squared distance, id) among the robots
-    within r_max: a first-minimum `argmin` over the alive robots in id
-    order.  Each cell's centroid and radius are summed over its assets in
-    ascending id.
+    within r_max.  The assets and the alive robots are sorted by x, and
+    each block of assets is scanned only against the window of robots
+    that can lie within r_max (`geometry.sq_dist_blocks`): a robot outside
+    it fails the r_max test in the scan's own arithmetic, so it could not
+    have been picked.  The window's columns are in x order, not id order,
+    so among equal minima the lowest id wins.  Each cell's centroid and
+    radius are summed over its assets in ascending id.
     """
     alive = [r for r in snapshot.robots if r.alive]
     r_max = snapshot.params.r_max
     lim2 = r_max * r_max
+    ax = [a.pos.x for a in snapshot.assets]
+    ay = [a.pos.y for a in snapshot.assets]
+    qx = np.array(ax, dtype=np.float64)
+    by_x = np.argsort(qx, kind="stable")
+    rx = np.array([r.pos.x for r in alive], dtype=np.float64)
+    order = np.argsort(rx, kind="stable")
+    ry = np.array([r.pos.y for r in alive], dtype=np.float64)[order]
+    ids = np.array([r.id for r in alive], dtype=np.intp)[order]
+    owner = np.full(len(ax), -1, dtype=np.intp)  # by asset id
+    for start, lo, d2 in sq_dist_blocks(qx[by_x], np.array(ay, dtype=np.float64)[by_x], rx[order], ry, r_max):
+        cols = ids[lo : lo + d2.shape[1]]
+        first = d2.argmin(axis=1)
+        best = d2[np.arange(len(d2)), first]
+        win = cols[first]
+        # A row whose last minimum is not its first has tied minima.
+        tied = np.flatnonzero(first != d2.shape[1] - 1 - d2[:, ::-1].argmin(axis=1))
+        if len(tied):
+            win[tied] = np.where(d2[tied] == best[tied, None], cols, len(snapshot.robots)).min(axis=1)
+        within = best <= lim2
+        owner[by_x[start : start + len(d2)][within]] = win[within]
     cells: dict[int, list[int]] = {}
-    if alive:  # argmin has nothing to pick from otherwise
-        assets = snapshot.assets
-        rx = np.array([r.pos.x for r in alive], dtype=np.float64)
-        ry = np.array([r.pos.y for r in alive], dtype=np.float64)
-        qx = np.array([a.pos.x for a in assets], dtype=np.float64)
-        qy = np.array([a.pos.y for a in assets], dtype=np.float64)
-        for start, d2 in sq_dist_blocks(qx, qy, rx, ry):
-            best = d2.argmin(axis=1)
-            within = d2[np.arange(len(best)), best] <= lim2
-            for i, k in zip(np.flatnonzero(within).tolist(), best[within].tolist()):
-                cells.setdefault(alive[k].id, []).append(assets[start + i].id)
+    claimed = np.flatnonzero(owner >= 0)
+    for a, k in zip(claimed.tolist(), owner[claimed].tolist()):
+        cells.setdefault(k, []).append(a)
     proposals: dict[int, Proposal] = {}
     for r in alive:
         cell = cells.get(r.id)
         if not cell:
             proposals[r.id] = Proposal(r.pos, 0.0, frozenset())
             continue
-        xs = ordered_sum(snapshot.assets[a].pos.x for a in cell)
-        ys = ordered_sum(snapshot.assets[a].pos.y for a in cell)
-        centroid = Point(xs / len(cell), ys / len(cell))
-        maxd = max(dist(centroid, snapshot.assets[a].pos) for a in cell)
-        proposals[r.id] = Proposal(centroid, min(maxd, r_max), frozenset(cell))
+        cx = ordered_sum([ax[a] for a in cell]) / len(cell)
+        cy = ordered_sum([ay[a] for a in cell]) / len(cell)
+        maxd = max([math.hypot(cx - ax[a], cy - ay[a]) for a in cell])
+        proposals[r.id] = Proposal(Point(cx, cy), min(maxd, r_max), frozenset(cell))
     return proposals
 
 

@@ -143,6 +143,35 @@ def test_help_exits_0(argv, capsys):
     assert "usage: swarmcover" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, unread", [("generate", "--config"), ("compare", "--out")])
+def test_subcommand_help_lists_only_the_flags_it_reads(command, unread, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert unread not in out
+    assert all(flag in out for flag in ("--seed", "--out", "--config") if flag != unread)
+    # The root takes every shared flag, for the position before a subcommand.
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert unread in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["--config", "cfg.json", "generate", "--n", "4", "--m", "2"], "generate takes no --config"),
+        (["generate", "--n", "4", "--m", "2", "--config=cfg.json"], "generate takes no --config"),
+        (["compare", "s.json", "--out=o"], "compare writes no files"),
+        (["run", "s.json", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+)
+def test_unread_flag_is_an_error_in_any_position(argv, needle, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ") and needle in err
+
+
 # -- run ----------------------------------------------------------------------
 
 

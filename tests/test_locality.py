@@ -3,15 +3,18 @@ references.
 
 Sensing, the neighbor map, Lloyd's nearest-robot search and the cover
 counts of `summarize` scan squared distances in the blocks of
-`geometry.sq_dist_blocks`, at any block size; those cover counts are
-carried from round to round in a `metrics.CoverTally`; each robot's
-knowledge, cover counts and deficits come from the round's view alone, as
-robot x asset matrices whose count dtype must not wrap; the completion
-test (`coverage_satisfied`, against the holder `Counter` and sensing scan
-of `reference.coverage_satisfied`) and certificate read those matrices,
-and each robot's releasable assets its counts against kappa; the swap
-sweep reads memoized disks and candidate lists from that view, and the
-auctions list their auctioneers and candidates from its matrices and
+`geometry.sq_dist_blocks`, at any block size; Lloyd and the cover counts
+scan only each block's x-window, which must hold every pair the full scan
+passes at offsets of 1e6 and 1e7, with items exactly at a reach's edge and
+radii far above r_max, and must skip most pairs of a long strip; those
+cover counts are carried from round to round in a `metrics.CoverTally`;
+each robot's knowledge, cover counts and deficits come from the round's
+view alone, as robot x asset matrices whose count dtype must not wrap; the
+completion test (`coverage_satisfied`, against the holder `Counter` and
+sensing scan of `reference.coverage_satisfied`) and certificate read those
+matrices, and each robot's releasable assets its counts against kappa; the
+swap sweep reads memoized disks and candidate lists from that view, and
+the auctions list their auctioneers and candidates from its matrices and
 decide every auctioneer's deficit from one sorted list of bids per asset,
 ranked by bounds that one vectorized pass computes for the whole round,
 pricing the bids that one walk per auctioneer's group prices.
@@ -138,6 +141,77 @@ NO_ASSETS = WorldSnapshot(
     (),
     Params(WS, 2, 40.0, 40.0),
 )
+
+# Robot 0's disk, of radius ~1.7e7, holds asset 0 on its rim, and asset 1
+# sits on the opposite rim: inside the disk by the hypot test of
+# `geometry.dist`, outside it by the squared distance.  Only the hypot test
+# gives the bound 0 of the scalar loop; the far/2 formula gives ~0.196.
+_CENTER = Point(2.821882811161622, -4.1672640852553124)
+RIM_BAND = WorldSnapshot(
+    0,
+    Phase.OPTIMIZE,
+    (
+        RobotState(0, _CENTER, 16754803.245397445, frozenset({0}), True),
+        RobotState(1, _CENTER, 0.0, frozenset(), True),
+    ),
+    (
+        Asset(0, Point(16157124.7457103, 4435178.233782556), 1),
+        Asset(1, Point(-16157119.101944681, -4435186.568310726), 1),
+    ),
+    Params(WS, 2, 55.0, 1e9),
+)
+
+
+# Robot 0's reach and r_max both square to inf, so by the squared test its
+# disk and its sensing range hold every asset, even one 1e300 away: its
+# window must span them all.
+OVERFLOW_REACH = WorldSnapshot(
+    0,
+    Phase.EXPLORE,
+    (RobotState(0, Point(0.0, 0.0), 1e160, frozenset(), True), RobotState(1, Point(5.0, 0.0), 1.0, frozenset(), True)),
+    (Asset(0, Point(1e300, 0.0), 1), Asset(1, Point(4.0, 0.0), 1), Asset(2, Point(-1e300, 3.0), 1)),
+    Params(WS, 2, 55.0, 1e160),
+)
+
+
+# Offsets of the far worlds.  At |x| = 1e7 one rounding of a coordinate is
+# ~1e-9 m, as large as CONTAINMENT_TOL, so the x-windows of the tally's and
+# Lloyd's scans must hold there too (see `geometry.sq_dist_blocks`).
+offsets = st.sampled_from([1e6, -1e6, 1e7, -1e7])
+
+
+def shifted(snap: WorldSnapshot, dx: float, dy: float) -> WorldSnapshot:
+    """snap with every robot and asset moved by (dx, dy), each coordinate
+    rounded once."""
+    robots = tuple(replace(r, pos=Point(r.pos.x + dx, r.pos.y + dy)) for r in snap.robots)
+    assets = tuple(replace(a, pos=Point(a.pos.x + dx, a.pos.y + dy)) for a in snap.assets)
+    return replace(snap, robots=robots, assets=assets)
+
+
+def far(snaps):
+    """The worlds of `snaps`, moved out to offsets of 1e6 and 1e7."""
+    return st.builds(shifted, snaps, offsets, offsets)
+
+
+@st.composite
+def rim_worlds(draw) -> WorldSnapshot:
+    """Robots near the origin or at a far offset, with radii from zero to
+    far above r_max, each with assets at exactly x +- its reach and
+    x +- r_max: the edges of its row's window in the tally's and Lloyd's
+    scans."""
+    r_max = draw(radii)
+    ox, oy = draw(st.just((0.0, 0.0)) | st.tuples(offsets, offsets))
+    coord = coords(r_max)
+    robots, spots = [], []
+    for i in range(draw(st.integers(1, 6))):
+        x, y = ox + draw(coord), oy + draw(coord)
+        radius = draw(st.sampled_from([0.0, r_max, 4.0 * r_max, RIM_BAND.robots[0].radius]) | st.floats(0.0, r_max))
+        robots.append(RobotState(i, Point(x, y), radius, frozenset(), draw(st.integers(0, 4)) > 0))
+        reach = radius + CONTAINMENT_TOL
+        spots += [(x + reach, y), (x - reach, y), (x + r_max, y), (x - r_max, y)]
+    spots = draw(st.permutations(spots))
+    assets = tuple(Asset(k, Point(px, py), draw(st.integers(1, 2))) for k, (px, py) in enumerate(spots))
+    return WorldSnapshot(0, Phase.EXPLORE, tuple(robots), assets, Params(WS, len(robots), r_max, r_max))
 
 
 @given(worlds(), blocks)
@@ -276,10 +350,12 @@ def test_view_counts_more_holders_than_a_byte_holds(m, shift):
     assert holders_certified(snap, view) == certificate_reference(snap)
 
 
-@given(worlds(), blocks)
+@given(worlds() | far(worlds()) | rim_worlds(), blocks)
 @example(NO_ALIVE, 1)
 @example(NO_ASSETS, 7)
-@settings(max_examples=150, deadline=None)
+@example(RIM_BAND, 1)
+@example(OVERFLOW_REACH, 1)
+@settings(max_examples=300, deadline=None)
 def test_summarize_counts_match_coverage_count(snap, block):
     with mock.patch.object(geometry, "_BLOCK", block):
         rm = summarize(snap)
@@ -352,13 +428,45 @@ def tied_worlds(draw) -> WorldSnapshot:
     return replace(snap, robots=robots, assets=assets, params=replace(snap.params, m=len(robots)))
 
 
-@given(worlds() | tied_worlds(), blocks)
+@given(worlds() | tied_worlds() | far(worlds() | tied_worlds()) | rim_worlds(), blocks)
 @example(NO_ALIVE, 1)
 @example(NO_ASSETS, 7)
-@settings(max_examples=300, deadline=None)
+@example(RIM_BAND, 1)
+@example(OVERFLOW_REACH, 1)
+@settings(max_examples=400, deadline=None)
 def test_lloyd_round_matches_brute_force_reference(snap, block):
     with mock.patch.object(geometry, "_BLOCK", block):
         got = lloyd_round(snap)
+    assert got == lloyd_reference(snap)
+
+
+def test_tally_and_lloyd_scan_only_their_x_windows_on_a_strip():
+    """On a strip 2 km wide the tally and Lloyd match each block of robots
+    (of assets) against only the x-window of its reach, a small part of the
+    strip; a scan of every pair would count every robot x asset cell."""
+    robots = tuple(RobotState(i, Point(5.0 * i, 10.0), 6.0, frozenset(), True) for i in range(400))
+    assets = tuple(Asset(i, Point(1.25 * i, 20.0 * (i % 2)), 1) for i in range(1600))
+    snap = WorldSnapshot(0, Phase.EXPLORE, robots, assets, Params(Workspace(0.0, 2000.0, 0.0, 20.0), 400, 55.0, 40.0))
+    cells = Counter()
+
+    def counted(caller):
+        def scan(*args):
+            for start, lo, d2 in geometry.sq_dist_blocks(*args):
+                cells[caller] += d2.size
+                yield start, lo, d2
+
+        return scan
+
+    with (
+        mock.patch("swarmcover.metrics.sq_dist_blocks", counted("tally")),
+        mock.patch("swarmcover.protocol.sq_dist_blocks", counted("lloyd")),
+    ):
+        rm = summarize(snap)
+        got = lloyd_round(snap)
+    pairs = len(robots) * len(assets)
+    assert 0 < cells["tally"] <= pairs // 4
+    assert 0 < cells["lloyd"] <= pairs // 4
+    assert rm == reference.summarize(snap)
     assert got == lloyd_reference(snap)
 
 
@@ -846,26 +954,6 @@ def assert_bounds_are_the_scalar_loop(view: _View, robots, assets) -> None:
     assert np.array_equal(got.view(np.uint64), want.astype(np.float64).view(np.uint64))
 
 
-# Robot 0's disk, of radius ~1.7e7, holds asset 0 on its rim, and asset 1
-# sits on the opposite rim: inside the disk by the hypot test of
-# `geometry.dist`, outside it by the squared distance.  Only the hypot test
-# gives the bound 0 of the scalar loop; the far/2 formula gives ~0.196.
-_CENTER = Point(2.821882811161622, -4.1672640852553124)
-RIM_BAND = WorldSnapshot(
-    0,
-    Phase.OPTIMIZE,
-    (
-        RobotState(0, _CENTER, 16754803.245397445, frozenset({0}), True),
-        RobotState(1, _CENTER, 0.0, frozenset(), True),
-    ),
-    (
-        Asset(0, Point(16157124.7457103, 4435178.233782556), 1),
-        Asset(1, Point(-16157119.101944681, -4435186.568310726), 1),
-    ),
-    Params(WS, 2, 55.0, 1e9),
-)
-
-
 @given(st.one_of(worlds(), holding_worlds(), bound_cases().map(bound_case_snapshot)), st.booleans())
 @example(LOOSE_DISK, False)
 @example(RIM_BAND, False)
@@ -1106,7 +1194,8 @@ def tally_round(draw, snap: WorldSnapshot):
         if kind == "zero":
             prop = replace(prop, radius=0.0)
         elif kind == "past":
-            prop = replace(prop, radius=draw(st.sampled_from([4.0 * r_max, 1e4]) | st.floats(r_max, 3.0 * r_max)))
+            far_radii = st.sampled_from([4.0 * r_max, 1e4, RIM_BAND.robots[0].radius])
+            prop = replace(prop, radius=draw(far_radii | st.floats(r_max, 3.0 * r_max)))
         elif kind == "rim" and snap.assets:
             a = snap.assets[draw(st.integers(0, len(snap.assets) - 1))]
             radius = draw(radii)
@@ -1126,9 +1215,10 @@ def holder_counts(snap: WorldSnapshot) -> list[int]:
 
 @st.composite
 def tally_missions(draw):
-    """A world and one to six rounds of it, each drawn by `tally_round` for
-    the snapshot that the rounds before it lead to."""
-    snap = first = draw(st.one_of(worlds(), holding_worlds()))
+    """A world, near the origin or far from it, and one to six rounds of
+    it, each drawn by `tally_round` for the snapshot that the rounds before
+    it lead to."""
+    snap = first = draw(st.one_of(worlds(), holding_worlds(), far(worlds() | holding_worlds()), rim_worlds()))
     rounds = []
     for _ in range(draw(st.integers(1, 6))):
         plan, events = draw(tally_round(snap))
