@@ -464,12 +464,13 @@ def lloyd_round(snapshot: WorldSnapshot) -> dict[int, Proposal]:
     ay = [a.pos.y for a in snapshot.assets]
     qx = np.array(ax, dtype=np.float64)
     by_x = np.argsort(qx, kind="stable")
+    qx, qy = qx[by_x], np.array(ay, dtype=np.float64)[by_x]
     rx = np.array([r.pos.x for r in alive], dtype=np.float64)
     order = np.argsort(rx, kind="stable")
-    ry = np.array([r.pos.y for r in alive], dtype=np.float64)[order]
+    rx, ry = rx[order], np.array([r.pos.y for r in alive], dtype=np.float64)[order]
     ids = np.array([r.id for r in alive], dtype=np.intp)[order]
     owner = np.full(len(ax), -1, dtype=np.intp)  # by asset id
-    for start, lo, d2 in sq_dist_blocks(qx[by_x], np.array(ay, dtype=np.float64)[by_x], rx[order], ry, r_max):
+    for start, lo, d2 in sq_dist_blocks(qx, qy, rx, ry, r_max):
         cols = ids[lo : lo + d2.shape[1]]
         first = d2.argmin(axis=1)
         best = d2[np.arange(len(d2)), first]
