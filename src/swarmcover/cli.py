@@ -47,6 +47,7 @@ from .instances import (
     _known_keys,
     _number,
     _object,
+    _read_json,
     generate_uniform,
     instance_from_dict,
     load_instance,
@@ -57,7 +58,7 @@ from .metrics import RoundMetrics, optimality_gap, summarize, total_cost, write_
 from .oracle import SOLVE_MAX_ASSETS, SOLVE_MAX_ROBOTS, solve_exact
 from .protocol import Config, RunResult, RunStatus, run
 
-_CONFIG_KEYS = {"lambda": "lam", **{f.name: f.name for f in fields(Config)}}
+_CONFIG_KEYS = {"lambda": "lam", "seed": "seed", **{f.name: f.name for f in fields(Config)}}
 
 
 class ScenarioError(ValueError):
@@ -72,27 +73,27 @@ class Scenario:
     seed: int
 
 
-def _parse_config(data: dict[str, Any]) -> tuple[Config, Optional[int]]:
-    kwargs: dict[str, Any] = {}
-    seed: Optional[int] = None
-    for key, value in data.items():
-        if key == "seed":
-            seed = _integer(value, "config seed")
-            continue
-        if key not in _CONFIG_KEYS:
-            raise ScenarioError(f"unknown config key: {key!r}")
-        kwargs[_CONFIG_KEYS[key]] = value
-    return Config(**kwargs), seed
-
-
-def _config_data(data: Any, what: str, config_path: Optional[Path]) -> dict[str, Any]:
+def _parse_config(data: Any, what: str, config_path: Optional[Path]) -> tuple[Config, Optional[int]]:
     """The config object `data`, with the overrides of the `--config` file
-    at config_path, if any, on top."""
-    merged = dict(_object(data, what))
+    at config_path, if any, on top, and its seed.  Two keys of one object
+    that set one field ('lambda' sets lam) are an error: one would be
+    ignored."""
+    layers = [(data, what)]
     if config_path is not None:
-        with open(config_path) as fh:
-            merged.update(_object(json.load(fh), f"{config_path}: config"))
-    return merged
+        layers.append((_read_json(config_path), f"{config_path}: config"))
+    values: dict[str, Any] = {}
+    for layer, where in layers:
+        keys: dict[str, str] = {}
+        for key, value in _object(layer, where).items():
+            name = _CONFIG_KEYS.get(key)
+            if name is None:
+                raise ScenarioError(f"unknown config key: {key!r}")
+            if name in keys:
+                raise ScenarioError(f"{where}: keys {keys[name]!r} and {key!r} both set {name}")
+            keys[name] = key
+            values[name] = value
+    seed = _integer(values.pop("seed"), "config seed") if "seed" in values else None
+    return Config(**values), seed
 
 
 def _parse_events(items: Any, instance: Instance) -> tuple[Event, ...]:
@@ -140,15 +141,14 @@ def load_scenario(
     no instance reference) is accepted as a scenario; beside the instance's
     keys it may hold events and config.  Any other key is an error.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     inline = {k: v for k, v in _object(data, f"{path}: scenario").items() if k not in ("events", "config")}
     if "instance" in data or "instance_file" in data:
         _known_keys(inline, ("instance", "instance_file"), f"{path}: scenario")
     if "instance" in data and "instance_file" in data:
         raise ScenarioError(f"{path}: scenario has both 'instance' and 'instance_file': give exactly one of them")
 
-    config, cfg_seed = _parse_config(_config_data(data.get("config", {}), "scenario config", config_path))
+    config, cfg_seed = _parse_config(data.get("config", {}), "scenario config", config_path)
     seed = cli_seed if cli_seed is not None else (cfg_seed if cfg_seed is not None else 0)
 
     base_dir = path.parent
@@ -324,15 +324,19 @@ def sweep(spec: dict[str, Any], seed: int, out: Path, config_path: Optional[Path
         raise ScenarioError("sweep base workspace must be [x_min, x_max, y_min, y_max]")
     ws = Workspace(*(_number(v, "sweep base workspace bound") for v in ws_vals))
     kappa = _int_list(base.get("kappa_choices", list(KAPPA_DEFAULT_CHOICES)), "sweep base kappa_choices")
-    config, cfg_seed = _parse_config(_config_data(spec.get("config", {}), "sweep config", config_path))
+    config, cfg_seed = _parse_config(spec.get("config", {}), "sweep config", config_path)
     if cfg_seed is not None:
         raise ScenarioError("sweep config takes no seed: give --seed or the spec's seeds")
 
     # Every instance is built before the first run, so a bad value fails
     # the sweep up front instead of after the runs before it.
     cases = []
+    checked: list[float] = []
     for value in values:
         p = {**fixed, parameter: _SWEEP_PARAMS[parameter](value, f"sweep {parameter} value")}
+        if p[parameter] in checked:
+            raise ScenarioError(f"sweep values repeat {parameter} = {value!r}: each value is one summary row")
+        checked.append(p[parameter])
         for trial, trial_seed in enumerate(seeds):
             assets = generate_uniform(p["n"], ws, kappa, trial_seed)
             cases.append((value, trial, trial_seed, Instance(ws, tuple(assets), p["m"], p["r_comm"], p["r_max"])))
@@ -403,9 +407,8 @@ def sweep(spec: dict[str, Any], seed: int, out: Path, config_path: Optional[Path
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.sweep) as fh:
-        spec = json.load(fh)
-    sweep(spec, args.seed if args.seed is not None else 0, Path(args.out or "."), _opt_path(args.config))
+    seed = args.seed if args.seed is not None else 0
+    sweep(_read_json(args.sweep), seed, Path(args.out or "."), _opt_path(args.config))
     return 0
 
 

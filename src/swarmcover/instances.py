@@ -267,6 +267,22 @@ def _field(obj: Any, key: str, what: str) -> Any:
     return obj[key]
 
 
+def _read_json(path: str | Path) -> Any:
+    """The JSON value in the file at path.  A key repeated in one object,
+    of which json.load would keep the last value, is an error."""
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=unique)
+
+
 _WORKSPACE_KEYS = ("x_min", "x_max", "y_min", "y_max")
 _INSTANCE_KEYS = ("workspace", "m", "r_comm", "r_max", "assets_file", "generator")
 _GENERATOR_KEYS = ("name", "n", "kappa_choices", "seed")
@@ -313,8 +329,7 @@ def instance_from_dict(data: dict, base_dir: str | Path = ".", default_seed: int
 
 def load_instance(path: str | Path, default_seed: int = 0) -> Instance:
     path = Path(path)
-    data = json.loads(path.read_text())
-    return instance_from_dict(data, base_dir=path.parent, default_seed=default_seed)
+    return instance_from_dict(_read_json(path), base_dir=path.parent, default_seed=default_seed)
 
 
 def save_instance(path: str | Path, instance: Instance, assets_file: str = "assets.csv") -> None:

@@ -1,7 +1,7 @@
 """Omniscient evaluation of world snapshots: coverage counts, cost, and the
 per-round trace CSV.
 
-Everything here is measured geometrically against robot disks, independent of
+Coverage here is measured geometrically against robot disks, independent of
 the assignment bookkeeping the robots themselves maintain, so it doubles as
 the ground-truth check on the distributed state.  A run carries the counts
 from round to round in one `CoverTally`, which recounts only what changed
@@ -48,19 +48,18 @@ def total_cost(snapshot: "WorldSnapshot") -> float:
 
 
 class CoverTally:
-    """Per-asset cover and holder counts, carried from snapshot to snapshot.
+    """Per-asset cover counts, carried from snapshot to snapshot.
 
     The tally holds, for the snapshot it was last advanced to, each asset's
-    geometric cover count (alive robots whose closed disk contains it) and
-    each asset's holder count (alive robots whose assigned set lists it).
+    geometric cover count: the alive robots whose closed disk contains it.
     `advance` diffs a snapshot's robots against the previous ones by
-    identity: a robot whose disk or liveness changed has its previous state
-    counted off and its new state counted on, and a changed assigned set
-    moves holder counts only.  When more than half of the disks changed, as
-    in Lloyd rounds, the cover counts are counted afresh instead.  A new
-    assets tuple or a different robot count rebuilds the tally.  A fresh
-    tally advanced to a snapshot gives the same counts, so a carried one may
-    be advanced to any snapshot.
+    identity: a robot whose disk or liveness changed has its previous disk
+    counted off and its new disk counted on; a changed assigned set alone
+    moves nothing.  When more than half of the disks changed, as in Lloyd
+    rounds, the counts are counted afresh instead.  A new assets tuple or a
+    different robot count rebuilds the tally.  A fresh tally advanced to a
+    snapshot gives the same counts, so a carried one may be advanced to any
+    snapshot.
 
     The disks are matched against the assets with the squared distances
     of `geometry.sq_dist_blocks` and the test `d2 <= t * t`, where
@@ -90,15 +89,9 @@ class CoverTally:
         self.robots = snapshot.robots
         before, after = [], []
         for r, old in zip(snapshot.robots, prev):
-            if r is old:
-                continue
-            if r.pos != old.pos or r.radius != old.radius or r.alive != old.alive:
+            if r is not old and (r.pos != old.pos or r.radius != old.radius or r.alive != old.alive):
                 before.append(old)
                 after.append(r)
-            if r.assigned != old.assigned or r.alive != old.alive:
-                was, now = _held(old), _held(r)
-                self._count_held(was - now, -1)
-                self._count_held(now - was, 1)
         if 2 * len(after) > len(prev):
             self.cover[self._order] = self._disk_counts((self.robots, 1))
         elif after:
@@ -115,9 +108,6 @@ class CoverTally:
         self.kappa = np.array([a.kappa for a in assets], dtype=np.int64)
         self.cover = np.zeros(len(assets), dtype=np.int64)
         self.cover[self._order] = self._disk_counts((robots, 1))
-        self.holders = [0] * len(assets)
-        for r in robots:
-            self._count_held(_held(r), 1)
 
     def _disk_counts(self, *groups: tuple[Sequence[RobotState], int]) -> np.ndarray:
         """For each (robots, sign) group, `sign` times the number of the
@@ -138,17 +128,6 @@ class CoverTally:
                 counts[lo : lo + d2.shape[1]] += sign * np.count_nonzero(inside, axis=0)
         return counts
 
-    def _count_held(self, ids: frozenset[int], sign: int) -> None:
-        holders = self.holders
-        n = len(holders)
-        for a in ids:
-            if 0 <= a < n:  # an id that names no asset counts for nothing
-                holders[a] += sign
-
-
-def _held(robot: RobotState) -> frozenset[int]:
-    return robot.assigned if robot.alive else frozenset()
-
 
 def summarize(
     snapshot: "WorldSnapshot", max_displacement: float = 0.0, tally: Optional[CoverTally] = None
@@ -157,14 +136,16 @@ def summarize(
 
     undercovered/overcovered compare each asset's geometric cover count, the
     alive robots whose disk contains it whatever they hold, against its
-    kappa; undiscovered counts assets that appear in no alive robot's
-    assigned set.  A carried `tally` is advanced to the snapshot and its
-    counts are read; without one a fresh tally counts the snapshot from
-    scratch, with the same result.
+    kappa: a carried `tally` is advanced to the snapshot and read, and
+    without one a fresh tally counts the snapshot with the same result.
+    undiscovered counts, off the snapshot, the assets whose id is in no
+    alive robot's assigned set; an id that names no asset counts for nothing.
     """
     if tally is None:
         tally = CoverTally()
     tally.advance(snapshot)
+    n = len(snapshot.assets)
+    held = set().union(*[r.assigned for r in snapshot.robots if r.alive])
     return RoundMetrics(
         round=snapshot.round,
         phase=snapshot.phase.value,
@@ -172,7 +153,7 @@ def summarize(
         overcovered_count=int(np.count_nonzero(tally.cover > tally.kappa)),
         total_cost=total_cost(snapshot),
         max_displacement=max_displacement,
-        undiscovered_count=tally.holders.count(0),
+        undiscovered_count=n - len(held.intersection(range(n))),
     )
 
 

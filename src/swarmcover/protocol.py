@@ -878,8 +878,9 @@ def coverage_satisfied(snapshot: WorldSnapshot, view: _View) -> bool:
     evaluated omnisciently by the run scheduler: robots cannot detect global
     completion from local state, and their views keep flagging covered
     assets whose holders sit outside communication range.  Assets no robot
-    senses or holds are undiscovered; they do not block completion and are
-    surfaced through the metrics instead.
+    senses or holds are undiscovered and do not block completion.  The
+    trace's `undiscovered` metric is a wider count: every asset that no
+    alive robot holds, sensed ones included.
 
     It reads the view: each asset's holders, counted down its column of
     `_View.held`, against `_View.need`, and the rows of `_View.sensed`.

@@ -83,6 +83,11 @@ def coverage_count(snapshot: WorldSnapshot, p: Point) -> int:
     return n
 
 
+def holder_counts(snapshot: WorldSnapshot) -> list[int]:
+    """Each asset's number of alive robots whose assigned set lists it."""
+    return [sum(1 for r in snapshot.robots if r.alive and a.id in r.assigned) for a in snapshot.assets]
+
+
 def summarize(snapshot: WorldSnapshot, max_displacement: float = 0.0) -> RoundMetrics:
     """The round metrics of a snapshot recounted from scratch: every
     asset's cover count by `coverage_count`, and the union of the alive

@@ -399,6 +399,8 @@ def test_sweep_rejects_bad_parameter(tmp_path):
         ({"parameter": "n", "values": [4], "trial": 3}, "sweep spec: unknown keys ['trial']"),
         ({"parameter": "n", "values": [4], "base": {"kappa": [2]}}, "sweep base: unknown keys ['kappa']"),
         ({"parameter": "n", "values": [4], "config": [1]}, "sweep config must be a JSON object"),
+        ({"parameter": "n", "values": [4, 4]}, "sweep values repeat n = 4"),
+        ({"parameter": "r_comm", "values": [5, 5.0]}, "sweep values repeat r_comm = 5.0"),
     ],
 )
 def test_sweep_spec_types_are_errors(tmp_path, capsys, spec, needle):
@@ -823,6 +825,46 @@ def test_scenario_with_two_instance_sources_is_rejected(tmp_path, capsys):
     assert err.startswith("error:") and "give exactly one of them" in err
     assert "'instance' and 'instance_file'" in err
     assert not (tmp_path / "o").exists()
+
+
+INST = {"workspace": WS, "m": 3, "r_comm": 85.0, "r_max": 45.0, "generator": GEN}
+# Each text repeats one key in one object: "m" in the instance, "tau" in a
+# config, "values" in a sweep spec.
+DUPLICATE_M = json.dumps(INST).replace('"m": 3', '"m": 3, "m": 4')
+DUPLICATE_KEY_FILES = {
+    "scenario": '{"instance": %s}' % DUPLICATE_M,
+    "instance_file": DUPLICATE_M,
+    "config": '{"tau": 0.5, "tau": 0.25}',
+    "sweep": '{"parameter": "n", "values": [4], "values": [5], "base": {"m": 2}}',
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DUPLICATE_KEY_FILES))
+def test_duplicate_json_key_is_an_error(tmp_path, capsys, reader):
+    bad = tmp_path / "dup.json"
+    bad.write_text(DUPLICATE_KEY_FILES[reader])
+    argv = {
+        "scenario": ["run", str(bad)],
+        "instance_file": ["run", str(write_json(tmp_path / "ref.json", {"instance_file": "dup.json"}))],
+        "config": ["run", str(write_json(tmp_path / "ok.json", {"instance": INST})), "--config", str(bad)],
+        "sweep": ["sweep", str(bad)],
+    }[reader]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad}: duplicate key" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_two_config_keys_for_one_field_are_an_error(tmp_path, capsys):
+    scenario = write_json(tmp_path / "both.json", {"instance": INST, "config": {"lambda": 2.0, "lam": 9.0}})
+    assert main(["run", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "keys 'lambda' and 'lam' both set lam" in err
+    assert not (tmp_path / "o").exists()
+    # Across the scenario and the --config file, the file's key wins.
+    scenario = write_json(tmp_path / "one.json", {"instance": INST, "config": {"lambda": 2.0}})
+    cfg = write_json(tmp_path / "cfg.json", {"lam": 9.0})
+    assert load_scenario(scenario, config_path=cfg).config.lam == 9.0
 
 
 @pytest.mark.parametrize(

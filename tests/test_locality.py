@@ -83,7 +83,7 @@ from swarmcover.protocol import (
     swap_round,
 )
 import reference
-from reference import bid_bound, coverage_count, evaluate_swap, neighbors, sense
+from reference import bid_bound, coverage_count, evaluate_swap, holder_counts, neighbors, sense
 from test_golden import event_mission, ladder_250
 from test_protocol import _SLACK_CASE, bound_case_snapshot, bound_cases
 
@@ -1209,10 +1209,6 @@ def tally_round(draw, snap: WorldSnapshot):
     return plan, events
 
 
-def holder_counts(snap: WorldSnapshot) -> list[int]:
-    return [sum(1 for r in snap.robots if r.alive and a.id in r.assigned) for a in snap.assets]
-
-
 @st.composite
 def tally_missions(draw):
     """A world, near the origin or far from it, and one to six rounds of
@@ -1286,7 +1282,7 @@ def test_carried_tally_matches_a_recount(mission, block):
             snap, rm = step(snap, plan, events, tally=tally)
             assert rm == reference.summarize(snap, rm.max_displacement)
             assert tally.cover.tolist() == [coverage_count(snap, a.pos) for a in snap.assets]
-            assert tally.holders == holder_counts(snap)
+            assert rm.undiscovered_count == holder_counts(snap).count(0)
             # Only new assets rebuild the tally; every other round patches it.
             builds += snap.assets is not prev.assets
             assert build.call_count == builds

@@ -22,7 +22,7 @@ from swarmcover.metrics import (
 )
 
 from conftest import P, mkassets, mkrobot, mksnapshot
-from reference import coverage_count
+from reference import coverage_count, holder_counts
 
 coord = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
@@ -98,7 +98,17 @@ def test_carried_tally_drops_a_killed_robot_with_a_zero_disk():
     killed, rm = step(snap, {}, [Event(1, KillRobot(1))], tally=tally)
     assert not killed.robots[1].alive and killed.robots[1].radius == 0.0
     assert (rm.undercovered_count, rm.undiscovered_count) == (1, 2)
-    assert tally.cover.tolist() == [1, 0] and tally.holders == [0, 0]
+    assert tally.cover.tolist() == [1, 0] and rm.undiscovered_count == holder_counts(killed).count(0)
+
+
+def test_summarize_counts_no_stray_id_or_dead_holder_as_discovered():
+    # Robot 0 holds asset 1 and the ids -1 and 2, which name no asset of
+    # the two; dead robot 1 holds asset 0, so asset 0 is undiscovered.
+    snap = mksnapshot(
+        [mkrobot(0, 0, 0, assigned={-1, 1, 2}), mkrobot(1, 5, 5, assigned={0}, alive=False)],
+        mkassets([(0, 0, 1), (5, 5, 1)]),
+    )
+    assert summarize(snap).undiscovered_count == holder_counts(snap).count(0) == 1
 
 
 def test_geometric_cover_dominates_membership():
